@@ -65,7 +65,6 @@ def cv_select(
     h_grid: np.ndarray,
     family: str,
     trunc: TruncationSpec,
-    method: str = "auto",
 ) -> CvResult:
     """Pick a bandwidth for ``family`` from ``h_grid`` by leave one out.
 
@@ -91,11 +90,11 @@ def cv_select(
     for i, h in enumerate(h_grid):
         spec = KernelSpec(family, float(h))
         try:
-            theta, mask = truncated_theta(ds, spec, trunc, method)
+            theta, mask = truncated_theta(ds, spec, trunc)
         except (RankError, TruncationError):
             continue
         r = ds.y - ds.x @ theta
-        mass, sums = _window_sums(ds.v, ds.v, spec, r[:, None], method)
+        mass, sums = _window_sums(ds.v, ds.v, spec, r[:, None])
         loo_mass = mass - k0
         loo_ok = loo_mass > 0.0
         usable = mask & loo_ok

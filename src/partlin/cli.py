@@ -31,8 +31,8 @@ import scipy
 
 from . import __version__
 from .bandwidth import cv_select, default_h_grid
-from .dataset import TimeSeriesDataset, load_csv, validate, write_csv
-from .errors import ParameterError, ParseError, PartlinError, SchemaError
+from .dataset import TimeSeriesDataset, load_csv, read_columns, validate, write_csv
+from .errors import ParameterError, ParseError, PartlinError
 from .kernel import (
     DEFAULT_SMALL_SET,
     KernelSpec,
@@ -45,7 +45,6 @@ from .montecarlo import (
     DGPS,
     G0_TAGS,
     McConfig,
-    emit_curve_data,
     resolve_kernel,
     resolve_truncation,
     run_g_experiment,
@@ -457,42 +456,11 @@ def cmd_mc(args) -> int:
 # ---------------------------------------------------------------- unitroot
 
 
-def _load_column(path: str, column: int | str, header: bool) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    names = None
-    if header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if isinstance(column, str):
-        if names is None:
-            raise SchemaError(
-                f"{path}: column {column!r} requested by name without a header"
-            )
-        if column not in names:
-            raise SchemaError(
-                f"{path}: column {column!r} not found; header has {names}"
-            )
-        pos = names.index(column)
-    else:
-        pos = column
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        if pos < 0 or pos >= len(row):
-            raise SchemaError(f"{path}: no field {pos} in data row {i + 1}")
-        try:
-            out[i] = float(row[pos].strip())
-        except ValueError:
-            raise ParseError(
-                f"{path}: cannot parse {row[pos]!r} at data row {i + 1}"
-            ) from None
-    return out
-
-
 def cmd_unitroot(args) -> int:
-    z = _load_column(args.data, _column_selector(args.column), not args.no_header)
+    data, _ = read_columns(
+        args.data, [_column_selector(args.column)], not args.no_header
+    )
+    z = data[:, 0]
     res = df_test(z, reps=args.reps, seed=args.seed)
     header = "rho_hat,t_stat,p_value,sim_reps"
     row = (

@@ -99,21 +99,16 @@ def _resolve(col: int | str, names: list[str] | None, path: str) -> int:
         ) from None
 
 
-def load_csv(
-    path: str,
-    y_col: int | str = "y",
-    x_cols: tuple[int | str, ...] = ("x1",),
-    v_col: int | str = "v",
-    header: bool = True,
-) -> TimeSeriesDataset:
-    """Read a dataset from a CSV file.
+def read_columns(
+    path: str, cols: list[int | str], header: bool = True
+) -> tuple[np.ndarray, list[str]]:
+    """Parse the selected columns of a CSV file as floats.
 
     Columns are selected by header name, or by 0-based position when
-    ``header`` is false.  Any cell that does not parse as a float raises
+    ``header`` is false.  Returns the (rows, len(cols)) values and a
+    label per column.  Any cell that does not parse as a float raises
     :class:`ParseError` naming the column and the 1-based data row.
     """
-    if not x_cols:
-        raise ParameterError("x_cols must name at least one column")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
@@ -126,8 +121,7 @@ def load_csv(
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 
-    wanted = [y_col, *x_cols, v_col]
-    positions = [_resolve(c, names, path) for c in wanted]
+    positions = [_resolve(c, names, path) for c in cols]
     labels = [
         names[p] if names is not None else f"col{p}" for p in positions
     ]
@@ -147,7 +141,24 @@ def load_csv(
                     f"{path}: cannot parse {cell!r} in column "
                     f"{labels[j]!r} at data row {i + 1}"
                 ) from None
+    return data, labels
 
+
+def load_csv(
+    path: str,
+    y_col: int | str = "y",
+    x_cols: tuple[int | str, ...] = ("x1",),
+    v_col: int | str = "v",
+    header: bool = True,
+) -> TimeSeriesDataset:
+    """Read a dataset from a CSV file.
+
+    Columns are selected as in :func:`read_columns`, which also raises
+    its parse and schema errors.
+    """
+    if not x_cols:
+        raise ParameterError("x_cols must name at least one column")
+    data, labels = read_columns(path, [y_col, *x_cols, v_col], header)
     k = len(x_cols)
     return TimeSeriesDataset(
         y=data[:, 0],

@@ -2,21 +2,17 @@
 
 Everything here reduces to window sums: for evaluation points p_i and
 sample points v_t, accumulate K((v_t - p_i)/h) and the same sums against
-target columns.  Two evaluation strategies produce identical numbers:
+target columns.  One engine, ``_window_sums``, computes them for every
+kernel family.  It sorts the sample once per call and finds each
+point's window, the sample points with |(v_t - p_i)/h| <= 1 in floating
+point, as one contiguous run of the sorted sample.  Both families
+vanish outside that window, so only in-window pairs are visited:
 
-``direct``
-    materialise the full kernel matrix (in chunks of evaluation points),
-    which works for any kernel family;
-
-``windowed``
-    for the uniform kernel only, sort the sample once and read window
-    sums off prefix sums, O((n + p) log n) instead of O(n p).
-
-``auto`` picks ``windowed`` for the uniform kernel and ``direct``
-otherwise.  Both paths put v_t in the window of p_i exactly when
-|(v_t - p_i)/h| <= 1 in floating point, so they agree on window edges
-too, and their sums agree to near machine precision; the test suite
-pins that down.
+* the uniform kernel is constant on its window, so its sums are read
+  off prefix sums, O((n + p) log n);
+* any other family is evaluated on the in-window (point, sample) pairs
+  alone, in chunks of bounded size, which costs the total window size
+  rather than n p.
 """
 
 from __future__ import annotations
@@ -31,14 +27,13 @@ from .errors import NoVisitsError, ParameterError
 from .markov import SmallSet, count_small_set_visits
 
 FAMILIES = ("uniform", "epanechnikov")
-METHODS = ("auto", "windowed", "direct")
 
 # kernel value at 0, used by leave-one-out corrections
 KERNEL_AT_ZERO = {"uniform": 0.5, "epanechnikov": 0.75}
 # integral of the squared kernel, the scale in the pointwise limit law
 KERNEL_L2 = {"uniform": 0.5, "epanechnikov": 0.6}
 
-_CHUNK_BUDGET = 2**22  # direct path: cap on kernel matrix entries per chunk
+_CHUNK_BUDGET = 2**22  # cap on in-window pairs evaluated per chunk
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,8 @@ def _settle_edge(
     (v - p_i)/h satisfies ``past``, for every point p_i.
 
     ``padded`` is the sorted sample with -inf in front and +inf behind.
-    Window membership is decided on (v - p)/h, exactly as the direct
-    path decides it; ``past`` is monotone in v, so each window is one
+    Window membership is decided on (v - p)/h, exactly as ``kernel_eval``
+    decides it; ``past`` is monotone in v, so each window is one
     contiguous run of the sorted sample.  ``guess`` comes from searching
     for p -+ h, which disagrees with that predicate only for sample
     values within rounding distance of the edge.  Checking the two
@@ -150,7 +145,6 @@ def _window_sums(
     points: np.ndarray,
     spec: KernelSpec,
     targets: np.ndarray | None,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Kernel mass and kernel weighted target sums at each point.
 
@@ -158,44 +152,52 @@ def _window_sums(
     and ``sums[i, j] = sum_t K((v_t - p_i)/h) * targets[t, j]`` (None
     when no targets are passed).  Kernel values are unscaled by 1/h.
     """
-    if method not in METHODS:
-        raise ParameterError(f"unknown method {method!r}, expected {METHODS}")
     sample = np.asarray(sample, dtype=float)
     points = np.asarray(points, dtype=float)
     h = spec.bandwidth
-    if method == "auto":
-        method = "windowed" if spec.family == "uniform" else "direct"
-    if method == "windowed" and spec.family != "uniform":
-        raise ParameterError("the windowed path only supports the uniform kernel")
+    order = np.argsort(sample, kind="stable")
+    sv = sample[order]
+    padded = np.concatenate(([-np.inf], sv, [np.inf]))
+    lo = _settle_edge(
+        padded, points, h, np.searchsorted(sv, points - h, side="left"),
+        lambda u: u >= -1.0,
+    )
+    hi = _settle_edge(
+        padded, points, h, np.searchsorted(sv, points + h, side="right"),
+        lambda u: u > 1.0,
+    )
+    tg = None if targets is None else targets[order]
 
-    if method == "windowed":
-        order = np.argsort(sample, kind="stable")
-        sv = sample[order]
-        padded = np.concatenate(([-np.inf], sv, [np.inf]))
-        lo = _settle_edge(
-            padded, points, h, np.searchsorted(sv, points - h, side="left"),
-            lambda u: u >= -1.0,
-        )
-        hi = _settle_edge(
-            padded, points, h, np.searchsorted(sv, points + h, side="right"),
-            lambda u: u > 1.0,
-        )
+    if spec.family == "uniform":
         mass = 0.5 * (hi - lo)
-        if targets is None:
+        if tg is None:
             return mass, None
-        tg = targets[order]
         pref = np.vstack([np.zeros(tg.shape[1]), np.cumsum(tg, axis=0)])
         return mass, 0.5 * (pref[hi] - pref[lo])
 
     mass = np.empty(points.size)
-    sums = None if targets is None else np.empty((points.size, targets.shape[1]))
-    step = max(1, _CHUNK_BUDGET // max(1, sample.size))
-    for start in range(0, points.size, step):
-        chunk = points[start : start + step]
-        k = kernel_eval(spec, (sample[None, :] - chunk[:, None]) / h)
-        mass[start : start + len(chunk)] = k.sum(axis=1)
-        if targets is not None:
-            sums[start : start + len(chunk)] = k @ targets
+    sums = None if tg is None else np.empty((points.size, tg.shape[1]))
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    # pairs are laid out point after point; pair q of the run belongs to
+    # the point i with ends[i - 1] <= q < ends[i] and is sample q + shift[i]
+    shift = lo - (ends - sizes)
+    start = 0
+    while start < points.size:
+        # as many points as the budget holds, and at least one
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + _CHUNK_BUDGET, side="right"))
+        stop = max(stop, start + 1)
+        owner = np.repeat(np.arange(stop - start), sizes[start:stop])
+        idx = np.arange(base, ends[stop - 1]) + shift[start:stop][owner]
+        k = kernel_eval(spec, (sv[idx] - points[start:stop][owner]) / h)
+        mass[start:stop] = np.bincount(owner, weights=k, minlength=stop - start)
+        if tg is not None:
+            for j in range(tg.shape[1]):
+                sums[start:stop, j] = np.bincount(
+                    owner, weights=k * tg[idx, j], minlength=stop - start
+                )
+        start = stop
     return mass, sums
 
 
@@ -216,26 +218,10 @@ def weights(
     return k / total
 
 
-def density_pn(
-    v_series: np.ndarray, v: float, spec: KernelSpec, n_blocks: int
-) -> float:
-    """Occupation density estimate: kernel mass over n_blocks * h.
-
-    The normaliser is the regeneration count rather than n, which is
-    what makes the estimate stable under null recurrence.
-    """
-    if n_blocks < 1:
-        raise ParameterError(f"n_blocks must be >= 1, got {n_blocks}")
-    v_series = np.asarray(v_series, dtype=float)
-    k = kernel_eval(spec, (v_series - v) / spec.bandwidth)
-    return float(k.sum() / (n_blocks * spec.bandwidth))
-
-
 def truncation_mask(
     v_series: np.ndarray,
     spec: KernelSpec,
     trunc: TruncationSpec,
-    method: str = "auto",
 ) -> np.ndarray:
     """Boolean mask keeping observations where the occupation density
     estimate at their own covariate value exceeds the floor.
@@ -247,7 +233,7 @@ def truncation_mask(
     visits = count_small_set_visits(v_series, trunc.small_set)
     if visits == 0:
         raise NoVisitsError("the path never enters the small set")
-    mass, _ = _window_sums(v_series, v_series, spec, None, method)
+    mass, _ = _window_sums(v_series, v_series, spec, None)
     dens = mass / (visits * spec.bandwidth)
     return dens > trunc.b_n
 
@@ -256,7 +242,6 @@ def smooth(
     v_series: np.ndarray,
     targets: np.ndarray,
     spec: KernelSpec,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel regression of each target column on the covariate,
     evaluated at the sample points themselves.
@@ -274,7 +259,7 @@ def smooth(
         raise ParameterError(
             f"targets rows {tg.shape[0]} do not match n = {v_series.size}"
         )
-    mass, sums = _window_sums(v_series, v_series, spec, tg, method)
+    mass, sums = _window_sums(v_series, v_series, spec, tg)
     valid = mass > 0.0
     out = np.full(tg.shape, np.nan)
     out[valid] = sums[valid] / mass[valid, None]

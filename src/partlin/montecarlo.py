@@ -46,7 +46,7 @@ from .kernel import (
 )
 from .markov import simulate_ar1, simulate_random_walk
 from .rng import standard_normal
-from .sls import asymptotic_ci, estimate_g, truncated_sls
+from .sls import asymptotic_ci, estimate_g, truncated_sls, truncated_theta
 
 STREAMS_PER_REP = 4
 DGPS = ("H_zero", "H_identity")
@@ -196,23 +196,29 @@ def table_grid(v: np.ndarray, points: int) -> np.ndarray:
 def _replicate(args: tuple) -> tuple:
     """Worker for one replication; must stay module level for pickling."""
     cfg, kspec, trunc, rep, mode, v_point, ci_level = args
+    # only an interval needs the covariance block of the full fit
+    want_ci = mode == "theta" and ci_level is not None
     try:
         ds = simulate_replication(cfg, rep)
-        fit = truncated_sls(ds, kspec, trunc)
+        if want_ci:
+            fit = truncated_sls(ds, kspec, trunc)
+            theta = fit.theta_hat
+        else:
+            theta, _ = truncated_theta(ds, kspec, trunc)
     except _FIT_ERRORS:
         return (rep, None)
     if mode == "theta":
         covered = np.nan
-        if ci_level is not None:
+        if want_ci:
             try:
                 ci = asymptotic_ci(fit, ci_level)
                 covered = float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])
             except ParameterError:
                 covered = np.nan
-        return (rep, (fit.theta_hat, covered))
+        return (rep, (theta, covered))
     if mode == "g":
         grid = table_grid(ds.v, cfg.g_grid_points)
-        curve = estimate_g(ds, fit.theta_hat, grid, kspec)
+        curve = estimate_g(ds, theta, grid, kspec)
         err = np.abs(curve.values - _g0_values(cfg.g0, grid))
         n_valid = int(np.count_nonzero(curve.valid))
         if n_valid == 0:
@@ -220,7 +226,7 @@ def _replicate(args: tuple) -> tuple:
         ae = float(np.mean(err[curve.valid]))
         return (rep, (ae, grid.size - n_valid))
     if mode == "gpoint":
-        curve = estimate_g(ds, fit.theta_hat, np.array([v_point]), kspec)
+        curve = estimate_g(ds, theta, np.array([v_point]), kspec)
         if not curve.valid[0]:
             return (rep, (np.nan, 1))
         g0v = float(_g0_values(cfg.g0, np.array([v_point]))[0])
@@ -376,25 +382,3 @@ def g_clt_check(cfg: McConfig, v_point: float) -> GCltReport:
         invalid=invalid,
         failures=failures,
     )
-
-
-def emit_curve_data(cfg: McConfig, rep_seed: int, out: str) -> None:
-    """Write one replication's true and estimated curve to a CSV file.
-
-    Columns are the grid point, the true curve, the estimate and a 0/1
-    validity flag; rows follow the per replication grid rule.
-    """
-    kspec = resolve_kernel(cfg)
-    trunc = resolve_truncation(cfg)
-    ds = simulate_replication(cfg, rep_seed)
-    fit = truncated_sls(ds, kspec, trunc)
-    grid = table_grid(ds.v, cfg.g_grid_points)
-    curve = estimate_g(ds, fit.theta_hat, grid, kspec)
-    g_true = _g0_values(cfg.g0, grid)
-    with open(out, "w", newline="") as fh:
-        fh.write("v,g_true,g_hat,valid\n")
-        for i in range(grid.size):
-            fh.write(
-                "%.17g,%.17g,%.17g,%d\n"
-                % (grid[i], g_true[i], curve.values[i], int(curve.valid[i]))
-            )

@@ -32,7 +32,7 @@ from scipy.special import ndtri
 from .dataset import TimeSeriesDataset
 from .errors import ParameterError, RankError, TruncationError
 from .kernel import KernelSpec, TruncationSpec, _window_sums, smooth, truncation_mask
-from .markov import estimate_beta
+from .markov import count_small_set_visits, estimate_beta
 
 _COND_LIMIT = 1e12
 
@@ -95,11 +95,11 @@ class CurveEstimate:
 
 
 def _detrend(
-    ds: TimeSeriesDataset, spec: KernelSpec, method: str = "auto"
+    ds: TimeSeriesDataset, spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Remove the covariate trend from y and x at the sample points."""
     stacked = np.column_stack([ds.y, ds.x])
-    smoothed, valid = smooth(ds.v, stacked, spec, method)
+    smoothed, valid = smooth(ds.v, stacked, spec)
     tilde = stacked - smoothed
     return tilde[:, 0], tilde[:, 1:], valid
 
@@ -131,37 +131,45 @@ def _solve_normal(
 
 
 def naive_sls(
-    ds: TimeSeriesDataset, spec: KernelSpec, method: str = "auto"
+    ds: TimeSeriesDataset, spec: KernelSpec
 ) -> np.ndarray:
     """Least squares on all detrended rows, no density truncation."""
-    yt, xt, valid = _detrend(ds, spec, method)
+    yt, xt, valid = _detrend(ds, spec)
     rows = None if valid.all() else valid
     return _solve_normal(xt, yt, rows, ds.x)
+
+
+def _truncated_solve(
+    ds: TimeSeriesDataset, spec: KernelSpec, trunc: TruncationSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, the truncation mask, and the detrended data
+    ``(ytilde, xtilde, valid)`` they were solved from."""
+    mask = truncation_mask(ds.v, spec, trunc)
+    if not mask.any():
+        raise TruncationError(
+            f"density floor {trunc.b_n:g} removed all {ds.n} observations"
+        )
+    yt, xt, valid = _detrend(ds, spec)
+    theta = _solve_normal(xt, yt, mask & valid, ds.x)
+    return theta, mask, yt, xt, valid
 
 
 def truncated_theta(
     ds: TimeSeriesDataset,
     spec: KernelSpec,
     trunc: TruncationSpec,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients and the truncation mask, without fit diagnostics.
 
     This is the inner loop of bandwidth selection, where the covariance
     block of the full fit would be wasted work.
     """
-    mask = truncation_mask(ds.v, spec, trunc, method)
-    if not mask.any():
-        raise TruncationError(
-            f"density floor {trunc.b_n:g} removed all {ds.n} observations"
-        )
-    yt, xt, valid = _detrend(ds, spec, method)
-    theta = _solve_normal(xt, yt, mask & valid, ds.x)
+    theta, mask, _, _, _ = _truncated_solve(ds, spec, trunc)
     return theta, mask
 
 
 def residuals(
-    ds: TimeSeriesDataset, theta: np.ndarray, spec: KernelSpec, method: str = "auto"
+    ds: TimeSeriesDataset, theta: np.ndarray, spec: KernelSpec
 ) -> ResidualSet:
     """Detrended residual pairs (eps_hat_t, u_hat_t) for a given theta.
 
@@ -172,7 +180,7 @@ def residuals(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ds.d,):
         raise ParameterError(f"theta must have shape ({ds.d},), got {theta.shape}")
-    yt, xt, valid = _detrend(ds, spec, method)
+    yt, xt, valid = _detrend(ds, spec)
     return ResidualSet(eps_hat=yt - xt @ theta, u_hat=xt, valid=valid)
 
 
@@ -250,7 +258,6 @@ def truncated_sls(
     ds: TimeSeriesDataset,
     spec: KernelSpec,
     trunc: TruncationSpec,
-    method: str = "auto",
 ) -> SlsFit:
     """Density truncated fit with recurrence and covariance diagnostics.
 
@@ -258,11 +265,10 @@ def truncated_sls(
     point (truncation affects which rows enter the normal equations,
     not where residuals exist), keeping the lag structure intact.
     """
-    theta, mask = truncated_theta(ds, spec, trunc, method)
-    res = residuals(ds, theta, spec, method)
-    keep = res.valid
+    theta, mask, yt, xt, valid = _truncated_solve(ds, spec, trunc)
+    eps_hat = yt - xt @ theta
     cov = longrun_covariance(
-        res.eps_hat[keep], res.u_hat[keep], default_max_lag(ds.n)
+        eps_hat[valid], xt[valid], default_max_lag(ds.n)
     )
     cond = np.linalg.cond(cov.sigma_u)
     if np.isfinite(cond) and cond <= _COND_LIMIT:
@@ -271,15 +277,12 @@ def truncated_sls(
         avar = 0.5 * (avar + avar.T)
     else:
         avar = np.full((ds.d, ds.d), np.nan)
-    visits = int(
-        np.count_nonzero(trunc.small_set.contains(ds.v))
-    )
     return SlsFit(
         theta_hat=theta,
         mask=mask,
         effective_n=int(mask.sum()),
         n=ds.n,
-        n_blocks=visits,
+        n_blocks=count_small_set_visits(ds.v, trunc.small_set),
         beta_hat=estimate_beta(ds.v, trunc.small_set),
         sigma_hat_sq=cov.sigma_hat_sq,
         sigma_u=cov.sigma_u,
@@ -312,7 +315,6 @@ def estimate_g(
     theta: np.ndarray,
     grid: np.ndarray,
     spec: KernelSpec,
-    method: str = "auto",
 ) -> CurveEstimate:
     """Kernel estimate of the curve g on a grid, given theta.
 
@@ -326,7 +328,7 @@ def estimate_g(
     if grid.ndim != 1 or grid.size < 1:
         raise ParameterError("grid must be a nonempty 1-d array")
     target = (ds.y - ds.x @ theta)[:, None]
-    mass, sums = _window_sums(ds.v, grid, spec, target, method)
+    mass, sums = _window_sums(ds.v, grid, spec, target)
     valid = mass > 0.0
     values = np.full(grid.size, np.nan)
     values[valid] = sums[valid, 0] / mass[valid]
@@ -337,7 +339,6 @@ def estimate_h(
     ds: TimeSeriesDataset,
     grid: np.ndarray,
     spec: KernelSpec,
-    method: str = "auto",
 ) -> list[CurveEstimate]:
     """Kernel regression of each regressor column on the covariate.
 
@@ -348,7 +349,7 @@ def estimate_h(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ParameterError("grid must be a nonempty 1-d array")
-    mass, sums = _window_sums(ds.v, grid, spec, ds.x, method)
+    mass, sums = _window_sums(ds.v, grid, spec, ds.x)
     valid = mass > 0.0
     out = []
     for j in range(ds.d):

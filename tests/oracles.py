@@ -87,6 +87,20 @@ def oracle_pn(v_series, v, family, h, n_blocks):
     return k / (n_blocks * h)
 
 
+def oracle_window_sums(v_series, points, family, h, targets):
+    """Kernel mass and kernel weighted sums of each target column
+    (``targets`` holds one row per sample point) at each point."""
+    mass, sums = [], []
+    for p in points:
+        k = [oracle_kernel(family, (vt - p) / h) for vt in v_series]
+        mass.append(sum(k))
+        sums.append(
+            [sum(ki * row[j] for ki, row in zip(k, targets))
+             for j in range(len(targets[0]))]
+        )
+    return mass, sums
+
+
 def oracle_mask(v_series, family, h, bn, lo, hi):
     visits = sum(1 for vt in v_series if lo <= vt <= hi)
     return [

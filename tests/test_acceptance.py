@@ -280,10 +280,13 @@ def test_criterion_6_exactness_and_equivariance():
     db = abs(rebuilt - total) / max(abs(total), 1.0)
     checks.append(("block identity", db <= 1e-10, f"{db:.2e}"))
 
-    # windowed uniform smoothing equals the direct weighted average
-    fit_w = truncated_sls(ds, spec, trunc, method="windowed")
-    fit_d = truncated_sls(ds, spec, trunc, method="direct")
-    dm = float(np.max(np.abs(fit_w.theta_hat - fit_d.theta_hat)))
+    # prefix-sum uniform smoothing equals the literal weighted average
+    fit = truncated_sls(ds, spec, trunc)
+    want = oracle_truncated_theta(
+        ds.y.tolist(), ds.x.tolist(), ds.v.tolist(), "uniform", spec.bandwidth,
+        trunc.b_n, trunc.small_set.lower, trunc.small_set.upper,
+    )
+    dm = float(np.max(np.abs(fit.theta_hat - want)))
     checks.append(("uniform fast path", dm <= 1e-10, f"{dm:.2e}"))
 
     ok = all(flag for _, flag, _ in checks)

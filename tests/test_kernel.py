@@ -1,5 +1,6 @@
 """Kernel evaluation, window sums, truncation and smoothing."""
 
+import inspect
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
+import partlin
 from partlin.errors import NoVisitsError, ParameterError
 from partlin.kernel import (
     DEFAULT_SMALL_SET,
@@ -20,7 +22,6 @@ from partlin.kernel import (
     default_bandwidth,
     default_density_floor,
     default_truncation,
-    density_pn,
     kernel_eval,
     smooth,
     truncation_mask,
@@ -115,17 +116,6 @@ def test_weights_empty_window_returns_none():
     assert weights(np.array([1.0]), 0.0, KernelSpec("epanechnikov", 1.0)) is None
 
 
-def test_density_matches_oracle():
-    v_series = simulate_random_walk(60, 0.5, 0.0, 9)
-    spec = KernelSpec("epanechnikov", 0.8)
-    for point in (0.0, 0.5, -2.0):
-        got = density_pn(v_series, point, spec, n_blocks=7)
-        want = oracles.oracle_pn(v_series.tolist(), point, "epanechnikov", 0.8, 7)
-        assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ParameterError):
-        density_pn(v_series, 0.0, spec, n_blocks=0)
-
-
 def test_truncation_mask_matches_oracle():
     rng = random.Random(5)
     for _ in range(10):
@@ -160,7 +150,7 @@ def test_truncation_normaliser_is_visit_count():
     spec = KernelSpec("uniform", 0.6)
     visits = count_small_set_visits(v, SmallSet(-1, 1))
     assert visits == 3
-    dens_at_far = density_pn(v, 3.0, spec, visits)
+    dens_at_far = oracles.oracle_pn(v.tolist(), 3.0, "uniform", 0.6, visits)
     mask_below = truncation_mask(
         v, spec, TruncationSpec(dens_at_far * 0.999, SmallSet(-1, 1))
     )
@@ -172,13 +162,16 @@ def test_truncation_normaliser_is_visit_count():
 
 
 def test_smooth_agrees_across_methods():
+    """Smoothing at the sample points equals the oracle's weighted
+    averages for both families."""
     v = simulate_random_walk(400, 0.1, 0.0, 17)
     targets = standard_normal(17, 1, 800).reshape(400, 2)
-    spec = KernelSpec("uniform", 0.25)
-    a, valid_a = smooth(v, targets, spec, method="windowed")
-    b, valid_b = smooth(v, targets, spec, method="direct")
-    np.testing.assert_array_equal(valid_a, valid_b)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    for family in ("uniform", "epanechnikov"):
+        got, valid = smooth(v, targets, KernelSpec(family, 0.25))
+        w = [oracles.oracle_weights(v.tolist(), vt, family, 0.25) for vt in v]
+        np.testing.assert_array_equal(valid, [wt is not None for wt in w])
+        want = np.array([np.array(wt) @ targets for wt in w])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,11 +189,13 @@ def test_window_sum_paths_agree(data, h):
     v = np.array(data)
     points = np.linspace(v.min() - 1, v.max() + 1, 17)
     targets = np.column_stack([np.sin(v), np.ones_like(v)])
-    spec = KernelSpec("uniform", h)
-    mass_w, sums_w = _window_sums(v, points, spec, targets, "windowed")
-    mass_d, sums_d = _window_sums(v, points, spec, targets, "direct")
-    np.testing.assert_allclose(mass_w, mass_d, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(sums_w, sums_d, rtol=1e-9, atol=1e-9)
+    for family in ("uniform", "epanechnikov"):
+        mass, sums = _window_sums(v, points, KernelSpec(family, h), targets)
+        want_mass, want_sums = oracles.oracle_window_sums(
+            v.tolist(), points.tolist(), family, h, targets.tolist()
+        )
+        np.testing.assert_allclose(mass, want_mass, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(sums, want_sums, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -219,26 +214,12 @@ def test_window_sum_paths_agree(data, h):
 def test_window_edges_follow_standardised_distance(v, p, h):
     v = np.array(v)
     targets = np.column_stack([np.arange(v.size, dtype=float), np.ones_like(v)])
-    want = sum(oracles.oracle_kernel("uniform", (vt - p) / h) for vt in v)
-    want_sums = [
-        sum(oracles.oracle_kernel("uniform", (vt - p) / h) * t for vt, t in
-            zip(v, targets[:, j]))
-        for j in range(2)
-    ]
-    for method in ("windowed", "direct"):
-        mass, sums = _window_sums(
-            v, np.array([p]), KernelSpec("uniform", h), targets, method
-        )
-        assert mass[0] == want
-        np.testing.assert_array_equal(sums[0], want_sums)
-
-
-def test_windowed_rejects_other_families():
-    v = np.zeros(3)
-    with pytest.raises(ParameterError, match="windowed"):
-        _window_sums(v, v, KernelSpec("epanechnikov", 1.0), None, "windowed")
-    with pytest.raises(ParameterError, match="method"):
-        _window_sums(v, v, KernelSpec("uniform", 1.0), None, "fast")
+    (want,), (want_sums,) = oracles.oracle_window_sums(
+        v.tolist(), [p], "uniform", h, targets.tolist()
+    )
+    mass, sums = _window_sums(v, np.array([p]), KernelSpec("uniform", h), targets)
+    assert mass[0] == want
+    np.testing.assert_array_equal(sums[0], want_sums)
 
 
 def test_smooth_constant_targets():
@@ -286,13 +267,23 @@ def test_direct_chunking_consistent():
     v = simulate_random_walk(300, 0.1, 0.0, 29)
     points = np.linspace(v.min(), v.max(), 2**14 + 3)
     spec = KernelSpec("epanechnikov", 0.3)
-    mass, _ = _window_sums(v, points, spec, None, "direct")
+    mass, _ = _window_sums(v, points, spec, None)
     import partlin.kernel as K
 
     old = K._CHUNK_BUDGET
     try:
         K._CHUNK_BUDGET = 1024  # force many chunks
-        mass_chunked, _ = _window_sums(v, points, spec, None, "direct")
+        mass_chunked, _ = _window_sums(v, points, spec, None)
     finally:
         K._CHUNK_BUDGET = old
     np.testing.assert_array_equal(mass, mass_chunked)
+
+
+def test_no_kernel_path_option():
+    """One kernel engine serves every family, so no entry point takes
+    an option choosing how kernel sums are computed."""
+    api = [getattr(partlin, name) for name in partlin.__all__]
+    for f in [*api, _window_sums]:
+        if not callable(f) or isinstance(f, type) and issubclass(f, Exception):
+            continue
+        assert "method" not in inspect.signature(f).parameters, f

@@ -1,6 +1,5 @@
 """Replication engine: determinism, stream layout and aggregation."""
 
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +13,6 @@ from partlin.montecarlo import (
     DGPS,
     STREAMS_PER_REP,
     McConfig,
-    emit_curve_data,
     g_clt_check,
     normality_check,
     resolve_kernel,
@@ -296,27 +294,6 @@ def test_g_clt_check_validation():
         g_clt_check(small_cfg(), np.inf)
     with pytest.raises(ParameterError, match="stationary"):
         g_clt_check(small_cfg(eps_rho=1.0), 0.0)
-
-
-def test_emit_curve_data_roundtrip(tmp_path):
-    cfg = small_cfg(n=100, g_grid_points=40)
-    out = tmp_path / "curve.csv"
-    emit_curve_data(cfg, 0, str(out))
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["v", "g_true", "g_hat", "valid"]
-    body = rows[1:]
-    assert len(body) == 40
-    ds = simulate_replication(cfg, 0)
-    grid = table_grid(ds.v, 40)
-    got_v = np.array([float(r[0]) for r in body])
-    np.testing.assert_array_equal(got_v, grid)  # 17 digit round trip
-    got_true = np.array([float(r[1]) for r in body])
-    np.testing.assert_array_equal(got_true, grid)  # identity curve
-    flags = {r[3] for r in body}
-    assert flags <= {"0", "1"}
-    valid_vals = np.array([float(r[2]) for r in body if r[3] == "1"])
-    assert np.all(np.isfinite(valid_vals))
 
 
 def test_dgp_tags_exported():

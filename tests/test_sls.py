@@ -402,9 +402,14 @@ def test_estimate_h_matches_column_smoothing():
 
 
 def test_fit_identical_across_methods():
+    """The fit equals the oracle's for both families."""
     ds = build_dataset(seed=25, n=350)
-    spec = KernelSpec("uniform", 0.25)
     trunc = default_truncation(350)
-    a = truncated_theta(ds, spec, trunc, method="windowed")[0]
-    b = truncated_theta(ds, spec, trunc, method="direct")[0]
-    np.testing.assert_allclose(a, b, rtol=1e-10)
+    small = trunc.small_set
+    for family in ("uniform", "epanechnikov"):
+        got = truncated_theta(ds, KernelSpec(family, 0.25), trunc)[0]
+        want = oracles.oracle_truncated_theta(
+            ds.y.tolist(), ds.x.tolist(), ds.v.tolist(), family, 0.25,
+            trunc.b_n, small.lower, small.upper,
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-10)
