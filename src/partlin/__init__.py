@@ -1,6 +1,8 @@
 """Semi-parametric least squares for partially linear models whose
 scalar covariate is a null recurrent Markov chain, plus the simulation
-and unit root tooling used to study the estimators."""
+and unit root tooling used to study the estimators.
+
+The public API is every name imported below."""
 
 from .bandwidth import CvResult, cv_select, default_h_grid
 from .dataset import TimeSeriesDataset, ValidationIssue, load_csv, validate, write_csv
@@ -69,71 +71,3 @@ from .sls import (
 from .unitroot import DfResult, df_statistic, df_test, fit_ar1, simulated_pvalue
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockDecomposition",
-    "CurveEstimate",
-    "CvResult",
-    "DEFAULT_SMALL_SET",
-    "DfResult",
-    "ExperimentError",
-    "GCltReport",
-    "KernelSpec",
-    "LongRunCovariance",
-    "McCellResult",
-    "McConfig",
-    "NoVisitsError",
-    "NormalityReport",
-    "ParameterError",
-    "ParseError",
-    "PartlinError",
-    "RankError",
-    "ResidualSet",
-    "SchemaError",
-    "SelectionError",
-    "SlsFit",
-    "SmallSet",
-    "ThetaDraws",
-    "TimeSeriesDataset",
-    "TruncationError",
-    "TruncationSpec",
-    "ValidationIssue",
-    "asymptotic_ci",
-    "count_small_set_visits",
-    "cv_select",
-    "default_bandwidth",
-    "default_density_floor",
-    "default_h_grid",
-    "default_max_lag",
-    "default_truncation",
-    "df_statistic",
-    "df_test",
-    "ergodic_ratio",
-    "estimate_beta",
-    "estimate_g",
-    "estimate_h",
-    "fit_ar1",
-    "g_clt_check",
-    "kernel_eval",
-    "load_csv",
-    "longrun_covariance",
-    "naive_sls",
-    "normality_check",
-    "regeneration_blocks",
-    "residuals",
-    "run_g_experiment",
-    "run_theta_experiment",
-    "simulate_ar1",
-    "simulate_random_walk",
-    "simulate_replication",
-    "simulated_pvalue",
-    "smooth",
-    "table_grid",
-    "theta_experiment_details",
-    "truncated_sls",
-    "truncated_theta",
-    "truncation_mask",
-    "validate",
-    "weights",
-    "write_csv",
-]

@@ -48,16 +48,14 @@ class CvResult:
     dropped: np.ndarray
 
 
-def default_h_grid(n: int, size: int = 12) -> np.ndarray:
-    """Log spaced candidate grid bracketing the rule of thumb bandwidth.
+def default_h_grid(n: int) -> np.ndarray:
+    """Twelve log spaced candidates bracketing the rule of thumb bandwidth.
 
     Spans [0.1 h0, 3 h0] around h0 = n ** -0.25, wide enough to cover
     the rate window in which the truncated estimator is valid.
     """
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
     h0 = default_bandwidth(n)
-    return np.geomspace(0.1 * h0, 3.0 * h0, size)
+    return np.geomspace(0.1 * h0, 3.0 * h0, 12)
 
 
 def cv_select(

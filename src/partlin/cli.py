@@ -13,9 +13,14 @@ its outputs, so a result directory is self describing.  The only
 environment variable honoured is ``PARTLIN_OUT_ROOT``, an optional root
 prefix for relative output paths.
 
+Every default comes from the library: the simulation design from the
+``McConfig`` field defaults, the kernel families from ``FAMILIES``, the
+small set from ``DEFAULT_SMALL_SET``.
+
 Exit code 0 means the run completed; on failure the message goes to
 stderr, the exit code is nonzero, and any output directory the run
-created is marked with a ``FAILED.txt`` file.
+created is marked with a ``FAILED.txt`` file naming the exception.
+Warnings about the input data (constant columns) go to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import numpy as np
 import scipy
@@ -35,6 +41,7 @@ from .dataset import TimeSeriesDataset, load_csv, read_columns, validate, write_
 from .errors import ParameterError, ParseError, PartlinError
 from .kernel import (
     DEFAULT_SMALL_SET,
+    FAMILIES,
     KernelSpec,
     TruncationSpec,
     default_bandwidth,
@@ -46,7 +53,6 @@ from .montecarlo import (
     G0_TAGS,
     McConfig,
     resolve_kernel,
-    resolve_truncation,
     run_g_experiment,
     run_theta_experiment,
     simulate_replication,
@@ -56,6 +62,10 @@ from .sls import asymptotic_ci, estimate_g, estimate_h, truncated_sls
 from .unitroot import df_test
 
 _FMT = "%.17g"
+# simulation design keys shared by the ``simulate`` flags and the ``mc``
+# config; their defaults are the McConfig field defaults
+_DESIGN_KEYS = ("theta0", "g0", "increment_sd", "eps_rho", "eps_sd")
+_MC_DEFAULTS = {f.name: f.default for f in fields(McConfig)}
 
 
 # ---------------------------------------------------------------- config
@@ -131,6 +141,20 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+@contextmanager
+def _failure_marker(out: str):
+    """Write ``FAILED.txt`` into ``out``, naming the exception, if the
+    body raises; the exception propagates."""
+    try:
+        yield
+    except Exception as exc:
+        _write_text(
+            os.path.join(out, "FAILED.txt"),
+            f"run failed, outputs partial\n{type(exc).__name__}: {exc}\n",
+        )
+        raise
+
+
 def _parse_small_set(text: str) -> SmallSet:
     parts = text.split(",")
     if len(parts) != 2:
@@ -140,6 +164,10 @@ def _parse_small_set(text: str) -> SmallSet:
     except ValueError:
         raise ParameterError(f"--small-set bounds must be numbers: {text!r}") from None
     return SmallSet(lo, hi)
+
+
+def _small_set_text(small_set: SmallSet) -> str:
+    return f"{small_set.lower:g},{small_set.upper:g}"
 
 
 def _parse_float_list(text: str, flag: str) -> np.ndarray:
@@ -175,37 +203,27 @@ def _column_selector(text: str) -> int | str:
 
 
 def _add_dgp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dgp", choices=DGPS, default="H_zero")
-    p.add_argument("--theta0", type=float, default=1.0)
-    p.add_argument("--g0", choices=G0_TAGS, default="identity")
-    p.add_argument("--increment-sd", type=float, default=0.1)
-    p.add_argument("--eps-rho", type=float, default=0.5)
-    p.add_argument("--eps-sd", type=float, default=1.0)
-
-
-def _mc_config_from_args(args, n: int, reps: int) -> McConfig:
-    return McConfig(
-        n=n,
-        reps=reps,
-        dgp=args.dgp,
-        theta0=args.theta0,
-        g0=args.g0,
-        increment_sd=args.increment_sd,
-        eps_rho=args.eps_rho,
-        eps_sd=args.eps_sd,
-        master_seed=args.seed,
-    )
+    p.add_argument("--dgp", choices=DGPS, default=DGPS[0])
+    for key in _DESIGN_KEYS:
+        default = _MC_DEFAULTS[key]
+        p.add_argument(
+            "--" + key.replace("_", "-"),
+            type=type(default),
+            default=default,
+            choices=G0_TAGS if key == "g0" else None,
+        )
 
 
 def cmd_simulate(args) -> int:
-    cfg = _mc_config_from_args(args, args.n, reps=1)
+    design = {key: getattr(args, key) for key in _DESIGN_KEYS}
+    cfg = McConfig(
+        n=args.n, reps=1, dgp=args.dgp, master_seed=args.seed, **design
+    )
     ds = simulate_replication(cfg, rep=0)
     out = _out_path(args.out)
     write_csv(out, ds)
     rc = RunConfig()
-    for key in (
-        "n", "dgp", "theta0", "g0", "increment_sd", "eps_rho", "eps_sd",
-    ):
+    for key in ("n", "dgp", *_DESIGN_KEYS):
         rc.override(key, getattr(args, key))
     rc.override("master_seed", args.seed)
     rc.override("out", out)
@@ -217,7 +235,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- estimate
 
 
-def _add_schema_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    """The dataset, its columns, and the truncation and bandwidth grid
+    options shared by ``estimate`` and ``bandwidth``."""
+    p.add_argument("--data", required=True)
     p.add_argument("--y-col", default="y")
     p.add_argument("--x-cols", default="x1", help="comma separated")
     p.add_argument("--v-col", default="v")
@@ -225,6 +246,13 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
         "--no-header",
         action="store_true",
         help="file has no header row; select columns by 0-based position",
+    )
+    p.add_argument("--h-grid", help="comma separated candidate bandwidths")
+    p.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
+    p.add_argument("--bn", type=float, help="density floor (default 0.05/log n)")
+    p.add_argument(
+        "--small-set",
+        help=f"LO,HI bounds (default {_small_set_text(DEFAULT_SMALL_SET)})",
     )
 
 
@@ -239,11 +267,30 @@ def _load_dataset(args) -> TimeSeriesDataset:
         v_col=_column_selector(args.v_col),
         header=not args.no_header,
     )
-    problems = [i for i in validate(ds) if i.severity == "error"]
-    if problems:
-        first = problems[0]
-        raise ParseError(f"{args.data}: column {first.column!r}: {first.message}")
+    for issue in validate(ds):
+        print(f"warning: column {issue.column!r}: {issue.message}", file=sys.stderr)
     return ds
+
+
+def _resolve_fit_args(
+    args, n: int, rc: RunConfig
+) -> tuple[TruncationSpec, np.ndarray]:
+    """The truncation and the candidate bandwidth grid ``args`` ask for,
+    library defaults filling what they leave out; the truncation is
+    recorded in ``rc``."""
+    small_set = (
+        _parse_small_set(args.small_set) if args.small_set else DEFAULT_SMALL_SET
+    )
+    bn = args.bn if args.bn is not None else default_density_floor(n)
+    trunc = TruncationSpec(bn, small_set)
+    rc.override("bn", _FMT % bn)
+    rc.override("small_set", _small_set_text(small_set))
+    h_grid = (
+        _parse_float_list(args.h_grid, "--h-grid")
+        if args.h_grid
+        else default_h_grid(n)
+    )
+    return trunc, h_grid
 
 
 def _write_curve(path: str, label: str, curve) -> None:
@@ -266,22 +313,9 @@ def cmd_estimate(args) -> int:
     rc = RunConfig()
     for key in ("data", "y_col", "x_cols", "v_col", "level"):
         rc.override(key, getattr(args, key))
-    small_set = (
-        _parse_small_set(args.small_set) if args.small_set else DEFAULT_SMALL_SET
-    )
-    bn = args.bn if args.bn is not None else default_density_floor(ds.n)
-    trunc = TruncationSpec(bn, small_set)
-    rc.override("bn", _FMT % bn)
-    rc.override("small_set", f"{small_set.lower:g},{small_set.upper:g}")
-
+    trunc, h_grid = _resolve_fit_args(args, ds.n, rc)
     if args.cv:
-        grid = (
-            _parse_float_list(args.h_grid, "--h-grid")
-            if args.h_grid
-            else default_h_grid(ds.n)
-        )
-        sel = cv_select(ds, grid, args.family, trunc)
-        h = sel.h_star
+        h = cv_select(ds, h_grid, args.family, trunc).h_star
         rc.override("h_selected", _FMT % h)
     elif args.h is not None:
         h = args.h
@@ -292,7 +326,7 @@ def cmd_estimate(args) -> int:
     rc.override("h", _FMT % h)
 
     out = _prepare_dir(args.out)
-    try:
+    with _failure_marker(out):
         fit = truncated_sls(ds, spec, trunc)
         level = args.level
         ci = None
@@ -312,7 +346,7 @@ def cmd_estimate(args) -> int:
             ("ci_level", _FMT % level),
             ("beta_hat", _FMT % fit.beta_hat),
             ("n", str(fit.n)),
-            ("n_visits", str(fit.n_blocks)),
+            ("n_visits", str(fit.n_visits)),
             ("effective_n", str(fit.effective_n)),
             ("dropped", str(fit.n - fit.effective_n)),
             ("sigma_hat_sq", _FMT % fit.sigma_hat_sq),
@@ -326,16 +360,13 @@ def cmd_estimate(args) -> int:
         for lab, curve in zip(ds.x_labels, h_curves):
             _write_curve(os.path.join(out, f"h_curve_{lab}.csv"), "h_hat", curve)
         _write_text(os.path.join(out, "resolved_config.txt"), rc.text("estimate"))
-    except Exception:
-        _write_text(os.path.join(out, "FAILED.txt"), "run failed, outputs partial\n")
-        raise
 
     theta_txt = ", ".join(
         f"{lab} = {fit.theta_hat[j]:.6g}" for j, lab in enumerate(ds.x_labels)
     )
     print(f"theta_hat: {theta_txt}")
     print(
-        f"beta_hat = {fit.beta_hat:.4f}, visits = {fit.n_blocks}, "
+        f"beta_hat = {fit.beta_hat:.4f}, visits = {fit.n_visits}, "
         f"kept {fit.effective_n} of {fit.n} observations"
     )
     print(f"report written to {out}")
@@ -346,9 +377,8 @@ def cmd_estimate(args) -> int:
 
 
 _MC_KEYS = {
-    "experiment", "n", "dgp", "reps", "master_seed", "kernel", "theta0",
-    "g0", "increment_sd", "eps_rho", "eps_sd", "bn", "small_set",
-    "g_grid_points", "workers",
+    "experiment", "n", "dgp", "reps", "master_seed", "kernel", "bn",
+    "small_set", "g_grid_points", "workers", *_DESIGN_KEYS,
 }
 
 
@@ -364,15 +394,9 @@ def cmd_mc(args) -> int:
     rc.override("master_seed", args.seed)
     rc.override("workers", args.workers)
     rc.setdefault("experiment", "theta")
-    rc.setdefault("theta0", 1.0)
-    rc.setdefault("g0", "identity")
-    rc.setdefault("increment_sd", 0.1)
-    rc.setdefault("eps_rho", 0.5)
-    rc.setdefault("eps_sd", 1.0)
-    rc.setdefault("kernel", "cv")
-    rc.setdefault("small_set", "-1,1")
-    rc.setdefault("g_grid_points", 300)
-    rc.setdefault("workers", 1)
+    for key in (*_DESIGN_KEYS, "kernel", "g_grid_points", "workers"):
+        rc.setdefault(key, _MC_DEFAULTS[key])
+    rc.setdefault("small_set", _small_set_text(DEFAULT_SMALL_SET))
 
     experiment = rc.require("experiment")
     if experiment not in ("theta", "g"):
@@ -385,10 +409,15 @@ def cmd_mc(args) -> int:
     seed = rc.require("master_seed", int)
     kernel = _parse_kernel_tag(rc.require("kernel"))
     small_set = _parse_small_set(rc.require("small_set"))
+    bn = rc.get("bn", float)
+    g_grid_points = rc.require("g_grid_points", int)
     workers = rc.require("workers", int)
+    design = {
+        key: rc.require(key, type(_MC_DEFAULTS[key])) for key in _DESIGN_KEYS
+    }
 
     out = _prepare_dir(args.out)
-    try:
+    with _failure_marker(out):
         rows = []
         manifest = [
             f"experiment = {experiment}",
@@ -398,7 +427,6 @@ def cmd_mc(args) -> int:
         single_rep = reps < 2
         for dgp in dgps:
             for n in ns:
-                bn = rc.get("bn", float)
                 trunc = TruncationSpec(
                     bn if bn is not None else default_density_floor(n),
                     small_set,
@@ -407,16 +435,12 @@ def cmd_mc(args) -> int:
                     n=n,
                     reps=reps,
                     dgp=dgp,
-                    theta0=rc.require("theta0", float),
-                    g0=rc.require("g0"),
-                    increment_sd=rc.require("increment_sd", float),
-                    eps_rho=rc.require("eps_rho", float),
-                    eps_sd=rc.require("eps_sd", float),
                     master_seed=seed,
                     kernel=kernel,
                     trunc=trunc,
-                    g_grid_points=rc.require("g_grid_points", int),
+                    g_grid_points=g_grid_points,
                     workers=workers,
+                    **design,
                 )
                 kspec = resolve_kernel(cfg)
                 cfg = replace(cfg, kernel=kspec)
@@ -444,9 +468,6 @@ def cmd_mc(args) -> int:
             os.path.join(out, "manifest.txt"), "\n".join(manifest) + "\n"
         )
         _write_text(os.path.join(out, "resolved_config.txt"), rc.text("mc"))
-    except Exception:
-        _write_text(os.path.join(out, "FAILED.txt"), "run failed, outputs partial\n")
-        raise
     if single_rep:
         print("warning: single replication, se reported as 0", file=sys.stderr)
     print(f"wrote {len(rows)} cells to {os.path.join(out, 'table.csv')}")
@@ -484,17 +505,11 @@ def cmd_unitroot(args) -> int:
 
 def cmd_bandwidth(args) -> int:
     ds = _load_dataset(args)
-    small_set = (
-        _parse_small_set(args.small_set) if args.small_set else DEFAULT_SMALL_SET
-    )
-    bn = args.bn if args.bn is not None else default_density_floor(ds.n)
-    trunc = TruncationSpec(bn, small_set)
-    grid = (
-        _parse_float_list(args.h_grid, "--h-grid")
-        if args.h_grid
-        else default_h_grid(ds.n)
-    )
-    sel = cv_select(ds, grid, args.family, trunc)
+    rc = RunConfig()
+    for key in ("data", "family", "h_grid"):
+        rc.override(key, getattr(args, key))
+    trunc, h_grid = _resolve_fit_args(args, ds.n, rc)
+    sel = cv_select(ds, h_grid, args.family, trunc)
     print("h,criterion,dropped")
     for i in range(sel.grid.size):
         print(
@@ -503,11 +518,6 @@ def cmd_bandwidth(args) -> int:
     print(f"# h_star = {_FMT % sel.h_star}")
     if args.out:
         out = _prepare_dir(args.out)
-        rc = RunConfig()
-        for key in ("data", "family", "h_grid"):
-            rc.override(key, getattr(args, key))
-        rc.override("bn", _FMT % bn)
-        rc.override("small_set", f"{small_set.lower:g},{small_set.upper:g}")
         rc.override("h_star", _FMT % sel.h_star)
         with open(os.path.join(out, "cv.csv"), "w", newline="") as fh:
             fh.write("h,criterion,dropped\n")
@@ -537,24 +547,17 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="write a synthetic dataset CSV")
     ps.add_argument("--n", type=int, required=True)
     _add_dgp_flags(ps)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=_MC_DEFAULTS["master_seed"])
     ps.add_argument("--out", required=True, help="output CSV path")
     ps.set_defaults(func=cmd_simulate)
 
     pe = sub.add_parser("estimate", help="fit one dataset")
-    pe.add_argument("--data", required=True)
-    _add_schema_flags(pe)
+    _add_data_flags(pe)
     group = pe.add_mutually_exclusive_group()
     group.add_argument("--h", type=float, help="kernel bandwidth")
     group.add_argument(
         "--cv", action="store_true", help="select the bandwidth by cross validation"
     )
-    pe.add_argument("--h-grid", help="comma separated candidate bandwidths")
-    pe.add_argument(
-        "--family", choices=("uniform", "epanechnikov"), default="uniform"
-    )
-    pe.add_argument("--bn", type=float, help="density floor (default 0.05/log n)")
-    pe.add_argument("--small-set", help="LO,HI bounds (default -1,1)")
     pe.add_argument("--level", type=float, default=0.95)
     pe.add_argument("--out", required=True, help="output directory")
     pe.set_defaults(func=cmd_estimate)
@@ -577,14 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu.set_defaults(func=cmd_unitroot)
 
     pb = sub.add_parser("bandwidth", help="cross validation sweep")
-    pb.add_argument("--data", required=True)
-    _add_schema_flags(pb)
-    pb.add_argument("--h-grid", help="comma separated candidate bandwidths")
-    pb.add_argument(
-        "--family", choices=("uniform", "epanechnikov"), default="uniform"
-    )
-    pb.add_argument("--bn", type=float)
-    pb.add_argument("--small-set")
+    _add_data_flags(pb)
     pb.add_argument("--out", help="optional output directory")
     pb.set_defaults(func=cmd_bandwidth)
     return p

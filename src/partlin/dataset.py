@@ -23,6 +23,8 @@ class TimeSeriesDataset:
     """One observed series: response ``y``, regressors ``x``, covariate ``v``.
 
     ``y`` and ``v`` have shape (n,), ``x`` has shape (n, d) with d >= 1.
+    Every cell must be finite: a NaN or infinite value raises
+    :class:`ParameterError` naming its column and first 1-based row.
     Arrays are stored read only; operating on a dataset never mutates it.
     """
 
@@ -61,6 +63,13 @@ class TimeSeriesDataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "x_labels", tuple(labels))
+        for label, col in _columns(self):
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise ParameterError(
+                    f"column {label!r}: {bad.size} non-finite value(s), "
+                    f"first at row {int(bad[0]) + 1}"
+                )
 
     @property
     def n(self) -> int:
@@ -71,12 +80,20 @@ class TimeSeriesDataset:
         return self.x.shape[1]
 
 
+def _columns(ds: TimeSeriesDataset) -> list[tuple[str, np.ndarray]]:
+    """Every column of ``ds`` with its label: y, the regressors, v."""
+    columns = [(ds.y_label, ds.y)]
+    columns += [(lab, ds.x[:, j]) for j, lab in enumerate(ds.x_labels)]
+    columns.append((ds.v_label, ds.v))
+    return columns
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
-    severity: str  # "error" or "warning"
+    """A warning about one column of a dataset."""
+
     column: str
     message: str
-    index: int | None = None
 
 
 def _resolve(col: int | str, names: list[str] | None, path: str) -> int:
@@ -154,7 +171,8 @@ def load_csv(
     """Read a dataset from a CSV file.
 
     Columns are selected as in :func:`read_columns`, which also raises
-    its parse and schema errors.
+    its parse and schema errors.  A cell that parses to NaN or infinity
+    is rejected by :class:`TimeSeriesDataset`.
     """
     if not x_cols:
         raise ParameterError("x_cols must name at least one column")
@@ -181,37 +199,16 @@ def write_csv(path: str, ds: TimeSeriesDataset) -> None:
 
 
 def validate(ds: TimeSeriesDataset) -> list[ValidationIssue]:
-    """Check a dataset and return findings without modifying it.
+    """Warn about constant columns, without modifying the dataset.
 
-    Non finite cells are errors (reported with the first offending row
-    index); constant columns are warnings, since a constant regressor
-    makes the detrended design singular and a constant covariate makes
-    every kernel window degenerate.
+    A constant regressor makes the detrended design singular and a
+    constant covariate makes every kernel window degenerate.  Non-finite
+    cells need no check here: the dataset constructor rejects them.
     """
-    issues: list[ValidationIssue] = []
-    columns = [(ds.y_label, ds.y)]
-    columns += [(lab, ds.x[:, j]) for j, lab in enumerate(ds.x_labels)]
-    columns.append((ds.v_label, ds.v))
-    for label, col in columns:
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            issues.append(
-                ValidationIssue(
-                    severity="error",
-                    column=label,
-                    message=(
-                        f"{bad.size} non-finite value(s), first at row "
-                        f"{int(bad[0]) + 1}"
-                    ),
-                    index=int(bad[0]),
-                )
-            )
-        elif ds.n > 1 and np.all(col == col[0]):
-            issues.append(
-                ValidationIssue(
-                    severity="warning",
-                    column=label,
-                    message="column is constant",
-                )
-            )
-    return issues
+    if ds.n < 2:
+        return []
+    return [
+        ValidationIssue(column=label, message="column is constant")
+        for label, col in _columns(ds)
+        if np.all(col == col[0])
+    ]

@@ -76,22 +76,18 @@ def kernel_eval(spec: KernelSpec, u: np.ndarray | float) -> np.ndarray | float:
     return float(out) if np.isscalar(u) else out
 
 
-def default_bandwidth(n: int, scale: float = 1.0, rate: float = 0.25) -> float:
-    """Rule of thumb bandwidth scale * n**(-rate)."""
+def default_bandwidth(n: int) -> float:
+    """Rule of thumb bandwidth n**(-1/4)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if scale <= 0 or not 0 < rate < 1:
-        raise ParameterError("need scale > 0 and 0 < rate < 1")
-    return scale * float(n) ** -rate
+    return float(n) ** -0.25
 
 
-def default_density_floor(n: int, scale: float = 0.05) -> float:
-    """Slowly vanishing truncation level scale / log n (needs n >= 2)."""
+def default_density_floor(n: int) -> float:
+    """Slowly vanishing truncation level 0.05 / log n (needs n >= 2)."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    if scale < 0:
-        raise ParameterError(f"scale must be >= 0, got {scale}")
-    return scale / log(n)
+    return 0.05 / log(n)
 
 
 DEFAULT_SMALL_SET = SmallSet(-1.0, 1.0)

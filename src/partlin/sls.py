@@ -61,7 +61,7 @@ class SlsFit:
     mask: np.ndarray
     effective_n: int
     n: int
-    n_blocks: int
+    n_visits: int
     beta_hat: float
     sigma_hat_sq: float
     sigma_u: np.ndarray
@@ -75,7 +75,6 @@ class SlsFit:
 class ResidualSet(NamedTuple):
     eps_hat: np.ndarray
     u_hat: np.ndarray
-    valid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,21 +95,21 @@ class CurveEstimate:
 
 def _detrend(
     ds: TimeSeriesDataset, spec: KernelSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remove the covariate trend from y and x at the sample points."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Remove the covariate trend from y and x at the sample points.
+
+    Every family is positive at 0, so each sample point lies in its own
+    window and every smoothed value is defined.
+    """
     stacked = np.column_stack([ds.y, ds.x])
-    smoothed, valid = smooth(ds.v, stacked, spec)
+    smoothed, _ = smooth(ds.v, stacked, spec)
     tilde = stacked - smoothed
-    return tilde[:, 0], tilde[:, 1:], valid
+    return tilde[:, 0], tilde[:, 1:]
 
 
 def _solve_normal(
-    xt: np.ndarray, yt: np.ndarray, rows: np.ndarray | None, x_ref: np.ndarray
+    xt: np.ndarray, yt: np.ndarray, x_ref: np.ndarray
 ) -> np.ndarray:
-    if rows is not None:
-        xt = xt[rows]
-        yt = yt[rows]
-        x_ref = x_ref[rows]
     a = xt.T @ xt
     b = xt.T @ yt
     # a column with no variation around its covariate trend detrends to
@@ -134,24 +133,23 @@ def naive_sls(
     ds: TimeSeriesDataset, spec: KernelSpec
 ) -> np.ndarray:
     """Least squares on all detrended rows, no density truncation."""
-    yt, xt, valid = _detrend(ds, spec)
-    rows = None if valid.all() else valid
-    return _solve_normal(xt, yt, rows, ds.x)
+    yt, xt = _detrend(ds, spec)
+    return _solve_normal(xt, yt, ds.x)
 
 
 def _truncated_solve(
     ds: TimeSeriesDataset, spec: KernelSpec, trunc: TruncationSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients, the truncation mask, and the detrended data
-    ``(ytilde, xtilde, valid)`` they were solved from."""
+    ``(ytilde, xtilde)`` they were solved from."""
     mask = truncation_mask(ds.v, spec, trunc)
     if not mask.any():
         raise TruncationError(
             f"density floor {trunc.b_n:g} removed all {ds.n} observations"
         )
-    yt, xt, valid = _detrend(ds, spec)
-    theta = _solve_normal(xt, yt, mask & valid, ds.x)
-    return theta, mask, yt, xt, valid
+    yt, xt = _detrend(ds, spec)
+    theta = _solve_normal(xt[mask], yt[mask], ds.x[mask])
+    return theta, mask, yt, xt
 
 
 def truncated_theta(
@@ -164,7 +162,7 @@ def truncated_theta(
     This is the inner loop of bandwidth selection, where the covariance
     block of the full fit would be wasted work.
     """
-    theta, mask, _, _, _ = _truncated_solve(ds, spec, trunc)
+    theta, mask, _, _ = _truncated_solve(ds, spec, trunc)
     return theta, mask
 
 
@@ -173,15 +171,13 @@ def residuals(
 ) -> ResidualSet:
     """Detrended residual pairs (eps_hat_t, u_hat_t) for a given theta.
 
-    ``eps_hat = ytilde - xtilde' theta`` and ``u_hat = xtilde``.  Rows
-    where smoothing had no mass (impossible for kernels positive at 0)
-    are NaN and flagged False.
+    ``eps_hat = ytilde - xtilde' theta`` and ``u_hat = xtilde``.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ds.d,):
         raise ParameterError(f"theta must have shape ({ds.d},), got {theta.shape}")
-    yt, xt, valid = _detrend(ds, spec)
-    return ResidualSet(eps_hat=yt - xt @ theta, u_hat=xt, valid=valid)
+    yt, xt = _detrend(ds, spec)
+    return ResidualSet(eps_hat=yt - xt @ theta, u_hat=xt)
 
 
 def longrun_covariance(
@@ -199,10 +195,11 @@ def longrun_covariance(
     Sigma_u = u'u / m.  The triangular taper keeps the scalar part
     positive; the symmetrised cross products keep the matrix symmetric,
     and any residual negative eigenvalue is clipped to zero with the
-    ``psd_projected`` flag set.
+    ``psd_projected`` flag set.  ``u`` is copied to contiguous rows when
+    it is a strided view, which keeps the lagged products fast.
     """
     eps = np.asarray(eps, dtype=float)
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     m = eps.size
@@ -265,11 +262,8 @@ def truncated_sls(
     point (truncation affects which rows enter the normal equations,
     not where residuals exist), keeping the lag structure intact.
     """
-    theta, mask, yt, xt, valid = _truncated_solve(ds, spec, trunc)
-    eps_hat = yt - xt @ theta
-    cov = longrun_covariance(
-        eps_hat[valid], xt[valid], default_max_lag(ds.n)
-    )
+    theta, mask, yt, xt = _truncated_solve(ds, spec, trunc)
+    cov = longrun_covariance(yt - xt @ theta, xt, default_max_lag(ds.n))
     cond = np.linalg.cond(cov.sigma_u)
     if np.isfinite(cond) and cond <= _COND_LIMIT:
         half = np.linalg.solve(cov.sigma_u, cov.sigma_eps_u)
@@ -282,7 +276,7 @@ def truncated_sls(
         mask=mask,
         effective_n=int(mask.sum()),
         n=ds.n,
-        n_blocks=count_small_set_visits(ds.v, trunc.small_set),
+        n_visits=count_small_set_visits(ds.v, trunc.small_set),
         beta_hat=estimate_beta(ds.v, trunc.small_set),
         sigma_hat_sq=cov.sigma_hat_sq,
         sigma_u=cov.sigma_u,

@@ -25,8 +25,6 @@ def test_default_grid_shape_and_span():
     assert grid[-1] == pytest.approx(3.0 * h0)
     ratios = grid[1:] / grid[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
-    with pytest.raises(ParameterError):
-        default_h_grid(200, size=0)
 
 
 def test_criterion_matches_oracle_per_bandwidth():

@@ -168,8 +168,27 @@ def test_estimate_failure_leaves_marker(tmp_path, capsys):
     out = tmp_path / "fail"
     code = main(["estimate", "--data", str(path), "--h", "0.4", "--out", str(out)])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
-    assert (out / "FAILED.txt").exists()
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "warning: column 'x1': column is constant" in err
+    assert "RankError: " in (out / "FAILED.txt").read_text()
+
+
+def test_estimate_rejects_non_finite_covariate(tmp_path, capsys):
+    _, path = write_dataset(tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[-1] = "nan"
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "never"
+    code = main(["estimate", "--data", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "column 'v'" in err
+    assert "first at row 5" in err
+    assert not out.exists()
 
 
 def test_estimate_custom_schema_and_small_set(tmp_path):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import build_dataset
-from partlin.dataset import TimeSeriesDataset, load_csv, validate, write_csv
+from partlin.dataset import (
+    TimeSeriesDataset,
+    ValidationIssue,
+    load_csv,
+    validate,
+    write_csv,
+)
 from partlin.errors import ParameterError, ParseError, SchemaError
 
 
@@ -168,15 +174,14 @@ def test_validate_clean_dataset():
     assert validate(build_dataset(seed=5, n=30)) == []
 
 
-def test_validate_flags_non_finite_with_first_row():
+def test_constructor_rejects_non_finite_with_first_row():
     y = np.array([1.0, np.nan, np.nan])
-    ds = TimeSeriesDataset(y=y, x=np.ones((3, 1)) * 2.0, v=np.array([0.1, 0.2, 0.3]))
-    issues = validate(ds)
-    errors = [i for i in issues if i.severity == "error"]
-    assert len(errors) == 1
-    assert errors[0].column == "y"
-    assert errors[0].index == 1
-    assert "row 2" in errors[0].message
+    with pytest.raises(ParameterError) as exc:
+        TimeSeriesDataset(y=y, x=np.ones((3, 1)) * 2.0, v=np.array([0.1, 0.2, 0.3]))
+    message = str(exc.value)
+    assert "column 'y'" in message
+    assert "2 non-finite" in message
+    assert "row 2" in message
 
 
 def test_validate_warns_on_constant_column():
@@ -185,9 +190,7 @@ def test_validate_warns_on_constant_column():
         x=np.array([[3.0], [3.0]]),
         v=np.array([0.0, 0.5]),
     )
-    issues = validate(ds)
-    assert [i.severity for i in issues] == ["warning"]
-    assert issues[0].column == "x1"
+    assert validate(ds) == [ValidationIssue(column="x1", message="column is constant")]
 
 
 def test_validate_single_row_never_constant():

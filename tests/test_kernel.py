@@ -76,14 +76,8 @@ def test_kernel_constants_match_integrals():
 
 def test_default_bandwidth():
     assert default_bandwidth(16) == 0.5
-    assert default_bandwidth(16, scale=2.0) == 1.0
-    assert default_bandwidth(10_000, rate=0.5) == pytest.approx(0.01)
     with pytest.raises(ParameterError):
         default_bandwidth(0)
-    with pytest.raises(ParameterError):
-        default_bandwidth(10, scale=-1.0)
-    with pytest.raises(ParameterError):
-        default_bandwidth(10, rate=1.0)
 
 
 def test_default_density_floor():
@@ -282,7 +276,7 @@ def test_direct_chunking_consistent():
 def test_no_kernel_path_option():
     """One kernel engine serves every family, so no entry point takes
     an option choosing how kernel sums are computed."""
-    api = [getattr(partlin, name) for name in partlin.__all__]
+    api = [f for name, f in vars(partlin).items() if not name.startswith("_")]
     for f in [*api, _window_sums]:
         if not callable(f) or isinstance(f, type) and issubclass(f, Exception):
             continue

@@ -1,0 +1,36 @@
+"""Static checks on the package source, with the stdlib ``ast`` module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "partlin"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    # an attribute chain such as np.linalg.solve starts with a Name
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_import_scan_finds_one():
+    source = "import os\nfrom math import log, sqrt\nprint(os.sep, sqrt(2))\n"
+    assert unused_imports(source) == ["log"]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        # the package's __init__ imports names to publish them
+        if path.name != "__init__.py"
+        for name in unused_imports(path.read_text())
+    ]
+    assert found == []

@@ -135,7 +135,6 @@ def test_residuals_reconstruct_detrended_response():
     spec = KernelSpec("epanechnikov", 0.5)
     theta = np.array([0.7])
     res = residuals(ds, theta, spec)
-    assert res.valid.all()
     # eps + u theta recovers the detrended response used inside the fit
     other = residuals(ds, np.array([0.0]), spec)
     np.testing.assert_allclose(
@@ -261,7 +260,7 @@ def test_truncated_sls_field_consistency():
     assert fit.n == 600
     assert fit.effective_n == int(fit.mask.sum())
     visits = int(np.count_nonzero(trunc.small_set.contains(ds.v)))
-    assert fit.n_blocks == visits
+    assert fit.n_visits == visits
     assert fit.beta_hat == pytest.approx(np.log(visits) / np.log(600))
     assert fit.kernel == spec
     assert fit.truncation == trunc
