@@ -92,7 +92,7 @@ def cv_select(
         except (RankError, TruncationError):
             continue
         r = ds.y - ds.x @ theta
-        mass, sums = _window_sums(ds.v, ds.v, spec, r[:, None])
+        mass, sums = _window_sums(ds.sorted_v, None, spec, r[:, None])
         loo_mass = mass - k0
         loo_ok = loo_mass > 0.0
         usable = mask & loo_ok

@@ -15,7 +15,9 @@ prefix for relative output paths.
 
 Every default comes from the library: the simulation design from the
 ``McConfig`` field defaults, the kernel families from ``FAMILIES``, the
-small set from ``DEFAULT_SMALL_SET``.
+small set from ``DEFAULT_SMALL_SET``, the density floor from
+``DENSITY_FLOOR_SCALE`` and the unit root replications and seed from
+``df_test``.
 
 Exit code 0 means the run completed; on failure the message goes to
 stderr, the exit code is nonzero, and any output directory the run
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
 from contextlib import contextmanager
@@ -41,6 +44,7 @@ from .dataset import TimeSeriesDataset, load_csv, read_columns, validate, write_
 from .errors import ParameterError, ParseError, PartlinError
 from .kernel import (
     DEFAULT_SMALL_SET,
+    DENSITY_FLOOR_SCALE,
     FAMILIES,
     KernelSpec,
     TruncationSpec,
@@ -66,6 +70,12 @@ _FMT = "%.17g"
 # config; their defaults are the McConfig field defaults
 _DESIGN_KEYS = ("theta0", "g0", "increment_sd", "eps_rho", "eps_sd")
 _MC_DEFAULTS = {f.name: f.default for f in fields(McConfig)}
+# the ``unitroot`` defaults are df_test's keyword defaults
+_DF_DEFAULTS = {
+    name: par.default
+    for name, par in inspect.signature(df_test).parameters.items()
+    if par.default is not par.empty
+}
 
 
 # ---------------------------------------------------------------- config
@@ -249,7 +259,11 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--h-grid", help="comma separated candidate bandwidths")
     p.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
-    p.add_argument("--bn", type=float, help="density floor (default 0.05/log n)")
+    p.add_argument(
+        "--bn",
+        type=float,
+        help=f"density floor (default {DENSITY_FLOOR_SCALE:g}/log n)",
+    )
     p.add_argument(
         "--small-set",
         help=f"LO,HI bounds (default {_small_set_text(DEFAULT_SMALL_SET)})",
@@ -309,9 +323,11 @@ def _write_curve(path: str, label: str, curve) -> None:
 
 
 def cmd_estimate(args) -> int:
+    if args.h_grid and not args.cv:
+        raise ParameterError("--h-grid needs --cv, which searches the grid")
     ds = _load_dataset(args)
     rc = RunConfig()
-    for key in ("data", "y_col", "x_cols", "v_col", "level"):
+    for key in ("data", "y_col", "x_cols", "v_col", "h_grid", "level"):
         rc.override(key, getattr(args, key))
     trunc, h_grid = _resolve_fit_args(args, ds.n, rc)
     if args.cv:
@@ -574,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--data", required=True)
     pu.add_argument("--column", required=True, help="column name or 0-based index")
     pu.add_argument("--no-header", action="store_true")
-    pu.add_argument("--reps", type=int, default=2000)
-    pu.add_argument("--seed", type=int, default=0)
+    pu.add_argument("--reps", type=int, default=_DF_DEFAULTS["reps"])
+    pu.add_argument("--seed", type=int, default=_DF_DEFAULTS["seed"])
     pu.add_argument("--out", help="optional output directory")
     pu.set_defaults(func=cmd_unitroot)
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, ParseError, SchemaError
+from .kernel import SortedView
 
 _FLOAT_FMT = "%.17g"
 
@@ -78,6 +80,13 @@ class TimeSeriesDataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def sorted_v(self) -> SortedView:
+        """The covariate sorted once, built on first use and shared by
+        every kernel computation on this dataset (``v`` is read only,
+        so the view never goes stale)."""
+        return SortedView(self.v)
 
 
 def _columns(ds: TimeSeriesDataset) -> list[tuple[str, np.ndarray]]:

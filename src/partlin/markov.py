@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NoVisitsError, ParameterError
 from .rng import standard_normal
@@ -84,6 +83,9 @@ def simulate_ar1(
     else:
         e0 = 0.0
     innov = innovation_sd * z[1:]
+    # imported here: scipy.signal costs more to load than `import partlin`
+    from scipy.signal import lfilter
+
     out, _ = lfilter([1.0], [1.0, -rho], innov, zi=np.array([rho * e0]))
     return out
 

@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .bandwidth import cv_select, default_h_grid
 from .dataset import TimeSeriesDataset
@@ -334,6 +333,9 @@ def normality_check(theta_draws: np.ndarray, theta0: float) -> NormalityReport:
     if sd == 0.0 or not np.isfinite(sd):
         raise ExperimentError("draws are degenerate (zero spread)")
     z = (draws - draws.mean()) / sd
+    # imported here: scipy.stats costs more to load than `import partlin`
+    from scipy import stats
+
     ks = stats.kstest(z, "norm")
     return NormalityReport(
         n_draws=int(draws.size),

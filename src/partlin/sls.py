@@ -102,7 +102,7 @@ def _detrend(
     window and every smoothed value is defined.
     """
     stacked = np.column_stack([ds.y, ds.x])
-    smoothed, _ = smooth(ds.v, stacked, spec)
+    smoothed, _ = smooth(ds.sorted_v, stacked, spec)
     tilde = stacked - smoothed
     return tilde[:, 0], tilde[:, 1:]
 
@@ -142,7 +142,7 @@ def _truncated_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients, the truncation mask, and the detrended data
     ``(ytilde, xtilde)`` they were solved from."""
-    mask = truncation_mask(ds.v, spec, trunc)
+    mask = truncation_mask(ds.sorted_v, spec, trunc)
     if not mask.any():
         raise TruncationError(
             f"density floor {trunc.b_n:g} removed all {ds.n} observations"
@@ -322,7 +322,7 @@ def estimate_g(
     if grid.ndim != 1 or grid.size < 1:
         raise ParameterError("grid must be a nonempty 1-d array")
     target = (ds.y - ds.x @ theta)[:, None]
-    mass, sums = _window_sums(ds.v, grid, spec, target)
+    mass, sums = _window_sums(ds.sorted_v, grid, spec, target)
     valid = mass > 0.0
     values = np.full(grid.size, np.nan)
     values[valid] = sums[valid, 0] / mass[valid]
@@ -343,7 +343,7 @@ def estimate_h(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ParameterError("grid must be a nonempty 1-d array")
-    mass, sums = _window_sums(ds.v, grid, spec, ds.x)
+    mass, sums = _window_sums(ds.sorted_v, grid, spec, ds.x)
     valid = mass > 0.0
     out = []
     for j in range(ds.d):

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, configs, outputs and exit codes."""
 
 import csv
+import inspect
 import os
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 
 from helpers import build_dataset
 from partlin import __version__
-from partlin.cli import RunConfig, main, parse_kv_file
+from partlin.cli import RunConfig, build_parser, main, parse_kv_file
 from partlin.dataset import load_csv, write_csv
 from partlin.errors import ParameterError, ParseError
-from partlin.kernel import KernelSpec, default_truncation
+from partlin.kernel import DENSITY_FLOOR_SCALE, KernelSpec, default_truncation
 from partlin.montecarlo import McConfig, simulate_replication
 from partlin.sls import truncated_sls
+from partlin.unitroot import df_test
 
 _FMT = "%.17g"
 
@@ -155,6 +157,31 @@ def test_estimate_missing_data_file_exits_before_output(tmp_path, capsys):
     code = main(["estimate", "--data", str(tmp_path / "no.csv"), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_estimate_cv_searches_and_records_given_grid(tmp_path):
+    _, path = write_dataset(tmp_path)
+    out = tmp_path / "fit_grid"
+    argv = ["estimate", "--data", str(path), "--cv", "--h-grid", "0.2,0.4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    resolved = (out / "resolved_config.txt").read_text()
+    assert "h_grid = 0.2,0.4" in resolved
+    selected = float(resolved.split("h_selected = ")[1].split()[0])
+    assert selected in (0.2, 0.4)
+
+
+def test_estimate_h_grid_without_cv_rejected(tmp_path, capsys):
+    """A grid without --cv would be silently ignored, so it is refused."""
+    _, path = write_dataset(tmp_path)
+    out = tmp_path / "never"
+    code = main(
+        ["estimate", "--data", str(path), "--h-grid", "0.2,0.4", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --h-grid needs --cv, which searches the grid\n"
+    )
     assert not out.exists()
 
 
@@ -436,3 +463,13 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_parser_defaults_come_from_the_library(capsys):
+    args = build_parser().parse_args(["unitroot", "--data", "d.csv", "--column", "v"])
+    params = inspect.signature(df_test).parameters
+    assert args.reps == params["reps"].default
+    assert args.seed == params["seed"].default
+    with pytest.raises(SystemExit):
+        main(["estimate", "--help"])
+    assert f"(default {DENSITY_FLOOR_SCALE:g}/log n)" in capsys.readouterr().out

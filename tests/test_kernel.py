@@ -17,6 +17,7 @@ from partlin.kernel import (
     KERNEL_AT_ZERO,
     KERNEL_L2,
     KernelSpec,
+    SortedView,
     TruncationSpec,
     _window_sums,
     default_bandwidth,
@@ -176,20 +177,34 @@ def test_smooth_agrees_across_methods():
         max_size=40,
     ),
     h=st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
+    # positions in data to repeat, so the sample holds tied values
+    ties=st.lists(st.integers(min_value=0, max_value=39), max_size=10),
 )
 # (v - p)/h rounds to exactly 1 at p = -1 although v > p + h
-@example(data=[6.514036392641717e-239], h=1.0)
-def test_window_sum_paths_agree(data, h):
-    v = np.array(data)
+@example(data=[6.514036392641717e-239], h=1.0, ties=[])
+# tied values, some exactly h apart, so whole runs of ties sit on edges
+@example(data=[0.5, -0.5, 1.5, 0.0], h=1.0, ties=[0, 0, 2, 1, 3])
+def test_window_sum_paths_agree(data, h, ties):
+    v = np.array(data + [data[i % len(data)] for i in ties])
     points = np.linspace(v.min() - 1, v.max() + 1, 17)
     targets = np.column_stack([np.sin(v), np.ones_like(v)])
+    view = SortedView(v)
     for family in ("uniform", "epanechnikov"):
-        mass, sums = _window_sums(v, points, KernelSpec(family, h), targets)
-        want_mass, want_sums = oracles.oracle_window_sums(
-            v.tolist(), points.tolist(), family, h, targets.tolist()
-        )
-        np.testing.assert_allclose(mass, want_mass, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(sums, want_sums, rtol=1e-9, atol=1e-9)
+        spec = KernelSpec(family, h)
+        # grid points from a plain array and from the view; the sample
+        # points themselves through the view's windows of this h, which
+        # the second family reads back from the first family's search
+        routes = [
+            (points, _window_sums(v, points, spec, targets)),
+            (points, _window_sums(view, points, spec, targets)),
+            (v, _window_sums(view, None, spec, targets)),
+        ]
+        for at, (mass, sums) in routes:
+            want_mass, want_sums = oracles.oracle_window_sums(
+                v.tolist(), at.tolist(), family, h, targets.tolist()
+            )
+            np.testing.assert_allclose(mass, want_mass, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(sums, want_sums, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize(

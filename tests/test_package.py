@@ -1,6 +1,9 @@
 """Static checks on the package source, with the stdlib ``ast`` module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "partlin"
@@ -34,3 +37,20 @@ def test_no_unused_imports():
         for name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    """They take longer to import than the package; only the functions
+    that use them load them."""
+    code = (
+        "import sys, partlin; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,8 +13,10 @@ import oracles
 from helpers import as_dataset, build_dataset, tiny_fixture
 from partlin import TimeSeriesDataset
 from partlin.errors import ParameterError, RankError, TruncationError
-from partlin.kernel import KernelSpec, TruncationSpec, default_truncation
+from partlin.bandwidth import cv_select, default_h_grid
+from partlin.kernel import KernelSpec, SortedView, TruncationSpec, default_truncation
 from partlin.markov import SmallSet, simulate_random_walk
+from partlin.montecarlo import table_grid
 from partlin.rng import standard_normal
 from partlin.sls import (
     asymptotic_ci,
@@ -412,3 +414,46 @@ def test_fit_identical_across_methods():
             trunc.b_n, small.lower, small.upper,
         )
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def test_one_sort_per_dataset(monkeypatch):
+    """Selection, the fit and both curves share one sorted view of v."""
+    built = []
+    init = SortedView.__init__
+
+    def spy(self, v):
+        built.append(v)
+        init(self, v)
+
+    monkeypatch.setattr(SortedView, "__init__", spy)
+    ds = build_dataset(seed=31, n=400)
+    trunc = default_truncation(ds.n)
+    for family in ("uniform", "epanechnikov"):
+        h = cv_select(ds, default_h_grid(ds.n), family, trunc).h_star
+        spec = KernelSpec(family, h)
+        fit = truncated_sls(ds, spec, trunc)
+        grid = table_grid(ds.v, 50)
+        estimate_g(ds, fit.theta_hat, grid, spec)
+        estimate_h(ds, grid, spec)
+    assert len(built) == 1
+    assert built[0] is ds.v
+
+
+def test_results_do_not_depend_on_call_order():
+    """Fits on one dataset, whose view keeps the windows of the latest
+    bandwidth, are bit-identical to fits on fresh datasets."""
+    shared = build_dataset(seed=32, n=400)
+    trunc = default_truncation(shared.n)
+
+    def fit(ds, family, h):
+        theta, mask = truncated_theta(ds, KernelSpec(family, h), trunc)
+        cv = cv_select(ds, np.array([h]), family, trunc)
+        return theta, mask, cv.criterion
+
+    for family, h in [
+        ("uniform", 0.2), ("uniform", 0.35), ("uniform", 0.2),
+        ("epanechnikov", 0.35), ("uniform", 0.35), ("epanechnikov", 0.2),
+    ]:
+        fresh = TimeSeriesDataset(y=shared.y, x=shared.x, v=shared.v)
+        for got, want in zip(fit(shared, family, h), fit(fresh, family, h)):
+            np.testing.assert_array_equal(got, want)
