@@ -6,12 +6,19 @@ a table of simulation cells from a config file, ``unitroot`` runs the
 simulated p-value unit root test on one column, and ``bandwidth``
 sweeps the cross validation criterion.
 
+Every CSV file, and every table printed to stdout, is the text of
+:func:`partlin.dataset.csv_text`: a header row, commas, ``"\\n"`` line
+ends, floats to 17 significant digits, integers and flags as ``%d``.
+
 Configuration is plain ``key = value`` text; command line flags
-override file values, and every run writes the fully resolved
-configuration (defaults, seed and package versions included) next to
-its outputs, so a result directory is self describing.  The only
-environment variable honoured is ``PARTLIN_OUT_ROOT``, an optional root
-prefix for relative output paths.
+override file values.  Every run writes ``resolved_config.txt``
+(``<out>.manifest.txt`` for ``simulate``) next to its outputs.  It
+lists every flag the run parsed (unset ones excepted), the values the
+run derived (``bn``, ``small_set``, ``h``, ``h_selected``, ``h_star``;
+for ``mc`` every resolved config key) and the package versions, so a
+result directory is self describing.  The only environment variable
+honoured is ``PARTLIN_OUT_ROOT``, an optional root prefix for relative
+output paths.
 
 Every default comes from the library: the simulation design from the
 ``McConfig`` field defaults, the kernel families from ``FAMILIES``, the
@@ -28,7 +35,6 @@ Warnings about the input data (constant columns) go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import os
 import sys
@@ -40,7 +46,15 @@ import scipy
 
 from . import __version__
 from .bandwidth import cv_select, default_h_grid
-from .dataset import TimeSeriesDataset, load_csv, read_columns, validate, write_csv
+from .dataset import (
+    FLOAT_FMT,
+    TimeSeriesDataset,
+    csv_text,
+    load_csv,
+    read_columns,
+    validate,
+    write_csv,
+)
 from .errors import ParameterError, ParseError, PartlinError
 from .kernel import (
     DEFAULT_SMALL_SET,
@@ -62,10 +76,9 @@ from .montecarlo import (
     simulate_replication,
     table_grid,
 )
-from .sls import asymptotic_ci, estimate_g, estimate_h, truncated_sls
+from .sls import asymptotic_ci, check_level, estimate_g, estimate_h, truncated_sls
 from .unitroot import df_test
 
-_FMT = "%.17g"
 # simulation design keys shared by the ``simulate`` flags and the ``mc``
 # config; their defaults are the McConfig field defaults
 _DESIGN_KEYS = ("theta0", "g0", "increment_sd", "eps_rho", "eps_sd")
@@ -97,17 +110,16 @@ def parse_kv_file(path: str) -> dict[str, str]:
 
 
 class RunConfig:
-    """Resolved parameters of one run: file values overridden by flags."""
+    """Resolved ``mc`` parameters: library ``defaults``, overridden by
+    the config file's values, overridden by the ``flags`` that were
+    given (not None).  Values are kept as text and read by ``get``."""
 
-    def __init__(self, file_values: dict[str, str] | None = None):
-        self.values: dict[str, str] = dict(file_values or {})
-
-    def override(self, key: str, value) -> None:
-        if value is not None:
-            self.values[key] = str(value)
-
-    def setdefault(self, key: str, value) -> None:
-        self.values.setdefault(key, str(value))
+    def __init__(self, file_values: dict[str, str], flags=None, defaults=None):
+        self.values = {key: str(val) for key, val in (defaults or {}).items()}
+        self.values.update(file_values)
+        self.values.update(
+            {key: str(val) for key, val in (flags or {}).items() if val is not None}
+        )
 
     def get(self, key: str, cast=str, default=None):
         if key not in self.values:
@@ -123,32 +135,33 @@ class RunConfig:
             raise ParameterError(f"config key {key!r} is required")
         return self.get(key, cast)
 
-    def text(self, command: str) -> str:
-        lines = [f"command = {command}"]
-        for key in sorted(self.values):
-            lines.append(f"{key} = {self.values[key]}")
-        lines.append(f"partlin_version = {__version__}")
-        lines.append(f"numpy_version = {np.__version__}")
-        lines.append(f"scipy_version = {scipy.__version__}")
-        return "\n".join(lines) + "\n"
 
-
-def _out_path(path: str) -> str:
-    root = os.environ.get("PARTLIN_OUT_ROOT")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
-
-def _prepare_dir(path: str) -> str:
-    path = _out_path(path)
-    os.makedirs(path, exist_ok=True)
-    return path
+def _run_record(args, **derived) -> str:
+    """The record of a run: every flag in ``args`` that is not None,
+    then the ``derived`` values (which win), then package versions."""
+    values = {
+        key: val
+        for key, val in vars(args).items()
+        if key not in ("command", "func") and val is not None
+    }
+    values.update(derived)
+    lines = [f"command = {args.command}"]
+    lines += [f"{key} = {values[key]}" for key in sorted(values)]
+    lines.append(f"partlin_version = {__version__}")
+    lines.append(f"numpy_version = {np.__version__}")
+    lines.append(f"scipy_version = {scipy.__version__}")
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _write_files(out: str, files: dict[str, str]) -> None:
+    """Write each named text into the directory ``out``."""
+    for name, text in files.items():
+        _write_text(os.path.join(out, name), text)
 
 
 @contextmanager
@@ -165,26 +178,29 @@ def _failure_marker(out: str):
         raise
 
 
-def _parse_small_set(text: str) -> SmallSet:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParameterError(f'--small-set expects "LO,HI", got {text!r}')
+def _parse_list(text: str, cast, name: str) -> list:
+    """The nonempty comma separated list ``text``, each item read by
+    ``cast``; ``name`` labels the error."""
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        items = [cast(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise ParameterError(f"--small-set bounds must be numbers: {text!r}") from None
-    return SmallSet(lo, hi)
+        items = []
+    if not items:
+        raise ParameterError(
+            f"{name}: cannot read {text!r} as a list of {cast.__name__}"
+        )
+    return items
+
+
+def _parse_small_set(text: str) -> SmallSet:
+    bounds = _parse_list(text, float, "--small-set")
+    if len(bounds) != 2:
+        raise ParameterError(f'--small-set expects "LO,HI", got {text!r}')
+    return SmallSet(*bounds)
 
 
 def _small_set_text(small_set: SmallSet) -> str:
     return f"{small_set.lower:g},{small_set.upper:g}"
-
-
-def _parse_float_list(text: str, flag: str) -> np.ndarray:
-    try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    except ValueError:
-        raise ParameterError(f"{flag} expects comma separated numbers: {text!r}") from None
 
 
 def _parse_kernel_tag(tag: str) -> KernelSpec | str:
@@ -227,18 +243,12 @@ def _add_dgp_flags(p: argparse.ArgumentParser) -> None:
 def cmd_simulate(args) -> int:
     design = {key: getattr(args, key) for key in _DESIGN_KEYS}
     cfg = McConfig(
-        n=args.n, reps=1, dgp=args.dgp, master_seed=args.seed, **design
+        n=args.n, reps=1, dgp=args.dgp, master_seed=args.master_seed, **design
     )
     ds = simulate_replication(cfg, rep=0)
-    out = _out_path(args.out)
-    write_csv(out, ds)
-    rc = RunConfig()
-    for key in ("n", "dgp", *_DESIGN_KEYS):
-        rc.override(key, getattr(args, key))
-    rc.override("master_seed", args.seed)
-    rc.override("out", out)
-    _write_text(out + ".manifest.txt", rc.text("simulate"))
-    print(f"wrote {ds.n} rows to {out}")
+    write_csv(args.out, ds)
+    _write_text(args.out + ".manifest.txt", _run_record(args))
+    print(f"wrote {ds.n} rows to {args.out}")
     return 0
 
 
@@ -287,95 +297,82 @@ def _load_dataset(args) -> TimeSeriesDataset:
 
 
 def _resolve_fit_args(
-    args, n: int, rc: RunConfig
-) -> tuple[TruncationSpec, np.ndarray]:
+    args, n: int
+) -> tuple[TruncationSpec, np.ndarray, dict[str, str]]:
     """The truncation and the candidate bandwidth grid ``args`` ask for,
-    library defaults filling what they leave out; the truncation is
-    recorded in ``rc``."""
+    library defaults filling what they leave out, and the truncation
+    as run record values."""
     small_set = (
         _parse_small_set(args.small_set) if args.small_set else DEFAULT_SMALL_SET
     )
     bn = args.bn if args.bn is not None else default_density_floor(n)
-    trunc = TruncationSpec(bn, small_set)
-    rc.override("bn", _FMT % bn)
-    rc.override("small_set", _small_set_text(small_set))
     h_grid = (
-        _parse_float_list(args.h_grid, "--h-grid")
+        np.array(_parse_list(args.h_grid, float, "--h-grid"))
         if args.h_grid
         else default_h_grid(n)
     )
-    return trunc, h_grid
+    derived = {"bn": FLOAT_FMT % bn, "small_set": _small_set_text(small_set)}
+    return TruncationSpec(bn, small_set), h_grid, derived
 
 
-def _write_curve(path: str, label: str, curve) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"v,{label},local_mass,valid\n")
-        for i in range(curve.grid.size):
-            fh.write(
-                "%s,%s,%s,%d\n"
-                % (
-                    _FMT % curve.grid[i],
-                    _FMT % curve.values[i],
-                    _FMT % curve.local_mass[i],
-                    int(curve.valid[i]),
-                )
-            )
+def _curve_text(label: str, curve) -> str:
+    return csv_text(
+        ("v", label, "local_mass", "valid"),
+        (curve.grid, curve.values, curve.local_mass, curve.valid),
+    )
 
 
 def cmd_estimate(args) -> int:
     if args.h_grid and not args.cv:
         raise ParameterError("--h-grid needs --cv, which searches the grid")
+    check_level(args.level)
     ds = _load_dataset(args)
-    rc = RunConfig()
-    for key in ("data", "y_col", "x_cols", "v_col", "h_grid", "level"):
-        rc.override(key, getattr(args, key))
-    trunc, h_grid = _resolve_fit_args(args, ds.n, rc)
+    trunc, h_grid, derived = _resolve_fit_args(args, ds.n)
     if args.cv:
         h = cv_select(ds, h_grid, args.family, trunc).h_star
-        rc.override("h_selected", _FMT % h)
+        derived["h_selected"] = FLOAT_FMT % h
     elif args.h is not None:
         h = args.h
     else:
         h = default_bandwidth(ds.n)
+    derived["h"] = FLOAT_FMT % h
     spec = KernelSpec(args.family, h)
-    rc.override("family", args.family)
-    rc.override("h", _FMT % h)
 
-    out = _prepare_dir(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     with _failure_marker(out):
         fit = truncated_sls(ds, spec, trunc)
-        level = args.level
         ci = None
         if np.all(np.isfinite(fit.avar)):
-            ci = asymptotic_ci(fit, level)
+            ci = asymptotic_ci(fit, args.level)
         grid = table_grid(ds.v, 300)
         g_curve = estimate_g(ds, fit.theta_hat, grid, spec)
         h_curves = estimate_h(ds, grid, spec)
 
-        rows: list[tuple[str, str]] = []
+        rows = []
         for j, lab in enumerate(ds.x_labels):
-            rows.append((f"theta.{lab}", _FMT % fit.theta_hat[j]))
+            rows.append((f"theta.{lab}", fit.theta_hat[j]))
             if ci is not None:
-                rows.append((f"ci_low.{lab}", _FMT % ci[j, 0]))
-                rows.append((f"ci_high.{lab}", _FMT % ci[j, 1]))
+                rows.append((f"ci_low.{lab}", ci[j, 0]))
+                rows.append((f"ci_high.{lab}", ci[j, 1]))
         rows += [
-            ("ci_level", _FMT % level),
-            ("beta_hat", _FMT % fit.beta_hat),
-            ("n", str(fit.n)),
-            ("n_visits", str(fit.n_visits)),
-            ("effective_n", str(fit.effective_n)),
-            ("dropped", str(fit.n - fit.effective_n)),
-            ("sigma_hat_sq", _FMT % fit.sigma_hat_sq),
-            ("psd_projected", str(int(fit.psd_projected))),
+            ("ci_level", args.level),
+            ("beta_hat", fit.beta_hat),
+            ("n", fit.n),
+            ("n_visits", fit.n_visits),
+            ("effective_n", fit.effective_n),
+            ("dropped", fit.n - fit.effective_n),
+            ("sigma_hat_sq", fit.sigma_hat_sq),
+            ("psd_projected", fit.psd_projected),
         ]
-        with open(os.path.join(out, "fit_report.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["key", "value"])
-            w.writerows(rows)
-        _write_curve(os.path.join(out, "g_curve.csv"), "g_hat", g_curve)
+        files = {
+            "fit_report.csv": csv_text(("key", "value"), list(zip(*rows))),
+            "g_curve.csv": _curve_text("g_hat", g_curve),
+        }
         for lab, curve in zip(ds.x_labels, h_curves):
-            _write_curve(os.path.join(out, f"h_curve_{lab}.csv"), "h_hat", curve)
-        _write_text(os.path.join(out, "resolved_config.txt"), rc.text("estimate"))
+            files[f"h_curve_{lab}.csv"] = _curve_text("h_hat", curve)
+        files["resolved_config.txt"] = _run_record(args, **derived)
+        _write_files(out, files)
 
     theta_txt = ", ".join(
         f"{lab} = {fit.theta_hat[j]:.6g}" for j, lab in enumerate(ds.x_labels)
@@ -396,6 +393,11 @@ _MC_KEYS = {
     "experiment", "n", "dgp", "reps", "master_seed", "kernel", "bn",
     "small_set", "g_grid_points", "workers", *_DESIGN_KEYS,
 }
+# what a config file may leave out
+_MC_FILE_DEFAULTS = {
+    key: _MC_DEFAULTS[key]
+    for key in (*_DESIGN_KEYS, "kernel", "g_grid_points", "workers")
+} | {"experiment": "theta", "small_set": _small_set_text(DEFAULT_SMALL_SET)}
 
 
 def cmd_mc(args) -> int:
@@ -405,86 +407,71 @@ def cmd_mc(args) -> int:
         raise ParameterError(
             f"{args.config}: unknown config keys {sorted(unknown)}"
         )
-    rc = RunConfig(file_values)
-    rc.override("reps", args.reps)
-    rc.override("master_seed", args.seed)
-    rc.override("workers", args.workers)
-    rc.setdefault("experiment", "theta")
-    for key in (*_DESIGN_KEYS, "kernel", "g_grid_points", "workers"):
-        rc.setdefault(key, _MC_DEFAULTS[key])
-    rc.setdefault("small_set", _small_set_text(DEFAULT_SMALL_SET))
+    # the flags named after config keys override them
+    flags = {key: val for key, val in vars(args).items() if key in _MC_KEYS}
+    rc = RunConfig(file_values, flags, _MC_FILE_DEFAULTS)
 
     experiment = rc.require("experiment")
     if experiment not in ("theta", "g"):
         raise ParameterError(
             f'experiment must be "theta" or "g", got {experiment!r}'
         )
-    ns = [int(v) for v in _parse_float_list(rc.require("n"), "n")]
-    dgps = [d.strip() for d in rc.require("dgp").split(",") if d.strip()]
-    reps = rc.require("reps", int)
-    seed = rc.require("master_seed", int)
-    kernel = _parse_kernel_tag(rc.require("kernel"))
-    small_set = _parse_small_set(rc.require("small_set"))
+    ns = _parse_list(rc.require("n"), int, "config key 'n'")
+    dgps = _parse_list(rc.require("dgp"), str, "config key 'dgp'")
     bn = rc.get("bn", float)
-    g_grid_points = rc.require("g_grid_points", int)
-    workers = rc.require("workers", int)
-    design = {
-        key: rc.require(key, type(_MC_DEFAULTS[key])) for key in _DESIGN_KEYS
-    }
+    small_set = _parse_small_set(rc.require("small_set"))
+    common = dict(
+        reps=rc.require("reps", int),
+        master_seed=rc.require("master_seed", int),
+        kernel=_parse_kernel_tag(rc.require("kernel")),
+        g_grid_points=rc.require("g_grid_points", int),
+        workers=rc.require("workers", int),
+        **{key: rc.require(key, type(_MC_DEFAULTS[key])) for key in _DESIGN_KEYS},
+    )
+    # every cell is checked before the output directory is made
+    cells = [
+        McConfig(
+            n=n,
+            dgp=dgp,
+            trunc=TruncationSpec(
+                bn if bn is not None else default_density_floor(n), small_set
+            ),
+            **common,
+        )
+        for dgp in dgps
+        for n in ns
+    ]
 
-    out = _prepare_dir(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     with _failure_marker(out):
+        run = run_theta_experiment if experiment == "theta" else run_g_experiment
         rows = []
         manifest = [
             f"experiment = {experiment}",
-            f"master_seed = {seed}",
+            f"master_seed = {common['master_seed']}",
             f"partlin_version = {__version__}",
         ]
-        single_rep = reps < 2
-        for dgp in dgps:
-            for n in ns:
-                trunc = TruncationSpec(
-                    bn if bn is not None else default_density_floor(n),
-                    small_set,
-                )
-                cfg = McConfig(
-                    n=n,
-                    reps=reps,
-                    dgp=dgp,
-                    master_seed=seed,
-                    kernel=kernel,
-                    trunc=trunc,
-                    g_grid_points=g_grid_points,
-                    workers=workers,
-                    **design,
-                )
-                kspec = resolve_kernel(cfg)
-                cfg = replace(cfg, kernel=kspec)
-                if experiment == "theta":
-                    cell = run_theta_experiment(cfg)
-                else:
-                    cell = run_g_experiment(cfg)
-                rows.append((n, dgp, cell))
-                tag = f"cell.{n}.{dgp}"
-                manifest.append(f"{tag}.h = {_FMT % kspec.bandwidth}")
-                manifest.append(f"{tag}.kernel_family = {kspec.family}")
-                manifest.append(f"{tag}.failures = {cell.failures}")
-                if experiment == "g":
-                    manifest.append(
-                        f"{tag}.invalid_points = {cell.invalid_points}"
-                    )
-        with open(os.path.join(out, "table.csv"), "w", newline="") as fh:
-            fh.write("n,dgp,ae,se,reps_used,failures\n")
-            for n, dgp, cell in rows:
-                fh.write(
-                    f"{n},{dgp},{_FMT % cell.ae},{_FMT % cell.se},"
-                    f"{cell.reps_used},{cell.failures}\n"
-                )
-        _write_text(
-            os.path.join(out, "manifest.txt"), "\n".join(manifest) + "\n"
-        )
-        _write_text(os.path.join(out, "resolved_config.txt"), rc.text("mc"))
-    if single_rep:
+        for cfg in cells:
+            kspec = resolve_kernel(cfg)
+            cell = run(replace(cfg, kernel=kspec))
+            rows.append(
+                (cfg.n, cfg.dgp, cell.ae, cell.se, cell.reps_used, cell.failures)
+            )
+            tag = f"cell.{cfg.n}.{cfg.dgp}"
+            manifest.append(f"{tag}.h = {FLOAT_FMT % kspec.bandwidth}")
+            manifest.append(f"{tag}.kernel_family = {kspec.family}")
+            manifest.append(f"{tag}.failures = {cell.failures}")
+            if experiment == "g":
+                manifest.append(f"{tag}.invalid_points = {cell.invalid_points}")
+        header = ("n", "dgp", "ae", "se", "reps_used", "failures")
+        files = {
+            "table.csv": csv_text(header, list(zip(*rows))),
+            "manifest.txt": "\n".join(manifest) + "\n",
+            "resolved_config.txt": _run_record(args, **rc.values),
+        }
+        _write_files(out, files)
+    if common["reps"] < 2:
         print("warning: single replication, se reported as 0", file=sys.stderr)
     print(f"wrote {len(rows)} cells to {os.path.join(out, 'table.csv')}")
     return 0
@@ -497,22 +484,16 @@ def cmd_unitroot(args) -> int:
     data, _ = read_columns(
         args.data, [_column_selector(args.column)], not args.no_header
     )
-    z = data[:, 0]
-    res = df_test(z, reps=args.reps, seed=args.seed)
-    header = "rho_hat,t_stat,p_value,sim_reps"
-    row = (
-        f"{_FMT % res.rho_hat},{_FMT % res.t_stat},"
-        f"{_FMT % res.p_value},{res.sim_reps}"
+    res = df_test(data[:, 0], reps=args.reps, seed=args.seed)
+    table = csv_text(
+        ("rho_hat", "t_stat", "p_value", "sim_reps"),
+        ([res.rho_hat], [res.t_stat], [res.p_value], [res.sim_reps]),
     )
-    print(header)
-    print(row)
+    sys.stdout.write(table)
     if args.out:
-        out = _prepare_dir(args.out)
-        rc = RunConfig()
-        for key in ("data", "column", "reps", "seed"):
-            rc.override(key, getattr(args, key))
-        _write_text(os.path.join(out, "unitroot.csv"), header + "\n" + row + "\n")
-        _write_text(os.path.join(out, "resolved_config.txt"), rc.text("unitroot"))
+        os.makedirs(args.out, exist_ok=True)
+        record = _run_record(args)
+        _write_files(args.out, {"unitroot.csv": table, "resolved_config.txt": record})
     return 0
 
 
@@ -521,28 +502,17 @@ def cmd_unitroot(args) -> int:
 
 def cmd_bandwidth(args) -> int:
     ds = _load_dataset(args)
-    rc = RunConfig()
-    for key in ("data", "family", "h_grid"):
-        rc.override(key, getattr(args, key))
-    trunc, h_grid = _resolve_fit_args(args, ds.n, rc)
+    trunc, h_grid, derived = _resolve_fit_args(args, ds.n)
     sel = cv_select(ds, h_grid, args.family, trunc)
-    print("h,criterion,dropped")
-    for i in range(sel.grid.size):
-        print(
-            f"{_FMT % sel.grid[i]},{_FMT % sel.criterion[i]},{sel.dropped[i]}"
-        )
-    print(f"# h_star = {_FMT % sel.h_star}")
+    table = csv_text(
+        ("h", "criterion", "dropped"), (sel.grid, sel.criterion, sel.dropped)
+    )
+    sys.stdout.write(table)
+    print(f"# h_star = {FLOAT_FMT % sel.h_star}")
     if args.out:
-        out = _prepare_dir(args.out)
-        rc.override("h_star", _FMT % sel.h_star)
-        with open(os.path.join(out, "cv.csv"), "w", newline="") as fh:
-            fh.write("h,criterion,dropped\n")
-            for i in range(sel.grid.size):
-                fh.write(
-                    f"{_FMT % sel.grid[i]},{_FMT % sel.criterion[i]},"
-                    f"{sel.dropped[i]}\n"
-                )
-        _write_text(os.path.join(out, "resolved_config.txt"), rc.text("bandwidth"))
+        os.makedirs(args.out, exist_ok=True)
+        record = _run_record(args, **derived, h_star=FLOAT_FMT % sel.h_star)
+        _write_files(args.out, {"cv.csv": table, "resolved_config.txt": record})
     return 0
 
 
@@ -563,7 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="write a synthetic dataset CSV")
     ps.add_argument("--n", type=int, required=True)
     _add_dgp_flags(ps)
-    ps.add_argument("--seed", type=int, default=_MC_DEFAULTS["master_seed"])
+    ps.add_argument(
+        "--seed", dest="master_seed", type=int, default=_MC_DEFAULTS["master_seed"]
+    )
     ps.add_argument("--out", required=True, help="output CSV path")
     ps.set_defaults(func=cmd_simulate)
 
@@ -581,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mc", help="run simulation table cells from a config")
     pm.add_argument("--config", required=True)
     pm.add_argument("--reps", type=int, help="override replication count")
-    pm.add_argument("--seed", type=int, help="override master seed")
+    pm.add_argument(
+        "--seed", dest="master_seed", type=int, help="override master seed"
+    )
     pm.add_argument("--workers", type=int, help="override worker count")
     pm.add_argument("--out", required=True, help="output directory")
     pm.set_defaults(func=cmd_mc)
@@ -605,6 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    root = os.environ.get("PARTLIN_OUT_ROOT")
+    if root and args.out and not os.path.isabs(args.out):
+        args.out = os.path.join(root, args.out)
     try:
         return args.func(args)
     except (PartlinError, OSError, ValueError) as exc:

@@ -1,14 +1,18 @@
 """Tabular container for one observed series and CSV round tripping.
 
 A dataset is the triple (response, regressor block, scalar covariate)
-with column labels carried along for reporting.  Serialization uses 17
-significant digits so that write followed by load reproduces every
-float bit for bit.
+with column labels carried along for reporting.  The module owns the
+one CSV dialect the package writes, :func:`csv_text`: a header row,
+commas, ``"\\n"`` line ends, floats in ``%.17g`` so that write followed
+by load reproduces every float bit for bit, integers and booleans as
+``%d`` and strings as they are, quoted only if they hold a comma, a
+quote or a line end.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,7 +21,7 @@ import numpy as np
 from .errors import ParameterError, ParseError, SchemaError
 from .kernel import SortedView
 
-_FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -197,14 +201,39 @@ def load_csv(
     )
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):
+            # quoted, as csv.reader expects, so the row keeps its width
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return "%d" % value
+    return FLOAT_FMT % value
+
+
+def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """The CSV text of a table: ``header``, then one row per position of
+    the equal-length ``columns``, in the module's dialect."""
+    cells = [
+        [_cell(c) for c in (col.tolist() if isinstance(col, np.ndarray) else col)]
+        for col in columns
+    ]
+    lengths = [len(c) for c in cells]
+    if len(cells) != len(header) or len(set(lengths)) > 1:
+        raise ParameterError(
+            f"{len(header)} column names for columns of lengths {lengths}"
+        )
+    rows = [",".join(map(_cell, header))]
+    rows += [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
+
+
 def write_csv(path: str, ds: TimeSeriesDataset) -> None:
-    """Write ``ds`` with a header row and 17 significant digit floats."""
+    """Write ``ds`` as :func:`csv_text`: y, the regressors, then v."""
+    labels, columns = zip(*_columns(ds))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([ds.y_label, *ds.x_labels, ds.v_label])
-        for i in range(ds.n):
-            cells = [ds.y[i], *ds.x[i], ds.v[i]]
-            w.writerow([_FLOAT_FMT % c for c in cells])
+        fh.write(csv_text(labels, columns))
 
 
 def validate(ds: TimeSeriesDataset) -> list[ValidationIssue]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -192,86 +193,88 @@ def table_grid(v: np.ndarray, points: int) -> np.ndarray:
     return lo + (np.arange(points) / points) * (hi - lo)
 
 
-def _replicate(args: tuple) -> tuple:
-    """Worker for one replication; must stay module level for pickling."""
-    cfg, kspec, trunc, rep, mode, v_point, ci_level = args
-    # only an interval needs the covariance block of the full fit
-    want_ci = mode == "theta" and ci_level is not None
+# one replication of each experiment, module level so workers unpickle it
+def _theta_replicate(cfg, kspec, trunc, ci_level, rep) -> tuple:
+    """(theta_hat, whether the interval at ``ci_level`` covers theta0);
+    coverage is NaN without an interval."""
+    ds = simulate_replication(cfg, rep)
+    if ci_level is None:
+        # only an interval needs the covariance block of the full fit
+        theta, _ = truncated_theta(ds, kspec, trunc)
+        return theta, np.nan
+    fit = truncated_sls(ds, kspec, trunc)
     try:
-        ds = simulate_replication(cfg, rep)
-        if want_ci:
-            fit = truncated_sls(ds, kspec, trunc)
-            theta = fit.theta_hat
-        else:
-            theta, _ = truncated_theta(ds, kspec, trunc)
+        ci = asymptotic_ci(fit, ci_level)
+    except ParameterError:
+        return fit.theta_hat, np.nan
+    return fit.theta_hat, float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])
+
+
+def _g_replicate(cfg, kspec, trunc, rep) -> tuple | None:
+    """(mean absolute curve error, invalid grid points) on the
+    replication's own grid; None when no grid point has kernel mass."""
+    ds = simulate_replication(cfg, rep)
+    theta, _ = truncated_theta(ds, kspec, trunc)
+    grid = table_grid(ds.v, cfg.g_grid_points)
+    curve = estimate_g(ds, theta, grid, kspec)
+    n_valid = int(np.count_nonzero(curve.valid))
+    if n_valid == 0:
+        return None
+    err = np.abs(curve.values - _g0_values(cfg.g0, grid))
+    return float(np.mean(err[curve.valid])), grid.size - n_valid
+
+
+def _gpoint_replicate(cfg, kspec, trunc, v_point, rep) -> tuple:
+    """(sqrt(local mass) times the curve error at ``v_point``, 1 if the
+    point has no kernel mass else 0)."""
+    ds = simulate_replication(cfg, rep)
+    theta, _ = truncated_theta(ds, kspec, trunc)
+    curve = estimate_g(ds, theta, np.array([v_point]), kspec)
+    if not curve.valid[0]:
+        return np.nan, 1
+    g0v = float(_g0_values(cfg.g0, np.array([v_point]))[0])
+    return float(np.sqrt(curve.local_mass[0]) * (curve.values[0] - g0v)), 0
+
+
+def _guarded(replicate, rep: int):
+    """``replicate(rep)``, or None when the fit fails."""
+    try:
+        return replicate(rep)
     except _FIT_ERRORS:
-        return (rep, None)
-    if mode == "theta":
-        covered = np.nan
-        if want_ci:
-            try:
-                ci = asymptotic_ci(fit, ci_level)
-                covered = float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])
-            except ParameterError:
-                covered = np.nan
-        return (rep, (theta, covered))
-    if mode == "g":
-        grid = table_grid(ds.v, cfg.g_grid_points)
-        curve = estimate_g(ds, theta, grid, kspec)
-        err = np.abs(curve.values - _g0_values(cfg.g0, grid))
-        n_valid = int(np.count_nonzero(curve.valid))
-        if n_valid == 0:
-            return (rep, None)
-        ae = float(np.mean(err[curve.valid]))
-        return (rep, (ae, grid.size - n_valid))
-    if mode == "gpoint":
-        curve = estimate_g(ds, theta, np.array([v_point]), kspec)
-        if not curve.valid[0]:
-            return (rep, (np.nan, 1))
-        g0v = float(_g0_values(cfg.g0, np.array([v_point]))[0])
-        s = float(np.sqrt(curve.local_mass[0]) * (curve.values[0] - g0v))
-        return (rep, (s, 0))
-    raise ParameterError(f"unknown replication mode {mode!r}")
+        return None
 
 
-def _run_all(cfg: McConfig, mode: str, v_point=None, ci_level=None) -> list:
-    kspec = resolve_kernel(cfg)
-    trunc = resolve_truncation(cfg)
-    payloads = [
-        (cfg, kspec, trunc, rep, mode, v_point, ci_level)
-        for rep in range(cfg.reps)
-    ]
+def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int]:
+    """``replicate(cfg, kernel, truncation, *bound, rep)`` of every
+    replication that produced a fit, in replication order, and the
+    count of those that did not; more than 10% failures raise."""
+    kspec, trunc = resolve_kernel(cfg), resolve_truncation(cfg)
+    run = partial(_guarded, partial(replicate, cfg, kspec, trunc, *bound))
+    reps = range(cfg.reps)
     if cfg.workers == 1 or cfg.reps < 2:
-        results = [_replicate(p) for p in payloads]
+        results = list(map(run, reps))
     else:
         chunk = max(1, cfg.reps // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_replicate, payloads, chunksize=chunk))
-    results.sort(key=lambda r: r[0])  # replication order, not completion order
-    return [payload for _, payload in results]
-
-
-def _check_failures(cfg: McConfig, failures: int) -> None:
+            # map keeps replication order, not completion order
+            results = list(pool.map(run, reps, chunksize=chunk))
+    kept = [r for r in results if r is not None]
+    failures = cfg.reps - len(kept)
     if failures > 0.1 * cfg.reps:
         raise ExperimentError(
             f"{failures} of {cfg.reps} replications failed, "
             "more than the 10% tolerance"
+            + ("; no replication produced a fit" if not kept else "")
         )
+    return kept, failures
 
 
 def theta_experiment_details(cfg: McConfig, ci_level: float = 0.95) -> ThetaDraws:
     """Coefficient draws and interval coverage for every replication."""
-    out = _run_all(cfg, "theta", ci_level=ci_level)
-    kept = [r for r in out if r is not None]
-    failures = cfg.reps - len(kept)
-    _check_failures(cfg, failures)
-    if not kept:
-        raise ExperimentError("no replication produced a fit")
-    draws = np.vstack([theta for theta, _ in kept])
-    covered = np.array([c for _, c in kept])
+    kept, failures = _run_all(cfg, _theta_replicate, ci_level)
     return ThetaDraws(
-        draws=draws,
-        covered=covered,
+        draws=np.vstack([theta for theta, _ in kept]),
+        covered=np.array([c for _, c in kept]),
         ci_level=ci_level,
         reps_used=len(kept),
         failures=failures,
@@ -301,12 +304,7 @@ def run_g_experiment(cfg: McConfig) -> McCellResult:
     grid points with no kernel mass are excluded from that
     replication's average and tallied in ``invalid_points``.
     """
-    out = _run_all(cfg, "g")
-    kept = [r for r in out if r is not None]
-    failures = cfg.reps - len(kept)
-    _check_failures(cfg, failures)
-    if not kept:
-        raise ExperimentError("no replication produced a fit")
+    kept, failures = _run_all(cfg, _g_replicate)
     aes = np.array([ae for ae, _ in kept])
     invalid = int(sum(k for _, k in kept))
     return McCellResult(
@@ -361,12 +359,9 @@ def g_clt_check(cfg: McConfig, v_point: float) -> GCltReport:
             "no stationary error variance for |eps_rho| >= 1"
         )
     kspec = resolve_kernel(cfg)
-    out = _run_all(
-        replace(cfg, kernel=kspec), "gpoint", v_point=float(v_point)
+    kept, failures = _run_all(
+        replace(cfg, kernel=kspec), _gpoint_replicate, float(v_point)
     )
-    kept = [r for r in out if r is not None]
-    failures = cfg.reps - len(kept)
-    _check_failures(cfg, failures)
     s_vals = np.array([s for s, _ in kept])
     invalid = int(sum(flag for _, flag in kept))
     if invalid > 0.2 * cfg.reps:

@@ -288,6 +288,12 @@ def truncated_sls(
     )
 
 
+def check_level(level: float) -> None:
+    """Reject a confidence level outside [0, 1)."""
+    if not 0.0 <= level < 1.0:
+        raise ParameterError(f"level must be in [0, 1), got {level}")
+
+
 def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
     """Normal theory confidence intervals for each linear coefficient.
 
@@ -295,8 +301,7 @@ def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
     degenerate interval at theta_hat; levels at or above 1 have no
     finite quantile and are rejected, as is a fit whose ``avar`` is NaN.
     """
-    if not 0.0 <= level < 1.0:
-        raise ParameterError(f"level must be in [0, 1), got {level}")
+    check_level(level)
     if not np.all(np.isfinite(fit.avar)):
         raise ParameterError("fit has a non-finite avar, no interval available")
     z = float(ndtri(0.5 * (1.0 + level)))

@@ -43,20 +43,25 @@ def test_parse_kv_last_duplicate_wins(tmp_path):
     assert parse_kv_file(str(p)) == {"n": "20"}
 
 
-def test_run_config_precedence_and_text():
-    rc = RunConfig({"reps": "5", "dgp": "H_zero"})
-    rc.override("reps", None)  # an absent flag changes nothing
-    assert rc.get("reps", int) == 5
-    rc.override("reps", 9)
-    assert rc.get("reps", int) == 9
-    rc.setdefault("dgp", "H_identity")
-    assert rc.get("dgp") == "H_zero"
-    text = rc.text("mc")
-    assert text.splitlines()[0] == "command = mc"
-    assert "reps = 9" in text
-    assert f"partlin_version = {__version__}" in text
-    assert "numpy_version" in text
-    assert "scipy_version" in text
+def test_run_config_precedence_and_text(tmp_path):
+    defaults = {"dgp": "H_identity", "kernel": "cv", "workers": 1}
+    rc = RunConfig({"reps": "5", "dgp": "H_zero"}, {"reps": None}, defaults)
+    assert rc.get("reps", int) == 5  # an absent flag changes nothing
+    assert rc.get("dgp") == "H_zero"  # a file value beats the default
+    assert rc.get("kernel") == "cv"
+    assert rc.get("workers", int) == 1
+    assert RunConfig({"reps": "5"}, {"reps": 9}).get("reps", int) == 9
+    cfg = write_mc_config(tmp_path, n="40", dgp="H_zero")
+    out = tmp_path / "o"
+    assert main(["mc", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 0
+    lines = (out / "resolved_config.txt").read_text().splitlines()
+    assert lines[0] == "command = mc"
+    assert "reps = 2" in lines
+    assert "kernel = uniform:0.6" in lines
+    assert "workers = 1" in lines
+    assert f"partlin_version = {__version__}" in lines
+    assert any(line.startswith("numpy_version = ") for line in lines)
+    assert any(line.startswith("scipy_version = ") for line in lines)
 
 
 def test_run_config_errors():
@@ -218,6 +223,17 @@ def test_estimate_rejects_non_finite_covariate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_level_checked_before_data_and_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    code = main(
+        ["estimate", "--data", str(tmp_path / "no.csv"), "--level", "1.5",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: level must be in [0, 1), got 1.5\n"
+    assert not out.exists()
+
+
 def test_estimate_custom_schema_and_small_set(tmp_path):
     ds = build_dataset(seed=9, n=150)
     path = tmp_path / "named.csv"
@@ -314,6 +330,29 @@ def test_mc_bad_experiment_value(tmp_path, capsys):
     cfg = write_mc_config(tmp_path, experiment="curves")
     assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", "inf"), ("n", "nan"), ("n", "200.7"), ("n", ""), ("dgp", "")],
+)
+def test_mc_bad_list_names_the_key_before_output(tmp_path, key, value):
+    cfg = write_mc_config(tmp_path, **{key: value})
+    out = tmp_path / "never"
+    args = build_parser().parse_args(["mc", "--config", str(cfg), "--out", str(out)])
+    with pytest.raises(ParameterError, match=f"config key '{key}'"):
+        args.func(args)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("n", "40, 5"), ("dgp", "H_zero, H_two")])
+def test_mc_cells_checked_before_output(tmp_path, key, value):
+    cfg = write_mc_config(tmp_path, **{key: value})
+    out = tmp_path / "never"
+    args = build_parser().parse_args(["mc", "--config", str(cfg), "--out", str(out)])
+    with pytest.raises(ParameterError, match=f"{key} must be"):
+        args.func(args)
+    assert not out.exists()
 
 
 def test_mc_single_rep_warns(tmp_path, capsys):
@@ -429,6 +468,66 @@ def test_bandwidth_default_grid_size(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- shared
+
+
+def run_every_command(tmp_path) -> list[list[str]]:
+    """Run each subcommand once with its outputs under ``tmp_path``."""
+    data = tmp_path / "data.csv"
+    cfg = write_mc_config(tmp_path, n="40", dgp="H_zero")
+    runs = [
+        ["simulate", "--n", "120", "--seed", "5", "--out", str(data)],
+        ["estimate", "--data", str(data), "--h", "0.5", "--out",
+         str(tmp_path / "fit")],
+        ["bandwidth", "--data", str(data), "--x-cols", "v", "--y-col", "x1",
+         "--v-col", "y", "--h-grid", "0.3,0.6", "--out", str(tmp_path / "bw")],
+        ["mc", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "mc")],
+        ["unitroot", "--data", str(data), "--column", "v", "--reps", "100",
+         "--out", str(tmp_path / "ur")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    return runs
+
+
+def test_every_written_file_has_lf_line_ends(tmp_path):
+    run_every_command(tmp_path)
+    written = sorted(
+        p.relative_to(tmp_path).as_posix()
+        for p in tmp_path.rglob("*")
+        if p.is_file() and p.name != "mc.cfg"
+    )
+    assert written == [
+        "bw/cv.csv", "bw/resolved_config.txt",
+        "data.csv", "data.csv.manifest.txt",
+        "fit/fit_report.csv", "fit/g_curve.csv", "fit/h_curve_x1.csv",
+        "fit/resolved_config.txt",
+        "mc/manifest.txt", "mc/resolved_config.txt", "mc/table.csv",
+        "ur/resolved_config.txt", "ur/unitroot.csv",
+    ]
+    for name in written:
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
+
+
+def test_run_record_lists_every_parsed_flag(tmp_path):
+    records = {
+        "simulate": tmp_path / "data.csv.manifest.txt",
+        "estimate": tmp_path / "fit" / "resolved_config.txt",
+        "bandwidth": tmp_path / "bw" / "resolved_config.txt",
+        "mc": tmp_path / "mc" / "resolved_config.txt",
+        "unitroot": tmp_path / "ur" / "resolved_config.txt",
+    }
+    for argv in run_every_command(tmp_path):
+        lines = records[argv[0]].read_text().splitlines()
+        keys = {line.split(" = ")[0] for line in lines}
+        args = build_parser().parse_args(argv)
+        parsed = {k for k, v in vars(args).items() if k != "func" and v is not None}
+        assert parsed <= keys, (argv[0], sorted(parsed - keys))
+        if argv[0] in ("estimate", "bandwidth", "unitroot"):
+            assert "no_header = False" in lines
+    bandwidth = records["bandwidth"].read_text().splitlines()
+    assert {"x_cols = v", "y_col = x1", "v_col = y"} <= set(bandwidth)
+
+
 
 
 def test_out_root_env_var_applies_to_relative_paths(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from helpers import build_dataset
 from partlin.dataset import (
     TimeSeriesDataset,
     ValidationIssue,
+    csv_text,
     load_csv,
     validate,
     write_csv,
@@ -101,6 +102,41 @@ def test_roundtrip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.x, ds.x)
     np.testing.assert_array_equal(back.v, ds.v)
     assert back.x_labels == ("a", "b")
+
+
+def test_csv_text_dialect():
+    text = csv_text(
+        ("f", "i", "b", "s"),
+        (np.array([0.1, 2.0]), [3, np.int64(-4)], np.array([True, False]), ["a", "b"]),
+    )
+    assert text == "f,i,b,s\n0.10000000000000001,3,1,a\n2,-4,0,b\n"
+    assert csv_text(("key", "value"), (["x"], [np.float64(1 / 3)])) == (
+        "key,value\nx,0.33333333333333331\n"
+    )
+
+
+def test_csv_text_quotes_only_what_would_break_a_row(tmp_path):
+    text = csv_text(("k", "a,b"), (["plain", 'say "hi"'], ["x\ny", "z"]))
+    assert text == 'k,"a,b"\nplain,"x\ny"\n"say ""hi""",z\n'
+    ds = TimeSeriesDataset(y=[1.0, 2.0], x=[3.0, 4.0], v=[5.0, 6.0], x_labels=("a,b",))
+    path = tmp_path / "labels.csv"
+    write_csv(str(path), ds)
+    assert load_csv(str(path), x_cols=("a,b",)).x_labels == ("a,b",)
+
+
+def test_csv_text_rejects_mismatched_columns():
+    with pytest.raises(ParameterError, match="lengths"):
+        csv_text(("a", "b"), ([1.0], [1.0, 2.0]))
+    with pytest.raises(ParameterError, match="2 column names"):
+        csv_text(("a", "b"), ([1.0],))
+
+
+def test_write_csv_is_csv_text(tmp_path):
+    ds = build_dataset(seed=3, n=5)
+    path = tmp_path / "sim.csv"
+    write_csv(str(path), ds)
+    want = csv_text(("y", "x1", "v"), (ds.y, ds.x[:, 0], ds.v))
+    assert path.read_bytes() == want.encode()
 
 
 def test_roundtrip_simulated_draws(tmp_path):
