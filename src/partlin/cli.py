@@ -9,6 +9,9 @@ sweeps the cross validation criterion.
 Every CSV file, and every table printed to stdout, is the text of
 :func:`partlin.dataset.csv_text`: a header row, commas, ``"\\n"`` line
 ends, floats to 17 significant digits, integers and flags as ``%d``.
+Input files are read by :func:`partlin.dataset.read_columns`, whose
+docstring states what it accepts; ``--x-cols`` is split with the same
+quoting rules, so ``'"a,b",c'`` names the labels ``a,b`` and ``c``.
 
 Configuration is plain ``key = value`` text; command line flags
 override file values.  Every run writes ``resolved_config.txt``
@@ -52,6 +55,7 @@ from .dataset import (
     csv_text,
     load_csv,
     read_columns,
+    split_fields,
     validate,
     write_csv,
 )
@@ -260,7 +264,11 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     options shared by ``estimate`` and ``bandwidth``."""
     p.add_argument("--data", required=True)
     p.add_argument("--y-col", default="y")
-    p.add_argument("--x-cols", default="x1", help="comma separated")
+    p.add_argument(
+        "--x-cols",
+        default="x1",
+        help='comma separated; quote a label that holds a comma, "a,b"',
+    )
     p.add_argument("--v-col", default="v")
     p.add_argument(
         "--no-header",
@@ -281,9 +289,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_dataset(args) -> TimeSeriesDataset:
-    x_cols = tuple(
-        _column_selector(c.strip()) for c in args.x_cols.split(",") if c.strip()
-    )
+    x_cols = tuple(_column_selector(c) for c in split_fields(args.x_cols))
     ds = load_csv(
         args.data,
         y_col=_column_selector(args.y_col),

@@ -6,12 +6,15 @@ one CSV dialect the package writes, :func:`csv_text`: a header row,
 commas, ``"\\n"`` line ends, floats in ``%.17g`` so that write followed
 by load reproduces every float bit for bit, integers and booleans as
 ``%d`` and strings as they are, quoted only if they hold a comma, a
-quote or a line end.
+quote or a line end.  It also owns the one reader,
+:func:`read_columns`, and :func:`split_fields`, which splits a list of
+column labels with the reader's quoting rules.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,6 +25,8 @@ from .errors import ParameterError, ParseError, SchemaError
 from .kernel import SortedView
 
 FLOAT_FMT = "%.17g"
+# the cell format of a numeric ndarray column, by dtype kind
+_ARRAY_FMT = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}
 
 
 @dataclass(frozen=True)
@@ -136,9 +141,65 @@ def read_columns(
 
     Columns are selected by header name, or by 0-based position when
     ``header`` is false.  Returns the (rows, len(cols)) values and a
-    label per column.  Any cell that does not parse as a float raises
-    :class:`ParseError` naming the column and the 1-based data row.
+    label per column: the header name, or ``col<position>``.
+
+    Input contract.  Cells are quoted as :mod:`csv` reads them: a cell
+    in double quotes may hold commas and line ends, and ``""`` inside
+    it is one quote.  Empty lines are skipped, before the header too;
+    every other line is a row, so a line of blanks or one starting with
+    ``#`` is read as cells.  Labels and cells are stripped of
+    surrounding blanks, each selected cell is read by Python's
+    ``float`` (``nan``, ``inf``, ``1_0`` included), extra fields are
+    ignored and unselected columns are never parsed.  A file without
+    data rows, or a selector naming no column, raises
+    :class:`SchemaError`.  A selected cell that is not a float raises
+    :class:`ParseError` naming its column label and 1-based data row;
+    a row too short to reach a selected column, one naming the row.
+
+    numpy's C reader parses the rows.  Input it refuses or warns about
+    is read again by :func:`_read_columns_exact`, which returns the
+    same values or raises the error above for the first faulty row.
     """
+    try:
+        with warnings.catch_warnings():
+            # numpy warns, rather than raises, on a file without rows
+            warnings.simplefilter("error")
+            return _read_columns_fast(path, cols, header)
+    except (ValueError, Warning, SchemaError, csv.Error):
+        return _read_columns_exact(path, cols, header)
+
+
+def _read_columns_fast(
+    path: str, cols: list[int | str], header: bool
+) -> tuple[np.ndarray, list[str]]:
+    with open(path, newline="") as fh:
+        names: list[str] | None = None
+        if header:
+            first = next(filter(None, csv.reader(fh)), None)
+            if first is None:
+                raise SchemaError(f"{path}: empty file")
+            names = [c.strip() for c in first]
+        positions = [_resolve(c, names, path) for c in cols]
+        # the header row is consumed, so numpy reads the data rows only
+        data = np.loadtxt(
+            fh,
+            delimiter=",",
+            usecols=positions,
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+        )
+    labels = [
+        names[p] if names is not None else f"col{p}" for p in positions
+    ]
+    return data, labels
+
+
+def _read_columns_exact(
+    path: str, cols: list[int | str], header: bool
+) -> tuple[np.ndarray, list[str]]:
+    """:func:`read_columns` one cell at a time with ``csv`` and
+    ``float``: the definition the fast path must reproduce."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
@@ -172,6 +233,17 @@ def read_columns(
                     f"{labels[j]!r} at data row {i + 1}"
                 ) from None
     return data, labels
+
+
+def split_fields(text: str) -> list[str]:
+    """The comma separated items of one line of ``text``, quoted as in
+    a CSV file (so ``'"a,b",c'`` is ``["a,b", "c"]``), each stripped,
+    empty items dropped."""
+    try:
+        fields = next(csv.reader([text]), [])
+    except csv.Error as exc:
+        raise ParameterError(f"cannot read {text!r} as CSV fields: {exc}") from None
+    return [f.strip() for f in fields if f.strip()]
 
 
 def load_csv(
@@ -215,17 +287,23 @@ def _cell(value) -> str:
 def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """The CSV text of a table: ``header``, then one row per position of
     the equal-length ``columns``, in the module's dialect."""
-    cells = [
-        [_cell(c) for c in (col.tolist() if isinstance(col, np.ndarray) else col)]
-        for col in columns
-    ]
-    lengths = [len(c) for c in cells]
-    if len(cells) != len(header) or len(set(lengths)) > 1:
+    formats, values = [], []
+    for col in columns:
+        fmt = _ARRAY_FMT.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
+        items = col.tolist() if isinstance(col, np.ndarray) else col
+        if fmt is None:
+            # strings and plain sequences, cell by cell
+            fmt, items = "%s", [_cell(c) for c in items]
+        formats.append(fmt)
+        values.append(items)
+    lengths = [len(c) for c in values]
+    if len(values) != len(header) or len(set(lengths)) > 1:
         raise ParameterError(
             f"{len(header)} column names for columns of lengths {lengths}"
         )
+    template = ",".join(formats)
     rows = [",".join(map(_cell, header))]
-    rows += [",".join(row) for row in zip(*cells)]
+    rows += [template % row for row in zip(*values)]
     return "\n".join(rows) + "\n"
 
 

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ParameterError
 from .rng import standard_normal
 
+# null paths simulated per block of _simulated_t
+_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class DfResult:
@@ -65,15 +68,24 @@ def df_statistic(z: np.ndarray) -> float:
 
 
 def _simulated_t(n: int, reps: int, seed: int) -> np.ndarray:
-    """DF t draws under the null, one substream per simulated path."""
-    paths = np.empty((reps, n))
-    for r in range(reps):
-        paths[r] = np.cumsum(standard_normal(seed, r, n))
-    lag = paths[:, :-1]
-    cur = paths[:, 1:]
-    sxx = np.einsum("ij,ij->i", lag, lag)
-    sxy = np.einsum("ij,ij->i", lag, cur)
-    syy = np.einsum("ij,ij->i", cur, cur)
+    """DF t draws under the null, one substream per simulated path.
+
+    Paths are simulated ``_CHUNK`` at a time into one reused buffer, so
+    memory is O(n), not O(reps n); each path keeps only its three sums.
+    """
+    buf = np.empty((min(_CHUNK, reps), n))
+    sums = np.empty((3, reps))
+    for start in range(0, reps, _CHUNK):
+        paths = buf[: reps - start]
+        for k, path in enumerate(paths):
+            np.cumsum(standard_normal(seed, start + k, n), out=path)
+        lag = paths[:, :-1]
+        cur = paths[:, 1:]
+        done = slice(start, start + len(paths))
+        sums[0, done] = np.einsum("ij,ij->i", lag, lag)
+        sums[1, done] = np.einsum("ij,ij->i", lag, cur)
+        sums[2, done] = np.einsum("ij,ij->i", cur, cur)
+    sxx, sxy, syy = sums
     rho = sxy / sxx
     rss = syy - sxy * sxy / sxx
     dof = n - 2

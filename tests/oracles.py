@@ -6,17 +6,22 @@ from-scratch Philox-4x64-10, normals come from the standard library's
 inverse CDF, and the estimators are literal weight-sum translations in
 plain Python loops.  Slow is fine; these run on tiny fixtures.  The one
 exception is ``oracle_curve_error``, a vectorised closed form that runs
-on every replication of a Monte Carlo cell.
+on every replication of a Monte Carlo cell.  ``oracle_read_columns`` is
+the CSV reader as a ``csv`` row loop with ``float`` per cell; it takes
+only the error classes from the package.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from statistics import NormalDist
 
 import numpy as np
 from scipy.signal import lfilter
 from scipy.special import erf
+
+from partlin.errors import ParseError, SchemaError
 
 _M64 = (1 << 64) - 1
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -264,3 +269,61 @@ def oracle_df_t(z) -> float:
     rss = sum((b - rho * a) ** 2 for a, b in zip(lag, cur))
     se = math.sqrt(rss / (len(cur) - 1) / sxx)
     return (rho - 1.0) / se
+
+
+def _oracle_resolve(col, names, path):
+    """Map a column selector (name or 0-based position) to a position."""
+    if isinstance(col, int):
+        width = len(names) if names is not None else None
+        if col < 0 or (width is not None and col >= width):
+            raise SchemaError(f"{path}: no column at position {col}")
+        return col
+    if names is None:
+        raise SchemaError(
+            f"{path}: column {col!r} requested by name but the file was "
+            "read without a header row"
+        )
+    try:
+        return names.index(col)
+    except ValueError:
+        raise SchemaError(
+            f"{path}: column {col!r} not found; header has {names}"
+        ) from None
+
+
+def oracle_read_columns(path, cols, header=True):
+    """``dataset.read_columns``: every row through ``csv.reader``, every
+    selected cell through ``float``, errors naming column and row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if r]
+    names = None
+    if header:
+        if not rows:
+            raise SchemaError(f"{path}: empty file")
+        names = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+
+    positions = [_oracle_resolve(c, names, path) for c in cols]
+    labels = [
+        names[p] if names is not None else f"col{p}" for p in positions
+    ]
+
+    data = np.empty((len(rows), len(positions)))
+    for i, row in enumerate(rows):
+        for j, pos in enumerate(positions):
+            if pos >= len(row):
+                raise ParseError(
+                    f"{path}: data row {i + 1} has only {len(row)} fields"
+                )
+            cell = row[pos].strip()
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: cannot parse {cell!r} in column "
+                    f"{labels[j]!r} at data row {i + 1}"
+                ) from None
+    return data, labels

@@ -10,7 +10,7 @@ import pytest
 from helpers import build_dataset
 from partlin import __version__
 from partlin.cli import RunConfig, build_parser, main, parse_kv_file
-from partlin.dataset import load_csv, write_csv
+from partlin.dataset import TimeSeriesDataset, load_csv, write_csv
 from partlin.errors import ParameterError, ParseError
 from partlin.kernel import DENSITY_FLOOR_SCALE, KernelSpec, default_truncation
 from partlin.montecarlo import McConfig, simulate_replication
@@ -254,6 +254,30 @@ def test_estimate_custom_schema_and_small_set(tmp_path):
     resolved = (out / "resolved_config.txt").read_text()
     assert "small_set = -2,2" in resolved
     assert "bn = 0.01" in resolved
+
+
+def test_x_cols_quotes_a_label_holding_a_comma(tmp_path, capsys):
+    ds = build_dataset(seed=9, n=150)
+    path = tmp_path / "comma.csv"
+    write_csv(str(path), TimeSeriesDataset(y=ds.y, x=ds.x, v=ds.v, x_labels=("a,b",)))
+    out = tmp_path / "fit"
+    code = main(
+        ["estimate", "--data", str(path), "--x-cols", '"a,b"', "--h", "0.4",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert float(read_report(str(out))["theta.a,b"]) == truncated_sls(
+        ds, KernelSpec("uniform", 0.4), default_truncation(150)
+    ).theta_hat[0]
+    code = main(
+        ["bandwidth", "--data", str(path), "--x-cols", '"a,b"', "--h-grid", "0.3,0.6"]
+    )
+    assert code == 0
+    capsys.readouterr()
+    # unquoted, the comma separates two labels
+    code = main(["bandwidth", "--data", str(path), "--x-cols", "a,b"])
+    assert code == 1
+    assert "column 'a' not found" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- mc

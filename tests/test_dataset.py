@@ -1,16 +1,24 @@
 """Dataset container, CSV round tripping and validation."""
 
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from helpers import build_dataset
+from partlin import dataset
 from partlin.dataset import (
     TimeSeriesDataset,
     ValidationIssue,
     csv_text,
     load_csv,
+    read_columns,
+    split_fields,
     validate,
     write_csv,
 )
@@ -197,6 +205,124 @@ def test_empty_and_header_only_files(tmp_path):
     header_only.write_text("y,x1,v\n")
     with pytest.raises(SchemaError, match="no data rows"):
         load_csv(str(header_only))
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+# selected cells: floats as the package writes them and as repr does,
+# every spelling float() takes for nan and inf, signed zero and
+# subnormals, and cells only float() or neither reader accepts
+_NUMBER = st.tuples(
+    st.one_of(
+        st.floats().map(lambda f: "%.17g" % f),
+        st.floats().map(repr),
+        st.sampled_from(
+            ["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "INF", "-0.0",
+             "5e-324", "2.2250738585072009e-308", "1e999", "007", "+.5"]
+        ),
+    ),
+    # padded and quoted cells
+    st.sampled_from(["{}"] * 4 + [" {} ", "\t{}", "quote", "quote", " quote"]),
+).map(lambda c: c[1].replace("quote", _quoted(c[0])).format(c[0]))
+# cells float() alone takes or neither reader takes, and quoted ones
+# holding commas or a line end
+_JUNK = st.sampled_from(
+    ["", "abc", "1_0", "#3", "0x10", "1d5", 'a"b', '"2"3', '"1,2,3"', '"7\n"']
+)
+_LABELS = ["y", "x1", "v", "a,b", " pad ", 'say "hi"', ""]
+
+
+def _sometimes(rare, common, odds):
+    """``rare`` once in ``odds`` draws, ``common`` otherwise."""
+    return st.sampled_from([rare] + [common] * (odds - 1)).flatmap(lambda s: s)
+
+
+@st.composite
+def csv_files(draw):
+    """The text of a CSV file, a column selection and the header flag;
+    most rows are well formed and most selectors exist, so that both
+    outcomes, values and errors, are common."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.booleans())
+    lines = []
+    names = [str(p) for p in range(width)]
+    if header:
+        names = draw(st.lists(st.sampled_from(_LABELS), min_size=width, max_size=width))
+        lines.append(",".join(_quoted(x) if "," in x or '"' in x else x for x in names))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["short", "extra", "", "odd"]))
+        if kind in ("", "odd"):
+            lines.append(kind and draw(st.sampled_from(["   ", "\t", "#", "# x"])))
+            continue
+        size = {"row": width, "short": width - 1, "extra": width + 2}[kind]
+        cells = [draw(_sometimes(_JUNK, _NUMBER, 12)) for _ in range(size)]
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    good = st.sampled_from(names if header else list(range(width)))
+    bad = st.sampled_from([-1, width, "nope", *_LABELS])
+    cols = draw(st.lists(_sometimes(bad, good, 12), min_size=1, max_size=3))
+    return text, cols, header
+
+
+def _outcome(read, path, cols, header):
+    """The values bit for bit and the labels, or the error and its text."""
+    try:
+        data, labels = read(path, cols, header)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return data.shape, data.view(np.uint64).tolist(), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_files())
+@example(case=("", ["y"], True))
+@example(case=("", [0], False))
+@example(case=('y,"a,b",v\n', ["a,b"], True))
+@example(case=('\r\ny,"a,b",v\r\n\r\n1, "2" ,3\r\n', ["a,b", 0], True))
+@example(case=("1_0,2\n", [0, 1], False))
+@example(case=('"1,2,3",9\n', [1], False))
+def test_read_columns_matches_oracle(case):
+    text, cols, header = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got = _outcome(read_columns, path, cols, header)
+        want = _outcome(oracles.oracle_read_columns, path, cols, header)
+    assert got == want
+
+
+def test_clean_file_is_read_without_the_exact_loop(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact loop ran")
+
+    monkeypatch.setattr(dataset, "_read_columns_exact", refuse)
+    ds = build_dataset(seed=4, n=30)
+    path = tmp_path / "sim.csv"
+    write_csv(str(path), ds)
+    np.testing.assert_array_equal(load_csv(str(path)).v, ds.v)
+
+
+@pytest.mark.parametrize(
+    "text, fields",
+    [
+        ("x1", ["x1"]),
+        ("a, b,,", ["a", "b"]),
+        ('"a,b"', ["a,b"]),
+        ('"a,b", 2 ,"say ""hi"""', ["a,b", "2", 'say "hi"']),
+        ("", []),
+    ],
+)
+def test_split_fields_quotes_like_the_reader(text, fields):
+    assert split_fields(text) == fields
+
+
+def test_split_fields_rejects_a_bare_line_end():
+    with pytest.raises(ParameterError, match="CSV fields"):
+        split_fields("a\nb")
 
 
 def test_position_out_of_range(tmp_path):

@@ -39,9 +39,22 @@ def test_no_unused_imports():
     assert found == []
 
 
+# (attribute, owner) pairs that write or read CSV
+_CSV_CALLS = {
+    ("writer", "csv"): "csv.writer",
+    ("reader", "csv"): "csv.reader",
+    ("loadtxt", "np"): "np.loadtxt",
+    ("loadtxt", "numpy"): "np.loadtxt",
+    ("genfromtxt", "np"): "np.genfromtxt",
+    ("genfromtxt", "numpy"): "np.genfromtxt",
+}
+
+
 def csv_dialect_uses(source: str) -> list[str]:
-    """Places that format CSV by hand: the ``%.17g`` format outside a
-    docstring, ``csv.writer`` and a literal ``","`` join."""
+    """Places that write or read CSV by hand: the ``%.17g`` format
+    outside a docstring, a literal ``","`` join, ``csv.writer``,
+    ``csv.reader``, ``np.loadtxt`` and ``np.genfromtxt``, imported by
+    module or by name."""
     tree = ast.parse(source)
     docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
     found = []
@@ -55,12 +68,16 @@ def csv_dialect_uses(source: str) -> list[str]:
             found.append("%.17g")
         elif isinstance(node, ast.Attribute):
             owner = getattr(node.value, "id", getattr(node.value, "value", None))
-            if (node.attr, owner) == ("writer", "csv"):
-                found.append("csv.writer")
-            elif (node.attr, owner) == ("join", ","):
+            if (node.attr, owner) == ("join", ","):
                 found.append('",".join')
-        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
-            found += ["csv.writer" for a in node.names if a.name == "writer"]
+            elif (node.attr, owner) in _CSV_CALLS:
+                found.append(_CSV_CALLS[node.attr, owner])
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                _CSV_CALLS[a.name, node.module]
+                for a in node.names
+                if (a.name, node.module) in _CSV_CALLS
+            ]
     return found
 
 
@@ -68,18 +85,27 @@ def test_csv_dialect_scan_finds_each():
     source = (
         '"""Docstrings may name %.17g."""\n'
         "import csv\n"
-        "from csv import writer\n"
+        "import numpy\n"
+        "import numpy as np\n"
+        "from csv import reader, writer\n"
+        "from numpy import genfromtxt, loadtxt\n"
         "w = csv.writer(fh)\n"
+        "r = csv.reader(fh)\n"
+        "a = np.loadtxt(fh) + numpy.genfromtxt(fh)\n"
         'row = ",".join(["%.17g" % 1.0, f"{2}"])\n'
         'words = ", ".join(["a", "b"])\n'
+        "rows = np.load(fh)\n"
     )
     assert sorted(csv_dialect_uses(source)) == [
-        '",".join', "%.17g", "csv.writer", "csv.writer"
+        '",".join', "%.17g", "csv.reader", "csv.reader", "csv.writer",
+        "csv.writer", "np.genfromtxt", "np.genfromtxt", "np.loadtxt",
+        "np.loadtxt",
     ]
 
 
 def test_only_dataset_formats_csv():
-    """dataset.csv_text owns the one CSV dialect the package writes."""
+    """dataset.csv_text owns the one CSV dialect the package writes and
+    dataset.read_columns the one reader."""
     found = [
         f"{path.name}: {use}"
         for path in sorted(SRC.glob("*.py"))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from scipy import stats
 import oracles
 from partlin.errors import ParameterError
 from partlin.markov import simulate_ar1, simulate_random_walk
+from partlin.rng import standard_normal
 from partlin.unitroot import (
     DfResult,
     df_statistic,
     df_test,
     fit_ar1,
+    _simulated_t,
     simulated_pvalue,
 )
 
@@ -70,6 +73,27 @@ def test_pvalue_monotone_and_deterministic():
     assert simulated_pvalue(-1.5, **args) == p_mid
     assert simulated_pvalue(-100.0, **args) == 0.0
     assert simulated_pvalue(100.0, **args) == 1.0
+
+
+def test_null_draws_follow_their_streams_across_blocks():
+    """Path r of the null is the walk of stream r, whichever block of
+    the simulation holds it; 150 paths span three blocks."""
+    n, reps, seed = 40, 150, 6
+    want = [df_statistic(np.cumsum(standard_normal(seed, r, n))) for r in range(reps)]
+    np.testing.assert_allclose(_simulated_t(n, reps, seed), want, rtol=1e-10)
+
+
+def test_null_simulation_memory_is_bounded():
+    """The null paths are never all held at once: the peak stays well
+    below the reps * n floats of the whole simulation."""
+    n, reps = 5000, 400
+    tracemalloc.start()
+    try:
+        simulated_pvalue(-1.5, n, reps, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < reps * n * 8 / 4
 
 
 def test_df_test_on_a_random_walk():
