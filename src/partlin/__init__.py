@@ -49,6 +49,7 @@ from .montecarlo import (
     normality_check,
     run_g_experiment,
     run_theta_experiment,
+    simulate_block,
     simulate_replication,
     table_grid,
     theta_experiment_details,

@@ -158,20 +158,24 @@ def read_columns(
 
     numpy's C reader parses the rows.  Input it refuses or warns about
     is read again by :func:`_read_columns_exact`, which returns the
-    same values or raises the error above for the first faulty row.
+    same values or raises the error above for the first faulty row.  A
+    selector naming no column is reported from the header and the
+    first data row alone, so a wrong name costs no pass over the file.
     """
     try:
         with warnings.catch_warnings():
             # numpy warns, rather than raises, on a file without rows
             warnings.simplefilter("error")
             return _read_columns_fast(path, cols, header)
-    except (ValueError, Warning, SchemaError, csv.Error):
+    except (ValueError, Warning, csv.Error):
         return _read_columns_exact(path, cols, header)
 
 
 def _read_columns_fast(
     path: str, cols: list[int | str], header: bool
 ) -> tuple[np.ndarray, list[str]]:
+    """The C parser's pass; the SchemaErrors it raises are the exact
+    loop's, in the same order of precedence."""
     with open(path, newline="") as fh:
         names: list[str] | None = None
         if header:
@@ -179,7 +183,14 @@ def _read_columns_fast(
             if first is None:
                 raise SchemaError(f"{path}: empty file")
             names = [c.strip() for c in first]
-        positions = [_resolve(c, names, path) for c in cols]
+        try:
+            positions = [_resolve(c, names, path) for c in cols]
+        except SchemaError:
+            # a file without data rows says so before a selector fails;
+            # finding one row settles it, the others are never read
+            if next(filter(None, csv.reader(fh)), None) is None:
+                raise SchemaError(f"{path}: no data rows") from None
+            raise
         # the header row is consumed, so numpy reads the data rows only
         data = np.loadtxt(
             fh,
@@ -284,34 +295,47 @@ def _cell(value) -> str:
     return FLOAT_FMT % value
 
 
-def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
-    """The CSV text of a table: ``header``, then one row per position of
-    the equal-length ``columns``, in the module's dialect."""
+# rows formatted per piece of text, which bounds the memory of writing
+_CSV_CHUNK_ROWS = 2**14
+
+
+def _csv_pieces(header: Sequence[str], columns: Sequence[Sequence]):
+    """:func:`csv_text` as consecutive pieces of text: the header line,
+    then the rows ``_CSV_CHUNK_ROWS`` at a time."""
     formats, values = [], []
     for col in columns:
         fmt = _ARRAY_FMT.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
-        items = col.tolist() if isinstance(col, np.ndarray) else col
         if fmt is None:
             # strings and plain sequences, cell by cell
-            fmt, items = "%s", [_cell(c) for c in items]
+            items = col.tolist() if isinstance(col, np.ndarray) else col
+            fmt, col = "%s", [_cell(c) for c in items]
         formats.append(fmt)
-        values.append(items)
+        values.append(col)
     lengths = [len(c) for c in values]
     if len(values) != len(header) or len(set(lengths)) > 1:
         raise ParameterError(
             f"{len(header)} column names for columns of lengths {lengths}"
         )
     template = ",".join(formats)
-    rows = [",".join(map(_cell, header))]
-    rows += [template % row for row in zip(*values)]
-    return "\n".join(rows) + "\n"
+    yield ",".join(map(_cell, header)) + "\n"
+    for start in range(0, lengths[0] if lengths else 0, _CSV_CHUNK_ROWS):
+        part = [c[start : start + _CSV_CHUNK_ROWS] for c in values]
+        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+        yield "\n".join([template % row for row in zip(*part)]) + "\n"
+
+
+def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """The CSV text of a table: ``header``, then one row per position of
+    the equal-length ``columns``, in the module's dialect."""
+    return "".join(_csv_pieces(header, columns))
 
 
 def write_csv(path: str, ds: TimeSeriesDataset) -> None:
-    """Write ``ds`` as :func:`csv_text`: y, the regressors, then v."""
+    """Write ``ds`` as :func:`csv_text`: y, the regressors, then v,
+    formatting a bounded number of rows at a time."""
     labels, columns = zip(*_columns(ds))
     with open(path, "w", newline="") as fh:
-        fh.write(csv_text(labels, columns))
+        fh.writelines(_csv_pieces(labels, columns))
 
 
 def validate(ds: TimeSeriesDataset) -> list[ValidationIssue]:

@@ -10,6 +10,13 @@ count, its log ratio against log n estimates the recurrence index, and
 splitting an additive functional at the visit times gives the block
 decomposition that underlies the asymptotic theory for averages along
 the path.
+
+The path simulators draw one path per stream, or a block of paths, one
+per stream of a sequence, as the rows of an array: the walk is a
+cumulative sum along each row and the AR(1) error runs its recursion
+along the rows, with one vector per time step for the whole block.  A
+row is bit for bit the path its stream gives alone, so blocks change
+no result, and a block costs memory in proportion to its own size.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoVisitsError, ParameterError
-from .rng import standard_normal
+from .rng import normal_block
 
 
 @dataclass(frozen=True)
@@ -43,31 +50,43 @@ class SmallSet:
         return (v >= self.lower) & (v <= self.upper)
 
 
+def _streams(stream) -> list:
+    """``stream`` as a list of stream numbers, kept as given (numpy would
+    turn numbers of 2**63 and above into floats)."""
+    return [stream] if np.isscalar(stream) else list(stream)
+
+
 def simulate_random_walk(
-    n: int, increment_sd: float, v0: float, seed: int, stream: int = 0
+    n: int, increment_sd: float, v0: float, seed: int, stream=0
 ) -> np.ndarray:
     """Gaussian random walk of length n started at ``v0``.
 
     The walk is the canonical example of a null recurrent chain with
     recurrence index 1/2.  ``increment_sd`` may be zero, which gives the
-    constant path at ``v0``.
+    constant path at ``v0``.  ``stream`` is one stream number, giving
+    one path of shape (n,), or a sequence of them, giving one path per
+    stream as the rows of an array; each row is the path its stream
+    gives alone.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not np.isfinite(increment_sd) or increment_sd < 0:
         raise ParameterError(f"increment_sd must be >= 0, got {increment_sd}")
-    steps = increment_sd * standard_normal(seed, stream, n)
-    return v0 + np.cumsum(steps)
+    steps = increment_sd * normal_block(seed, _streams(stream), n)
+    paths = v0 + np.cumsum(steps, axis=1)
+    return paths[0] if np.isscalar(stream) else paths
 
 
 def simulate_ar1(
-    n: int, rho: float, innovation_sd: float, seed: int, stream: int = 0
+    n: int, rho: float, innovation_sd: float, seed: int, stream=0
 ) -> np.ndarray:
     """Stationary AR(1) path e_t = rho e_{t-1} + innovation.
 
     For |rho| < 1 the first value is drawn from the stationary law, so
     every marginal has variance innovation_sd**2 / (1 - rho**2).  For
     |rho| >= 1 no stationary law exists and the recursion starts at 0.
+    ``stream`` is one stream number or a sequence of them, as in
+    :func:`simulate_random_walk`.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -77,17 +96,44 @@ def simulate_ar1(
         )
     if not np.isfinite(rho):
         raise ParameterError(f"rho must be finite, got {rho}")
-    z = standard_normal(seed, stream, n + 1)
+    z = normal_block(seed, _streams(stream), n + 1)
     if abs(rho) < 1:
-        e0 = innovation_sd / np.sqrt(1.0 - rho * rho) * z[0]
+        e0 = innovation_sd / np.sqrt(1.0 - rho * rho) * z[:, 0]
     else:
-        e0 = 0.0
-    innov = innovation_sd * z[1:]
-    # imported here: scipy.signal costs more to load than `import partlin`
-    from scipy.signal import lfilter
+        e0 = np.zeros(z.shape[0])
+    paths = _ar1_recursion(innovation_sd * z[:, 1:], rho, rho * e0)
+    return paths[0] if np.isscalar(stream) else paths
 
-    out, _ = lfilter([1.0], [1.0, -rho], innov, zi=np.array([rho * e0]))
-    return out
+
+def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarray:
+    """e_t = innov_t + rho e_{t-1} along each row, e_{-1} rho = ``start``.
+
+    The result is that of a direct form II transposed filter, whose
+    carried term is innov_{t-1} * 0 - e_{t-1} * (-rho), signs of zero
+    included, so a noiseless path (all innovations zero) is reproduced
+    to the bit as well.  Adding a zero commutes with the other sum, so
+    each step adds rho e_{t-1} to w_t = innov_t + innov_{t-1} * 0,
+    which is formed for the whole block at once.  The loop runs over
+    time with one vector per time step holding every row; a single row
+    steps through Python floats, the same IEEE double arithmetic
+    without numpy's per-call cost.
+    """
+    rows, n = innov.shape
+    w = np.empty_like(innov)
+    w[:, 0] = innov[:, 0] + start
+    np.add(innov[:, 1:], innov[:, :-1] * 0.0, out=w[:, 1:])
+    # the filter's coefficient is the float -rho; negating it back keeps
+    # its sign of zero (-float(-0) is -0.0, not the 0 of rho = 0)
+    rho = -float(-rho)
+    columns = iter(w.T if rows != 1 else w[0].tolist())
+    e = next(columns)
+    out = [e]
+    # an explosive path may overflow; the dataset check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in columns:
+            e = col + rho * e
+            out.append(e)
+    return np.array(out, dtype=float).T.reshape(rows, n)
 
 
 def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int:

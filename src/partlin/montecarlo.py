@@ -8,9 +8,21 @@ fit the truncated estimator, and aggregate either the coefficient error
 second table).  Distributional diagnostics for the two limit laws ride
 on the same machinery.
 
+Replications run a block at a time, as array programs over the rows
+of (replications, n) arrays: ``simulate_block`` draws a block of
+datasets, and the fit of ``sls._truncated_rows`` sorts, searches,
+truncates and detrends every row at once, then solves each row's
+normal equations on its own.  A block holds ``rng.block_rows(n)``
+replications, at most ``rng.BLOCK_CELLS`` cells per array and at
+least one replication, so memory is O(BLOCK_CELLS + n) at any n and
+any replication count.  Workers take whole blocks.
+
 Determinism: replication j draws from streams 4j, 4j+1, 4j+2 of the
 master seed (walk, regressor noise, error innovations; one spare), so a
-replication is a pure function of (master_seed, j).  Results are
+replication is a pure function of (master_seed, j).  Blocks change
+nothing here: every row of a block is computed exactly as the
+replication alone (``simulate_replication`` and the dataset fits are
+blocks of one), whichever replications share its block.  Results are
 aggregated in replication order no matter which process computed them,
 which makes output bit identical across worker counts.
 
@@ -41,12 +53,13 @@ from .errors import (
 from .kernel import (
     KERNEL_L2,
     KernelSpec,
+    SortedView,
     TruncationSpec,
     default_truncation,
 )
 from .markov import simulate_ar1, simulate_random_walk
-from .rng import standard_normal
-from .sls import asymptotic_ci, estimate_g, truncated_sls, truncated_theta
+from .rng import block_rows, normal_block
+from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci
 
 STREAMS_PER_REP = 4
 DGPS = ("H_zero", "H_identity")
@@ -147,17 +160,42 @@ def _g0_values(tag: str, v: np.ndarray) -> np.ndarray:
     return np.zeros_like(v)
 
 
-def simulate_replication(cfg: McConfig, rep: int) -> TimeSeriesDataset:
-    """Deterministic dataset of replication ``rep`` under ``cfg``."""
-    if rep < 0:
-        raise ParameterError(f"rep must be >= 0, got {rep}")
-    base = STREAMS_PER_REP * rep
+def simulate_block(cfg: McConfig, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Datasets of the replications ``reps`` under ``cfg``, one row each:
+    ``(y, x, v)`` with y and v of shape (len(reps), n) and x of shape
+    (len(reps), n, 1).
+
+    Row i is replication ``reps[i]`` bit for bit as
+    :func:`simulate_replication` gives it, whatever else the block
+    holds.  A replication with a non-finite cell raises the error its
+    dataset raises, the first such replication in ``reps`` first.
+    """
+    reps = [int(r) for r in reps]
+    for rep in reps:
+        if rep < 0:
+            raise ParameterError(f"rep must be >= 0, got {rep}")
+    base = [STREAMS_PER_REP * rep for rep in reps]
     v = simulate_random_walk(cfg.n, cfg.increment_sd, 0.0, cfg.master_seed, base)
-    u = standard_normal(cfg.master_seed, base + 1, cfg.n)
-    eps = simulate_ar1(cfg.n, cfg.eps_rho, cfg.eps_sd, cfg.master_seed, base + 2)
+    u = normal_block(cfg.master_seed, [s + 1 for s in base], cfg.n)
+    eps = simulate_ar1(
+        cfg.n, cfg.eps_rho, cfg.eps_sd, cfg.master_seed, [s + 2 for s in base]
+    )
     x = u if cfg.dgp == "H_zero" else v + u
     y = x * cfg.theta0 + _g0_values(cfg.g0, v) + eps
-    return TimeSeriesDataset(y=y, x=x[:, None], v=v)
+    finite = np.isfinite(y).all(axis=1) & np.isfinite(x).all(axis=1)
+    finite &= np.isfinite(v).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        # the dataset of the first one raises, naming its column and row
+        TimeSeriesDataset(y=y[bad[0]], x=x[bad[0]], v=v[bad[0]])
+    return y, x[:, :, None], v
+
+
+def simulate_replication(cfg: McConfig, rep: int) -> TimeSeriesDataset:
+    """Deterministic dataset of replication ``rep`` under ``cfg``: the
+    block of this one replication."""
+    y, x, v = simulate_block(cfg, [rep])
+    return TimeSeriesDataset(y=y[0], x=x[0], v=v[0])
 
 
 def resolve_truncation(cfg: McConfig) -> TruncationSpec:
@@ -183,82 +221,122 @@ def resolve_kernel(cfg: McConfig) -> KernelSpec:
 def table_grid(v: np.ndarray, points: int) -> np.ndarray:
     """Evaluation grid v_min + ((j-1)/points)(v_max - v_min), j = 1..points.
 
-    The upper endpoint itself is deliberately not a grid point.
+    The upper endpoint itself is deliberately not a grid point.  For a
+    block of paths, the rows of ``v``, the grids are the rows of the
+    result.
     """
     if points < 1:
         raise ParameterError(f"points must be >= 1, got {points}")
     v = np.asarray(v, dtype=float)
-    lo = float(v.min())
-    hi = float(v.max())
+    lo = v.min(axis=-1, keepdims=True)
+    hi = v.max(axis=-1, keepdims=True)
     return lo + (np.arange(points) / points) * (hi - lo)
 
 
-# one replication of each experiment, module level so workers unpickle it
-def _theta_replicate(cfg, kspec, trunc, ci_level, rep) -> tuple:
+def _fit_block(cfg, kspec, trunc, reps):
+    """The simulated block of ``reps``, its sorted covariate view and
+    its ``_truncated_rows`` fits."""
+    y, x, v = simulate_block(cfg, reps)
+    view = SortedView(v)
+    fits, masks, tilde = _truncated_rows(y, x, view, kspec, trunc)
+    return y, x, v, view, fits, masks, tilde
+
+
+def _failed(fit) -> bool:
+    return isinstance(fit, _FIT_ERRORS)
+
+
+def _coefficients(fits: list, d: int) -> np.ndarray:
+    """The fitted coefficients as rows, zeros standing in for failures."""
+    return np.array([np.zeros(d) if _failed(f) else f for f in fits])
+
+
+# each experiment's replications, module level so workers unpickle them;
+# one result per replication of the block, None where the fit failed
+def _theta_replicate(cfg, kspec, trunc, ci_level, reps) -> list:
     """(theta_hat, whether the interval at ``ci_level`` covers theta0);
     coverage is NaN without an interval."""
-    ds = simulate_replication(cfg, rep)
-    if ci_level is None:
-        # only an interval needs the covariance block of the full fit
-        theta, _ = truncated_theta(ds, kspec, trunc)
-        return theta, np.nan
-    fit = truncated_sls(ds, kspec, trunc)
-    try:
-        ci = asymptotic_ci(fit, ci_level)
-    except ParameterError:
-        return fit.theta_hat, np.nan
-    return fit.theta_hat, float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])
+    y, x, v, view, fits, masks, tilde = _fit_block(cfg, kspec, trunc, reps)
+    out = []
+    for r, theta in enumerate(fits):
+        if _failed(theta):
+            out.append(None)
+            continue
+        if ci_level is None:
+            # only an interval needs the covariance block of the full fit
+            out.append((theta, np.nan))
+            continue
+        fit = _sls_fit(
+            theta, masks[r], tilde[r, :, 0], tilde[r, :, 1:], v[r], kspec, trunc
+        )
+        try:
+            ci = asymptotic_ci(fit, ci_level)
+        except ParameterError:
+            out.append((theta, np.nan))
+            continue
+        out.append((theta, float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])))
+    return out
 
 
-def _g_replicate(cfg, kspec, trunc, rep) -> tuple | None:
-    """(mean absolute curve error, invalid grid points) on the
-    replication's own grid; None when no grid point has kernel mass."""
-    ds = simulate_replication(cfg, rep)
-    theta, _ = truncated_theta(ds, kspec, trunc)
-    grid = table_grid(ds.v, cfg.g_grid_points)
-    curve = estimate_g(ds, theta, grid, kspec)
-    n_valid = int(np.count_nonzero(curve.valid))
-    if n_valid == 0:
-        return None
-    err = np.abs(curve.values - _g0_values(cfg.g0, grid))
-    return float(np.mean(err[curve.valid])), grid.size - n_valid
+def _g_replicate(cfg, kspec, trunc, reps) -> list:
+    """(mean absolute curve error, invalid grid points) on each
+    replication's own grid; None also when no grid point has kernel
+    mass."""
+    y, x, v, view, fits, _, _ = _fit_block(cfg, kspec, trunc, reps)
+    grids = table_grid(v, cfg.g_grid_points)
+    values, _, valid = _curve_rows(
+        y, x, _coefficients(fits, x.shape[2]), view, grids, kspec
+    )
+    err = np.abs(values - _g0_values(cfg.g0, grids))
+    out = []
+    for r, theta in enumerate(fits):
+        n_valid = int(np.count_nonzero(valid[r]))
+        if _failed(theta) or n_valid == 0:
+            out.append(None)
+        else:
+            out.append((float(np.mean(err[r][valid[r]])), grids.shape[1] - n_valid))
+    return out
 
 
-def _gpoint_replicate(cfg, kspec, trunc, v_point, rep) -> tuple:
+def _gpoint_replicate(cfg, kspec, trunc, v_point, reps) -> list:
     """(sqrt(local mass) times the curve error at ``v_point``, 1 if the
     point has no kernel mass else 0)."""
-    ds = simulate_replication(cfg, rep)
-    theta, _ = truncated_theta(ds, kspec, trunc)
-    curve = estimate_g(ds, theta, np.array([v_point]), kspec)
-    if not curve.valid[0]:
-        return np.nan, 1
+    y, x, v, view, fits, _, _ = _fit_block(cfg, kspec, trunc, reps)
+    grids = np.full((len(fits), 1), v_point)
+    values, mass, valid = _curve_rows(
+        y, x, _coefficients(fits, x.shape[2]), view, grids, kspec
+    )
     g0v = float(_g0_values(cfg.g0, np.array([v_point]))[0])
-    return float(np.sqrt(curve.local_mass[0]) * (curve.values[0] - g0v)), 0
-
-
-def _guarded(replicate, rep: int):
-    """``replicate(rep)``, or None when the fit fails."""
-    try:
-        return replicate(rep)
-    except _FIT_ERRORS:
-        return None
+    out = []
+    for r, theta in enumerate(fits):
+        if _failed(theta):
+            out.append(None)
+        elif not valid[r, 0]:
+            out.append((np.nan, 1))
+        else:
+            out.append((float(np.sqrt(mass[r, 0]) * (values[r, 0] - g0v)), 0))
+    return out
 
 
 def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int]:
-    """``replicate(cfg, kernel, truncation, *bound, rep)`` of every
-    replication that produced a fit, in replication order, and the
-    count of those that did not; more than 10% failures raise."""
+    """``replicate(cfg, kernel, truncation, *bound, reps)`` over blocks
+    of consecutive replications; the results of every replication that
+    produced a fit, in replication order, and the count of those that
+    did not; more than 10% failures raise."""
     kspec, trunc = resolve_kernel(cfg), resolve_truncation(cfg)
-    run = partial(_guarded, partial(replicate, cfg, kspec, trunc, *bound))
-    reps = range(cfg.reps)
-    if cfg.workers == 1 or cfg.reps < 2:
-        results = list(map(run, reps))
+    run = partial(replicate, cfg, kspec, trunc, *bound)
+    size = block_rows(cfg.n)
+    blocks = [
+        range(start, min(start + size, cfg.reps))
+        for start in range(0, cfg.reps, size)
+    ]
+    if cfg.workers == 1 or len(blocks) < 2:
+        results = list(map(run, blocks))
     else:
-        chunk = max(1, cfg.reps // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            # map keeps replication order, not completion order
-            results = list(pool.map(run, reps, chunksize=chunk))
-    kept = [r for r in results if r is not None]
+            # map keeps block order, not completion order
+            results = list(pool.map(run, blocks))
+    kept = [r for block in results for r in block if r is not None]
     failures = cfg.reps - len(kept)
     if failures > 0.1 * cfg.reps:
         raise ExperimentError(

@@ -28,6 +28,14 @@ Distinct ``(seed, stream)`` pairs index statistically independent
 streams, which is what the simulation code relies on for reproducible
 parallelism: replication ``j`` owns a fixed set of stream numbers, so
 results do not depend on scheduling or on the number of workers.
+
+Blocks
+    ``normal_block`` draws many streams at once, one row each, and
+    ``standard_normal`` is its one-row case: a row is the same whatever
+    other streams share its block.  Callers size blocks with
+    ``block_rows``, which keeps a block within ``BLOCK_CELLS`` cells (at
+    least one row), so a block costs O(BLOCK_CELLS + size) memory
+    however many streams are drawn in all.
 """
 
 from __future__ import annotations
@@ -38,6 +46,16 @@ from scipy.special import ndtri
 from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
+
+# The cells (streams times draws) of one block of streams: 512 KB of
+# doubles, so a block and its working copies stay in a 2 MB L2 cache.
+BLOCK_CELLS = 2**16
+
+
+def block_rows(size: int) -> int:
+    """Streams of ``size`` draws in one block: at least one, so a block
+    holds O(BLOCK_CELLS + size) cells."""
+    return max(1, BLOCK_CELLS // size)
 
 
 def _bit_generator(seed: int, stream: int) -> np.random.Philox:
@@ -55,16 +73,48 @@ def raw64(seed: int, stream: int, size: int) -> np.ndarray:
     return _bit_generator(seed, stream).random_raw(size)
 
 
+def _to_uniform(w: np.ndarray) -> np.ndarray:
+    u = (w >> np.uint64(12)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
 def uniform_open(seed: int, stream: int, size: int) -> np.ndarray:
     """Uniform draws on the open interval (0, 1).
 
     Uses the top 52 bits of each raw word, centred half a step away from
     both endpoints, so downstream inverse transforms cannot overflow.
     """
-    w = raw64(seed, stream, size)
-    return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    return _to_uniform(raw64(seed, stream, size))
+
+
+def normal_block(seed: int, streams, size: int) -> np.ndarray:
+    """Standard normal draws, one row of ``size`` per stream of ``seed``.
+
+    Row i equals ``standard_normal(seed, streams[i], size)`` bit for bit.
+    One generator is re-keyed per stream through its ``state``, which
+    sets the key and a zero counter exactly as a fresh generator has
+    them, and the whole block is mapped to normals at once.
+    """
+    if size < 0:
+        raise ParameterError(f"size must be >= 0, got {size}")
+    words = np.empty((len(streams), size), dtype=np.uint64)
+    if size:
+        gen = _bit_generator(seed, 0)
+        state = gen.state
+        for row, stream in zip(words, streams):
+            state["state"]["key"] = np.array(
+                [seed & _MASK64, int(stream) & _MASK64], dtype=np.uint64
+            )
+            state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+            state["buffer_pos"] = 4  # the buffer is empty, as when fresh
+            gen.state = state
+            row[:] = gen.random_raw(size)
+    u = _to_uniform(words)
+    return ndtri(u, out=u)
 
 
 def standard_normal(seed: int, stream: int, size: int) -> np.ndarray:
     """Standard normal draws via the inverse distribution function."""
-    return ndtri(uniform_open(seed, stream, size))
+    return normal_block(seed, [stream], size)[0]

@@ -30,8 +30,22 @@ import numpy as np
 from scipy.special import ndtri
 
 from .dataset import TimeSeriesDataset
-from .errors import ParameterError, RankError, TruncationError
-from .kernel import KernelSpec, TruncationSpec, _window_sums, smooth, truncation_mask
+from .errors import (
+    NoVisitsError,
+    ParameterError,
+    PartlinError,
+    RankError,
+    TruncationError,
+)
+from .kernel import (
+    KernelSpec,
+    SortedView,
+    TruncationSpec,
+    _block_sums,
+    _truncation_masks,
+    _window_sums,
+    smooth,
+)
 from .markov import count_small_set_visits, estimate_beta
 
 _COND_LIMIT = 1e12
@@ -93,14 +107,27 @@ class CurveEstimate:
     valid: np.ndarray
 
 
-def _detrend(
-    ds: TimeSeriesDataset, spec: KernelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remove the covariate trend from y and x at the sample points.
+def _detrend_rows(
+    y: np.ndarray, x: np.ndarray, view: SortedView, spec: KernelSpec
+) -> np.ndarray:
+    """Remove the covariate trend from y and x at the sample points, for
+    every path of a block: y of shape (rows, n), x of shape (rows, n, d)
+    and ``view`` the sorted covariate rows.  Returns the (rows, n, 1 + d)
+    detrended columns, y first.
 
     Every family is positive at 0, so each sample point lies in its own
     window and every smoothed value is defined.
     """
+    stacked = np.concatenate([y[:, :, None], x], axis=2)
+    mass, sums = _block_sums(view, None, spec, stacked)
+    return stacked - sums / mass[:, :, None]
+
+
+def _detrend(
+    ds: TimeSeriesDataset, spec: KernelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_detrend_rows`` of one dataset, by ``smooth``, as (ytilde,
+    xtilde); the fits without truncation take it."""
     stacked = np.column_stack([ds.y, ds.x])
     smoothed, _ = smooth(ds.sorted_v, stacked, spec)
     tilde = stacked - smoothed
@@ -137,19 +164,63 @@ def naive_sls(
     return _solve_normal(xt, yt, ds.x)
 
 
+def _truncated_rows(
+    y: np.ndarray,
+    x: np.ndarray,
+    view: SortedView,
+    spec: KernelSpec,
+    trunc: TruncationSpec,
+) -> tuple[list, np.ndarray, np.ndarray | None]:
+    """The truncated fit of every path of a block, shaped as in
+    ``_detrend_rows``.
+
+    Returns ``(fits, masks, tilde)``: ``fits[r]`` is the coefficient
+    vector of row r, or the error that stops its fit (NoVisitsError,
+    TruncationError or RankError, checked in that order); ``masks`` the
+    (rows, n) truncation masks and ``tilde`` the detrended columns of
+    ``_detrend_rows``, None when no row gets as far as the solve.  The
+    normal equations of each row are solved on their own.
+    """
+    masks, visits = _truncation_masks(view, spec, trunc)
+    kept = masks.any(axis=1)
+    tilde = None
+    if np.any(kept & (visits > 0)):
+        tilde = _detrend_rows(y, x, view, spec)
+    fits = []
+    for r, mask in enumerate(masks):
+        if visits[r] == 0:
+            fits.append(NoVisitsError("the path never enters the small set"))
+        elif not kept[r]:
+            fits.append(
+                TruncationError(
+                    f"density floor {trunc.b_n:g} removed all "
+                    f"{mask.size} observations"
+                )
+            )
+        else:
+            try:
+                fits.append(
+                    _solve_normal(
+                        tilde[r, :, 1:][mask], tilde[r, :, 0][mask], x[r][mask]
+                    )
+                )
+            except RankError as exc:
+                fits.append(exc)
+    return fits, masks, tilde
+
+
 def _truncated_solve(
     ds: TimeSeriesDataset, spec: KernelSpec, trunc: TruncationSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients, the truncation mask, and the detrended data
-    ``(ytilde, xtilde)`` they were solved from."""
-    mask = truncation_mask(ds.sorted_v, spec, trunc)
-    if not mask.any():
-        raise TruncationError(
-            f"density floor {trunc.b_n:g} removed all {ds.n} observations"
-        )
-    yt, xt = _detrend(ds, spec)
-    theta = _solve_normal(xt[mask], yt[mask], ds.x[mask])
-    return theta, mask, yt, xt
+    ``(ytilde, xtilde)`` they were solved from: ``_truncated_rows`` of
+    one dataset, raising its fit error."""
+    (theta,), masks, tilde = _truncated_rows(
+        ds.y[None], ds.x[None], ds.sorted_v, spec, trunc
+    )
+    if isinstance(theta, PartlinError):
+        raise theta
+    return theta, masks[0], tilde[0, :, 0], tilde[0, :, 1:]
 
 
 def truncated_theta(
@@ -262,22 +333,36 @@ def truncated_sls(
     point (truncation affects which rows enter the normal equations,
     not where residuals exist), keeping the lag structure intact.
     """
-    theta, mask, yt, xt = _truncated_solve(ds, spec, trunc)
-    cov = longrun_covariance(yt - xt @ theta, xt, default_max_lag(ds.n))
+    return _sls_fit(*_truncated_solve(ds, spec, trunc), ds.v, spec, trunc)
+
+
+def _sls_fit(
+    theta: np.ndarray,
+    mask: np.ndarray,
+    yt: np.ndarray,
+    xt: np.ndarray,
+    v: np.ndarray,
+    spec: KernelSpec,
+    trunc: TruncationSpec,
+) -> SlsFit:
+    """``truncated_sls`` from one path's solved coefficients, mask and
+    detrended data, and its covariate ``v``."""
+    n, d = xt.shape
+    cov = longrun_covariance(yt - xt @ theta, xt, default_max_lag(n))
     cond = np.linalg.cond(cov.sigma_u)
     if np.isfinite(cond) and cond <= _COND_LIMIT:
         half = np.linalg.solve(cov.sigma_u, cov.sigma_eps_u)
         avar = np.linalg.solve(cov.sigma_u, half.T).T
         avar = 0.5 * (avar + avar.T)
     else:
-        avar = np.full((ds.d, ds.d), np.nan)
+        avar = np.full((d, d), np.nan)
     return SlsFit(
         theta_hat=theta,
         mask=mask,
         effective_n=int(mask.sum()),
-        n=ds.n,
-        n_visits=count_small_set_visits(ds.v, trunc.small_set),
-        beta_hat=estimate_beta(ds.v, trunc.small_set),
+        n=n,
+        n_visits=count_small_set_visits(v, trunc.small_set),
+        beta_hat=estimate_beta(v, trunc.small_set),
         sigma_hat_sq=cov.sigma_hat_sq,
         sigma_u=cov.sigma_u,
         sigma_eps_u=cov.sigma_eps_u,
@@ -309,6 +394,25 @@ def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
     return np.column_stack([fit.theta_hat - half, fit.theta_hat + half])
 
 
+def _curve_rows(
+    y: np.ndarray,
+    x: np.ndarray,
+    thetas: np.ndarray,
+    view: SortedView,
+    grids: np.ndarray,
+    spec: KernelSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``estimate_g`` of every path of a block: row r smooths
+    y_r - x_r' thetas[r] on ``grids[r]``.  Returns the (rows, p) values,
+    local masses and validity flags."""
+    target = np.stack([yr - xr @ th for yr, xr, th in zip(y, x, thetas)])
+    mass, sums = _block_sums(view, grids, spec, target[:, :, None])
+    valid = mass > 0.0
+    values = np.full(mass.shape, np.nan)
+    values[valid] = sums[..., 0][valid] / mass[valid]
+    return values, mass, valid
+
+
 def estimate_g(
     ds: TimeSeriesDataset,
     theta: np.ndarray,
@@ -326,12 +430,12 @@ def estimate_g(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ParameterError("grid must be a nonempty 1-d array")
-    target = (ds.y - ds.x @ theta)[:, None]
-    mass, sums = _window_sums(ds.sorted_v, grid, spec, target)
-    valid = mass > 0.0
-    values = np.full(grid.size, np.nan)
-    values[valid] = sums[valid, 0] / mass[valid]
-    return CurveEstimate(grid=grid, values=values, local_mass=mass, valid=valid)
+    values, mass, valid = _curve_rows(
+        ds.y[None], ds.x[None], theta[None], ds.sorted_v, grid[None], spec
+    )
+    return CurveEstimate(
+        grid=grid, values=values[0], local_mass=mass[0], valid=valid[0]
+    )
 
 
 def estimate_h(

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rng import standard_normal
-
-# null paths simulated per block of _simulated_t
-_CHUNK = 64
+from .rng import block_rows, normal_block
 
 
 @dataclass(frozen=True)
@@ -70,18 +67,18 @@ def df_statistic(z: np.ndarray) -> float:
 def _simulated_t(n: int, reps: int, seed: int) -> np.ndarray:
     """DF t draws under the null, one substream per simulated path.
 
-    Paths are simulated ``_CHUNK`` at a time into one reused buffer, so
-    memory is O(n), not O(reps n); each path keeps only its three sums.
+    Paths are drawn a block of ``block_rows(n)`` at a time, so memory is
+    O(BLOCK_CELLS + n), not O(reps n); each path keeps only its three
+    sums.
     """
-    buf = np.empty((min(_CHUNK, reps), n))
+    rows = block_rows(n)
     sums = np.empty((3, reps))
-    for start in range(0, reps, _CHUNK):
-        paths = buf[: reps - start]
-        for k, path in enumerate(paths):
-            np.cumsum(standard_normal(seed, start + k, n), out=path)
+    for start in range(0, reps, rows):
+        done = slice(start, min(start + rows, reps))
+        paths = normal_block(seed, range(done.start, done.stop), n)
+        np.cumsum(paths, axis=1, out=paths)
         lag = paths[:, :-1]
         cur = paths[:, 1:]
-        done = slice(start, start + len(paths))
         sums[0, done] = np.einsum("ij,ij->i", lag, lag)
         sums[1, done] = np.einsum("ij,ij->i", lag, cur)
         sums[2, done] = np.einsum("ij,ij->i", cur, cur)

@@ -68,6 +68,14 @@ def oracle_normals(seed: int, stream: int, count: int) -> list[float]:
     return [_INV_CDF(u) for u in oracle_uniforms(seed, stream, count)]
 
 
+def oracle_ar1(innov, rho: float, start: float) -> np.ndarray:
+    """e_t = innov_t + rho e_{t-1} with rho e_{-1} = ``start``, run by
+    scipy's direct form II transposed filter."""
+    out, _ = lfilter([1.0], [1.0, -rho], np.asarray(innov, dtype=float),
+                     zi=np.array([start]))
+    return out
+
+
 # ------------------------------------------------------------- kernels
 
 

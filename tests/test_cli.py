@@ -14,6 +14,7 @@ from partlin.dataset import TimeSeriesDataset, load_csv, write_csv
 from partlin.errors import ParameterError, ParseError
 from partlin.kernel import DENSITY_FLOOR_SCALE, KernelSpec, default_truncation
 from partlin.montecarlo import McConfig, simulate_replication
+from partlin.rng import block_rows
 from partlin.sls import truncated_sls
 from partlin.unitroot import df_test
 
@@ -329,6 +330,27 @@ def test_mc_runs_are_byte_identical(tmp_path):
     assert main(["mc", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["mc", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "table.csv").read_bytes() == (out2 / "table.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["theta", "g"])
+def test_mc_outputs_do_not_depend_on_workers(tmp_path, experiment):
+    """Replications run in blocks; with several blocks, the last one
+    short, table and manifest bytes are the same for 1, 2 and 3
+    workers."""
+    n = 5000
+    cfg = write_mc_config(
+        tmp_path, experiment=experiment, n=str(n), dgp="H_identity",
+        reps=str(2 * block_rows(n) + 3), kernel="uniform:0.3",
+    )
+    outputs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        argv = ["mc", "--config", str(cfg), "--workers", workers, "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(
+            [(out / name).read_bytes() for name in ("table.csv", "manifest.txt")]
+        )
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_mc_flag_overrides_config(tmp_path):

@@ -307,6 +307,53 @@ def test_clean_file_is_read_without_the_exact_loop(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "text, cols, header, message",
+    [
+        ("y,x1,v\n1,2,3\n4,5,6\n", ["y", "nope"], True, "'nope' not found"),
+        ("y,x1,v\n\n1,2,3\n", [3], True, "position 3"),
+        ("1,2,3\n4,5,6\n", ["y"], False, "without a header"),
+        # no data rows is said first, as the exact loop says it
+        ("y,x1,v\n\n", ["nope"], True, "no data rows"),
+        ("\n\n", [-1], False, "no data rows"),
+    ],
+)
+def test_selector_errors_need_no_pass_over_the_rows(
+    tmp_path, monkeypatch, text, cols, header, message
+):
+    """A selector naming no column is reported from the header and at
+    most one data row; the exact loop would read every row first."""
+    def refuse(*args):
+        raise AssertionError("the exact loop ran")
+
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    want = oracles.oracle_read_columns
+    with pytest.raises(SchemaError) as oracle_err:
+        want(str(path), cols, header)
+    monkeypatch.setattr(dataset, "_read_columns_exact", refuse)
+    with pytest.raises(SchemaError, match=message) as err:
+        read_columns(str(path), cols, header)
+    assert str(err.value) == str(oracle_err.value)
+
+
+def test_written_file_is_csv_text_across_chunks(tmp_path):
+    """write_csv formats rows a chunk at a time; the file is csv_text of
+    the whole table, and each line is the dialect's cells joined."""
+    ds = build_dataset(seed=6, n=2 * dataset._CSV_CHUNK_ROWS + 5)
+    path = tmp_path / "sim.csv"
+    write_csv(str(path), ds)
+    text = path.read_text()
+    labels, columns = zip(*dataset._columns(ds))
+    assert text == csv_text(labels, columns)
+    lines = [",".join(labels)] + [
+        ",".join(dataset._cell(float(c)) for c in row)
+        for row in zip(*columns)
+    ]
+    assert text == "\n".join(lines) + "\n"
+    np.testing.assert_array_equal(load_csv(str(path)).y, ds.y)
+
+
+@pytest.mark.parametrize(
     "text, fields",
     [
         ("x1", ["x1"]),

@@ -19,6 +19,7 @@ from partlin.kernel import (
     KernelSpec,
     SortedView,
     TruncationSpec,
+    _block_sums,
     _window_sums,
     default_bandwidth,
     default_density_floor,
@@ -205,6 +206,46 @@ def test_window_sum_paths_agree(data, h, ties):
             )
             np.testing.assert_allclose(mass, want_mass, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(sums, want_sums, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-5, max_value=5, allow_nan=False),
+                # values h apart put whole runs of ties on window edges
+                st.sampled_from([0.5, -0.5, 1.5, 0.0, -0.0]),
+            ),
+            min_size=12,
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    h=st.sampled_from([1.0, 0.25, 2.0 / 3.0]),
+)
+@example(rows=[[6.514036392641717e-239] * 12, [0.5, -0.5, 1.5, 0.0] * 3], h=1.0)
+def test_block_rows_are_single_paths(rows, h):
+    """A block of paths gives each row what that path gives alone: the
+    same windows, own windows derived from the lower ends included, and
+    the same sums bit for bit for both families."""
+    v = np.array(rows)
+    view = SortedView(v)
+    points = np.linspace(-6, 6, 9) + v[:, :1]
+    targets = np.stack([np.sin(v), np.ones_like(v)], axis=2)
+    lo, hi = view.own_windows(h)
+    searched = view.windows(view.values, h)
+    assert lo.tolist() == searched[0].tolist()
+    assert hi.tolist() == searched[1].tolist()
+    for family in ("uniform", "epanechnikov"):
+        spec = KernelSpec(family, h)
+        block = [_block_sums(view, at, spec, targets) for at in (None, points)]
+        for r, row in enumerate(v):
+            alone = [_window_sums(row, at, spec, targets[r]) for at in (None, points[r])]
+            for (mass, sums), (want_mass, want_sums) in zip(block, alone):
+                assert mass[r].view(np.uint64).tolist() == want_mass.view(np.uint64).tolist()
+                assert sums[r].view(np.uint64).tolist() == want_sums.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import oracles
 from partlin.errors import NoVisitsError, ParameterError
 from partlin.markov import (
     BlockDecomposition,
+    _ar1_recursion,
     SmallSet,
     count_small_set_visits,
     ergodic_ratio,
@@ -83,6 +84,69 @@ def test_ar1_matches_direct_recursion():
         e = rho * e + sd * z[t + 1]
         expect[t] = e
     np.testing.assert_allclose(simulate_ar1(n, rho, sd, seed), expect, atol=1e-12)
+
+
+def _bits(a):
+    """Bit patterns, which tell -0.0 from 0.0 where == does not."""
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+# integer 0 and 1 included: the filter's coefficient is the float -rho,
+# whose zero has the other sign than that of -0.0
+AR1_RHOS = [-0.9, 0.0, -0.0, 0, 0.5, 1.0, 1, 1.2]
+# both signs of zero, which a noiseless path is made of
+_INNOVATION = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 3).flatmap(
+        lambda r: st.lists(
+            st.lists(_INNOVATION, min_size=1, max_size=12), min_size=r, max_size=r
+        )
+    ),
+    rho=st.sampled_from(AR1_RHOS),
+    starts=st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), min_size=3, max_size=3),
+)
+def test_ar1_recursion_is_the_filter_bit_for_bit(rows, rho, starts):
+    """One row (Python floats) and several (one vector per time step)
+    reproduce scipy's lfilter, signs of zero included."""
+    width = min(len(r) for r in rows)
+    innov = np.array([r[:width] for r in rows])
+    start = np.array(starts[: len(rows)])
+    got = _ar1_recursion(innov, rho, start)
+    for r in range(len(rows)):
+        assert _bits(got[r]) == _bits(oracles.oracle_ar1(innov[r], rho, start[r]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    n=st.integers(1, 40),
+    rho=st.sampled_from(AR1_RHOS),
+    sd=st.sampled_from([0.0, 1.0, 0.3]),
+)
+def test_ar1_paths_are_the_filtered_draws(seed, streams, n, rho, sd):
+    """Each stream's path is its draws run through lfilter, alone and as
+    a row of a block of streams."""
+    block = simulate_ar1(n, rho, sd, seed, streams)
+    for row, stream in zip(block, streams):
+        z = standard_normal(seed, stream, n + 1)
+        e0 = sd / np.sqrt(1.0 - rho * rho) * z[0] if abs(rho) < 1 else 0.0
+        want = _bits(oracles.oracle_ar1(sd * z[1:], rho, rho * e0))
+        assert _bits(row) == want
+        assert _bits(simulate_ar1(n, rho, sd, seed, stream)) == want
+
+
+def test_walks_of_a_block_are_the_walks_of_their_streams():
+    block = simulate_random_walk(50, 0.2, 1.5, 9, [4, 0, 7])
+    assert block.shape == (3, 50)
+    for row, stream in zip(block, [4, 0, 7]):
+        assert _bits(row) == _bits(simulate_random_walk(50, 0.2, 1.5, 9, stream))
 
 
 def test_ar1_unit_root_is_random_walk():

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from oracles import oracle_curve_error, oracle_kernel
-from partlin.errors import ExperimentError, ParameterError
-from partlin.kernel import KernelSpec, TruncationSpec, default_truncation
+from partlin.dataset import TimeSeriesDataset
+from partlin.errors import (
+    ExperimentError,
+    NoVisitsError,
+    ParameterError,
+    RankError,
+    TruncationError,
+)
+from partlin.kernel import KernelSpec, SortedView, TruncationSpec, default_truncation
 from partlin.markov import SmallSet, simulate_ar1, simulate_random_walk
 from partlin.montecarlo import (
     DGPS,
+    G0_TAGS,
     STREAMS_PER_REP,
     McConfig,
     g_clt_check,
@@ -19,11 +27,13 @@ from partlin.montecarlo import (
     resolve_truncation,
     run_g_experiment,
     run_theta_experiment,
+    simulate_block,
     simulate_replication,
     table_grid,
     theta_experiment_details,
 )
-from partlin.rng import standard_normal
+from partlin.rng import block_rows, standard_normal
+from partlin.sls import _curve_rows, _truncated_rows, estimate_g, truncated_theta
 
 FIXED = KernelSpec("uniform", 0.6)
 
@@ -95,6 +105,89 @@ def test_replication_deterministic_and_distinct():
         simulate_replication(cfg, -1)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dgp", DGPS)
+@pytest.mark.parametrize("g0", G0_TAGS)
+def test_block_rows_are_the_replications(dgp, g0):
+    cfg = small_cfg(dgp=dgp, g0=g0)
+    reps = [5, 0, 3, 9]
+    y, x, v = simulate_block(cfg, reps)
+    assert y.shape == v.shape == (4, 60) and x.shape == (4, 60, 1)
+    for i, rep in enumerate(reps):
+        ds = simulate_replication(cfg, rep)
+        assert _bits(y[i]) == _bits(ds.y)
+        assert _bits(x[i]) == _bits(ds.x)
+        assert _bits(v[i]) == _bits(ds.v)
+
+
+def test_block_reports_the_first_non_finite_replication():
+    # an explosive error overflows within a few thousand steps
+    cfg = small_cfg(n=5000, eps_rho=1.2, kernel=FIXED)
+    with pytest.raises(ParameterError, match="non-finite") as block_err:
+        simulate_block(cfg, [2, 1])
+    with pytest.raises(ParameterError) as single_err:
+        simulate_replication(cfg, 2)
+    assert str(block_err.value) == str(single_err.value)
+    with pytest.raises(ParameterError, match="rep"):
+        simulate_block(cfg, [0, -1])
+
+
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_block_fits_are_the_dataset_fits(family):
+    """Each row of a block fit is the fit of that replication's dataset
+    on its own, bit for bit, with the errors a single fit raises."""
+    cfg = small_cfg(n=80, dgp="H_identity")
+    spec, trunc = KernelSpec(family, 0.3), default_truncation(80)
+    y, x, v = simulate_block(cfg, range(6))
+    view = SortedView(v)
+    fits, masks, _ = _truncated_rows(y, x, view, spec, trunc)
+    grids = table_grid(v, 40)
+    values, mass, valid = _curve_rows(y, x, np.vstack(fits), view, grids, spec)
+    for r in range(6):
+        ds = simulate_replication(cfg, r)
+        theta, mask = truncated_theta(ds, spec, trunc)
+        assert _bits(fits[r]) == _bits(theta)
+        assert masks[r].tolist() == mask.tolist()
+        curve = estimate_g(ds, theta, table_grid(ds.v, 40), spec)
+        assert _bits(grids[r]) == _bits(curve.grid)
+        assert _bits(values[r]) == _bits(curve.values)
+        assert _bits(mass[r]) == _bits(curve.local_mass)
+        assert valid[r].tolist() == curve.valid.tolist()
+
+
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_block_mixing_fit_errors(family):
+    """A block whose rows fail in each way: every row gets the outcome
+    its dataset gets alone."""
+    n, h = 40, 0.05
+    rng = np.random.default_rng(3)
+    dense = np.cumsum(0.002 * rng.normal(size=n))
+    v = np.vstack([
+        dense,  # a fit
+        5.0 + dense,  # never visits [-1, 1]
+        np.linspace(-1.0, 1.0, n),  # isolated points, all below the floor
+        dense,  # a regressor without variation
+    ])
+    x = rng.normal(size=(4, n, 1))
+    x[3] = 2.0
+    y = x[:, :, 0] + rng.normal(size=(4, n))
+    spec, trunc = KernelSpec(family, h), TruncationSpec(0.5, SmallSet(-1.0, 1.0))
+    fits, _, _ = _truncated_rows(y, x, SortedView(v), spec, trunc)
+    expected = [None, NoVisitsError, TruncationError, RankError]
+    for r, want in enumerate(expected):
+        ds = TimeSeriesDataset(y=y[r], x=x[r], v=v[r])
+        if want is None:
+            assert _bits(fits[r]) == _bits(truncated_theta(ds, spec, trunc)[0])
+            continue
+        assert isinstance(fits[r], want)
+        with pytest.raises(want) as alone:
+            truncated_theta(ds, spec, trunc)
+        assert str(fits[r]) == str(alone.value)
+
+
 def test_resolve_kernel_passthrough_and_pilot():
     cfg = small_cfg()
     assert resolve_kernel(cfg) is FIXED
@@ -144,6 +237,25 @@ def test_workers_do_not_change_results():
     assert serial.ae == parallel.ae
     assert serial.se == parallel.se
     assert serial.reps_used == parallel.reps_used
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_blocks_and_workers_do_not_change_results(workers):
+    """Replications run in blocks of ``block_rows(n)``; with a count
+    that is not a multiple of it, every draw is the draw of its own
+    replication fitted alone, whatever the worker count."""
+    n = 5000
+    reps = 2 * block_rows(n) + 3
+    cfg = small_cfg(n=n, reps=reps, kernel=KernelSpec("uniform", 0.3))
+    serial = theta_experiment_details(cfg, ci_level=None)
+    trunc = resolve_truncation(cfg)
+    for r in range(reps):
+        theta, _ = truncated_theta(simulate_replication(cfg, r), cfg.kernel, trunc)
+        assert _bits(serial.draws[r]) == _bits(theta)
+    parallel = theta_experiment_details(replace(cfg, workers=workers), ci_level=None)
+    assert _bits(parallel.draws) == _bits(serial.draws)
+    g_serial = run_g_experiment(cfg)
+    assert run_g_experiment(replace(cfg, workers=workers)) == g_serial
 
 
 def test_single_replication_has_zero_spread():

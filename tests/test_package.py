@@ -1,6 +1,9 @@
 """Static checks on the package source, with the stdlib ``ast`` module."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -115,11 +118,18 @@ def test_only_dataset_formats_csv():
     assert found == []
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
-    """They take longer to import than the package; only the functions
-    that use them load them."""
+def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    """They take longer to import than the package, and neither is
+    loaded by importing it or by ``partlin simulate`` and ``partlin mc``."""
+    config = tmp_path / "cell.cfg"
+    config.write_text("experiment = g\nn = 60\ndgp = H_identity\nreps = 3\n"
+                      "master_seed = 1\n")
     code = (
         "import sys, partlin; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules)); "
+        "from partlin.cli import main; "
+        f"main(['simulate', '--n', '50', '--out', {str(tmp_path / 'sim.csv')!r}]); "
+        f"main(['mc', '--config', {str(config)!r}, '--out', {str(tmp_path / 'mc')!r}]); "
         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
     )
     out = subprocess.run(
@@ -129,4 +139,30 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
+    assert (tmp_path / "mc" / "table.csv").exists()
+
+
+def _traced_names() -> dict:
+    """``TRACED`` of the benchmark's tracer, loaded from its file."""
+    path = SRC.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
+def test_benchmark_traces_functions_that_exist():
+    """The benchmark's ``--trace 1`` wraps each (module, name) of its
+    ``TRACED`` table by ``getattr``, so each must stay a function of
+    the package."""
+    missing = [
+        f"{module}.{name}"
+        for module, name in _traced_names()
+        if not inspect.isfunction(
+            getattr(importlib.import_module(f"partlin.{module}"), name, None)
+        )
+    ]
+    assert missing == []

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from partlin.errors import ParameterError
-from partlin.rng import raw64, standard_normal, uniform_open
+from scipy.special import ndtri
+
+from partlin.rng import normal_block, raw64, standard_normal, uniform_open
 
 # independently derived with oracles.oracle_raw64 / oracle_uniforms /
 # oracle_normals for key (42, 0)
@@ -125,3 +127,38 @@ def test_normal_moments_sane():
     z = standard_normal(2024, 0, 200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+def test_normal_block_rows_follow_the_oracle():
+    """Row i is stream i's words (through the oracle's uniforms, mapped
+    by the package's inverse distribution function) bit for bit, and
+    the oracle's own normals to a few ulp."""
+    streams = [stream for _, stream in KEYS]
+    block = normal_block(42, streams, 9)
+    assert block.shape == (len(KEYS), 9)
+    for row, stream in zip(block, streams):
+        uniforms = np.array(oracles.oracle_uniforms(42, stream, 9))
+        assert row.tolist() == ndtri(uniforms).tolist()
+        np.testing.assert_allclose(
+            row, oracles.oracle_normals(42, stream, 9), rtol=0, atol=1e-13
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    streams=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=5),
+    size=st.integers(min_value=0, max_value=70),
+)
+def test_normal_block_stacks_standard_normal_rows(seed, streams, size):
+    block = normal_block(seed, streams, size)
+    assert block.shape == (len(streams), size)
+    for row, stream in zip(block, streams):
+        assert row.view(np.uint64).tolist() == (
+            standard_normal(seed, stream, size).view(np.uint64).tolist()
+        )
+
+
+def test_normal_block_rejects_negative_size():
+    with pytest.raises(ParameterError, match="size"):
+        normal_block(0, [0], -1)

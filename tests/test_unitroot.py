@@ -11,7 +11,7 @@ from scipy import stats
 import oracles
 from partlin.errors import ParameterError
 from partlin.markov import simulate_ar1, simulate_random_walk
-from partlin.rng import standard_normal
+from partlin.rng import BLOCK_CELLS, block_rows, standard_normal
 from partlin.unitroot import (
     DfResult,
     df_statistic,
@@ -77,8 +77,9 @@ def test_pvalue_monotone_and_deterministic():
 
 def test_null_draws_follow_their_streams_across_blocks():
     """Path r of the null is the walk of stream r, whichever block of
-    the simulation holds it; 150 paths span three blocks."""
-    n, reps, seed = 40, 150, 6
+    the simulation holds it; 150 paths span four blocks."""
+    n, reps, seed = BLOCK_CELLS // 50 + 1, 150, 6
+    assert -(-reps // block_rows(n)) == 4
     want = [df_statistic(np.cumsum(standard_normal(seed, r, n))) for r in range(reps)]
     np.testing.assert_allclose(_simulated_t(n, reps, seed), want, rtol=1e-10)
 
