@@ -27,7 +27,7 @@ from partlin.kernel import KernelSpec
 from partlin.markov import SmallSet, estimate_beta, simulate_random_walk
 from partlin.montecarlo import McConfig, g_clt_check, normality_check, \
     theta_experiment_details
-from partlin.rng import uniform_open
+from partlin.rng import _to_uniform, _words
 from partlin.unitroot import df_test
 
 
@@ -58,7 +58,7 @@ def check_recurrence_index(walk_n: int, seeds: int) -> None:
         estimate_beta(simulate_random_walk(walk_n, 1.0, 0.0, s), small)
         for s in range(seeds)
     ]
-    iid = estimate_beta(2.0 * uniform_open(123, 0, 5000) - 1.0, small)
+    iid = estimate_beta(2.0 * _to_uniform(_words(123, [0], 5000))[0] - 1.0, small)
     print(f"recurrence index (walk length {walk_n}, {seeds} seeds):")
     print(f"  median beta_hat = {np.median(betas):.4f}  "
           f"range [{min(betas):.4f}, {max(betas):.4f}]")

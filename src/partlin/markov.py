@@ -21,6 +21,7 @@ no result, and a block costs memory in proportion to its own size.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,7 +117,9 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
     which is formed for the whole block at once.  The loop runs over
     time with one vector per time step holding every row; a single row
     steps through Python floats, the same IEEE double arithmetic
-    without numpy's per-call cost.
+    without numpy's per-call cost, read from the row's buffer and
+    appended to a flat ``array("d")``, so no list of n float objects is
+    ever held.
     """
     rows, n = innov.shape
     w = np.empty_like(innov)
@@ -125,10 +128,18 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
     # the filter's coefficient is the float -rho; negating it back keeps
     # its sign of zero (-float(-0) is -0.0, not the 0 of rho = 0)
     rho = -float(-rho)
-    columns = iter(w.T if rows != 1 else w[0].tolist())
+    # an explosive path may overflow; the dataset check reports it
+    if rows == 1:
+        steps = iter(memoryview(w[0]))
+        e = next(steps)
+        path = array("d", [e])
+        for step in steps:
+            e = step + rho * e
+            path.append(e)
+        return np.frombuffer(path).reshape(1, n)
+    columns = iter(w.T)
     e = next(columns)
     out = [e]
-    # an explosive path may overflow; the dataset check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for col in columns:
             e = col + rho * e

@@ -35,7 +35,6 @@ the cost by the grid size for little benefit.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -333,6 +332,9 @@ def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int]:
     if cfg.workers == 1 or len(blocks) < 2:
         results = list(map(run, blocks))
     else:
+        # imported here: the process pool loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             # map keeps block order, not completion order
             results = list(pool.map(run, blocks))

@@ -22,7 +22,9 @@ Uniforms
 
 Normals
     Standard normal draws apply the inverse of the standard normal
-    distribution function to the uniforms.
+    distribution function to the uniforms: ``scipy.special.ndtri``,
+    which loads on the first draw, so that importing the package and
+    the commands that draw nothing never pay for ``scipy.special``.
 
 Distinct ``(seed, stream)`` pairs index statistically independent
 streams, which is what the simulation code relies on for reproducible
@@ -41,7 +43,6 @@ Blocks
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParameterError
 
@@ -58,50 +59,18 @@ def block_rows(size: int) -> int:
     return max(1, BLOCK_CELLS // size)
 
 
-def _bit_generator(seed: int, stream: int) -> np.random.Philox:
-    return np.random.Philox(
-        key=np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    )
+def _words(seed: int, streams, size: int) -> np.ndarray:
+    """Raw 64 bit words, one row of ``size`` per stream of ``seed``.
 
-
-def raw64(seed: int, stream: int, size: int) -> np.ndarray:
-    """Return ``size`` raw 64 bit words from the ``(seed, stream)`` stream."""
-    if size < 0:
-        raise ParameterError(f"size must be >= 0, got {size}")
-    if size == 0:
-        return np.empty(0, dtype=np.uint64)
-    return _bit_generator(seed, stream).random_raw(size)
-
-
-def _to_uniform(w: np.ndarray) -> np.ndarray:
-    u = (w >> np.uint64(12)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
-    return u
-
-
-def uniform_open(seed: int, stream: int, size: int) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1).
-
-    Uses the top 52 bits of each raw word, centred half a step away from
-    both endpoints, so downstream inverse transforms cannot overflow.
-    """
-    return _to_uniform(raw64(seed, stream, size))
-
-
-def normal_block(seed: int, streams, size: int) -> np.ndarray:
-    """Standard normal draws, one row of ``size`` per stream of ``seed``.
-
-    Row i equals ``standard_normal(seed, streams[i], size)`` bit for bit.
     One generator is re-keyed per stream through its ``state``, which
     sets the key and a zero counter exactly as a fresh generator has
-    them, and the whole block is mapped to normals at once.
+    them.
     """
     if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     words = np.empty((len(streams), size), dtype=np.uint64)
     if size:
-        gen = _bit_generator(seed, 0)
+        gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         state = gen.state
         for row, stream in zip(words, streams):
             state["state"]["key"] = np.array(
@@ -111,7 +80,30 @@ def normal_block(seed: int, streams, size: int) -> np.ndarray:
             state["buffer_pos"] = 4  # the buffer is empty, as when fresh
             gen.state = state
             row[:] = gen.random_raw(size)
-    u = _to_uniform(words)
+    return words
+
+
+def _to_uniform(w: np.ndarray) -> np.ndarray:
+    """The open unit interval uniforms of raw words: the top 52 bits,
+    centred half a step away from both endpoints, so the inverse
+    normal transform cannot overflow."""
+    u = (w >> np.uint64(12)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
+def normal_block(seed: int, streams, size: int) -> np.ndarray:
+    """Standard normal draws, one row of ``size`` per stream of ``seed``.
+
+    Row i equals ``standard_normal(seed, streams[i], size)`` bit for bit:
+    the words of each stream are drawn by ``_words`` and the whole block
+    is mapped to normals at once.
+    """
+    # imported here: scipy.special costs more to load than `import partlin`
+    from scipy.special import ndtri
+
+    u = _to_uniform(_words(seed, streams, size))
     return ndtri(u, out=u)
 
 

@@ -24,10 +24,10 @@ variance involves the cross products of both autocovariance sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dataset import TimeSeriesDataset
 from .errors import (
@@ -385,11 +385,14 @@ def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
     Returns an array of shape (d, 2).  ``level`` = 0 gives the
     degenerate interval at theta_hat; levels at or above 1 have no
     finite quantile and are rejected, as is a fit whose ``avar`` is NaN.
+    The normal quantile comes from the stdlib's ``NormalDist``, within
+    a few ulp of Cephes' ``ndtri`` and exactly 0 at ``level`` = 0; one
+    scalar does not justify loading ``scipy.special``.
     """
     check_level(level)
     if not np.all(np.isfinite(fit.avar)):
         raise ParameterError("fit has a non-finite avar, no interval available")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * np.sqrt(np.diag(fit.avar) / fit.n)
     return np.column_stack([fit.theta_hat - half, fit.theta_hat + half])
 

@@ -59,7 +59,7 @@ from partlin.montecarlo import (
     simulate_replication,
     theta_experiment_details,
 )
-from partlin.rng import uniform_open
+from partlin.rng import _to_uniform, _words
 from partlin.sls import estimate_g, naive_sls, truncated_sls, truncated_theta
 from partlin.unitroot import df_test
 
@@ -222,7 +222,7 @@ def test_criterion_5_recurrence_index():
         for seed in range(20)
     ]
     med = float(np.median(betas))
-    v_iid = 2.0 * uniform_open(123, 0, 5000) - 1.0
+    v_iid = 2.0 * _to_uniform(_words(123, [0], 5000))[0] - 1.0
     beta_iid = estimate_beta(v_iid, small)
     ok = 0.4 <= med <= 0.6 and beta_iid == 1.0
     _report(

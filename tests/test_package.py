@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import build_dataset
+from partlin import write_csv
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "partlin"
 
 
@@ -118,6 +121,19 @@ def test_only_dataset_formats_csv():
     assert found == []
 
 
+def _loaded_after(code: str) -> list[str]:
+    """Each line the snippet ``code`` prints, run in a fresh interpreter
+    that imports the package from ``src``."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.splitlines()
+
+
 def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
     """They take longer to import than the package, and neither is
     loaded by importing it or by ``partlin simulate`` and ``partlin mc``."""
@@ -132,17 +148,79 @@ def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
         f"main(['mc', '--config', {str(config)!r}, '--out', {str(tmp_path / 'mc')!r}]); "
         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    lines = out.stdout.splitlines()
+    lines = _loaded_after(code)
     assert lines[0] == "[]"
     assert lines[-1] == "[]"
     assert (tmp_path / "mc" / "table.csv").exists()
+
+
+def test_import_estimate_and_bandwidth_leave_scipy_special_unloaded(tmp_path):
+    """``import partlin`` loads no scipy module and no process pool, and
+    ``partlin estimate`` and ``partlin bandwidth``, which draw nothing,
+    never load ``scipy.special``: it costs more than the package."""
+    data = tmp_path / "ds.csv"
+    write_csv(str(data), build_dataset(seed=3, n=120))
+    code = (
+        "import sys, partlin; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'concurrent.futures.process')); "
+        "from partlin.cli import main; "
+        f"main(['estimate', '--data', {str(data)!r}, '--cv', "
+        f"'--out', {str(tmp_path / 'fit')!r}]); "
+        f"main(['bandwidth', '--data', {str(data)!r}, "
+        f"'--out', {str(tmp_path / 'bw')!r}]); "
+        "print('scipy.special' in sys.modules)"
+    )
+    lines = _loaded_after(code)
+    assert lines[0] == "[]"
+    assert lines[-1] == "False"
+    assert (tmp_path / "fit" / "fit_report.csv").exists()
+    assert (tmp_path / "bw" / "cv.csv").exists()
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Modules a source file imports when it is itself imported: every
+    import outside a function body (class bodies run at import)."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+        pending += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_module_level_import_scan_skips_function_bodies():
+    source = (
+        "import numpy as np\n"
+        "from scipy.special import ndtri\n"
+        "from . import errors\n"
+        "try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
+        "class A:\n    from scipy import linalg\n"
+        "def f():\n    from scipy import signal\n"
+        "    def g():\n        import scipy.optimize\n"
+    )
+    assert module_level_imports(source) == [
+        "numpy", "scipy", "scipy.special", "scipy.stats",
+    ]
+
+
+def test_no_module_level_scipy_imports():
+    """scipy modules load inside the functions that use them; the one
+    exception is ``cli``'s bare ``import scipy``, which only gives the
+    version line of ``resolved_config.txt`` and loads no submodule."""
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in module_level_imports(path.read_text())
+        if name.split(".")[0] == "scipy"
+    ]
+    assert found == ["cli.py: scipy"]
 
 
 def _traced_names() -> dict:

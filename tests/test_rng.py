@@ -15,7 +15,18 @@ import oracles
 from partlin.errors import ParameterError
 from scipy.special import ndtri
 
-from partlin.rng import normal_block, raw64, standard_normal, uniform_open
+from partlin.rng import _to_uniform, _words, normal_block, standard_normal
+
+
+def stream_words(seed, stream, size):
+    """The words of one stream, as ``normal_block`` draws them."""
+    return _words(seed, [stream], size)[0]
+
+
+def stream_uniforms(seed, stream, size):
+    """The uniforms of one stream, as ``normal_block`` maps them."""
+    return _to_uniform(_words(seed, [stream], size))[0]
+
 
 # independently derived with oracles.oracle_raw64 / oracle_uniforms /
 # oracle_normals for key (42, 0)
@@ -39,11 +50,11 @@ KEYS = [(0, 0), (1, 0), (0, 1), (42, 7), (2**63 + 11, 5), (2**64 - 1, 2**64 - 1)
 
 
 def test_frozen_raw_words():
-    assert raw64(42, 0, 3).tolist() == FROZEN_RAW
+    assert stream_words(42, 0, 3).tolist() == FROZEN_RAW
 
 
 def test_frozen_uniforms():
-    assert uniform_open(42, 0, 3).tolist() == FROZEN_UNIFORM
+    assert stream_uniforms(42, 0, 3).tolist() == FROZEN_UNIFORM
 
 
 def test_frozen_normals():
@@ -58,30 +69,32 @@ def test_frozen_normals():
 
 @pytest.mark.parametrize("seed,stream", KEYS)
 def test_raw_words_match_oracle(seed, stream):
-    assert raw64(seed, stream, 11).tolist() == oracles.oracle_raw64(seed, stream, 11)
+    got = stream_words(seed, stream, 11)
+    assert got.tolist() == oracles.oracle_raw64(seed, stream, 11)
 
 
 @pytest.mark.parametrize("seed,stream", KEYS)
 def test_uniforms_match_oracle(seed, stream):
-    got = uniform_open(seed, stream, 9)
+    got = stream_uniforms(seed, stream, 9)
     assert got.tolist() == oracles.oracle_uniforms(seed, stream, 9)
 
 
 def test_key_reduction_modulo_64_bits():
-    assert raw64(2**64 + 3, 2**65 + 1, 4).tolist() == raw64(3, 1, 4).tolist()
+    reduced = stream_words(3, 1, 4)
+    assert stream_words(2**64 + 3, 2**65 + 1, 4).tolist() == reduced.tolist()
 
 
 def test_prefix_consistency():
     """Longer draws extend shorter ones from the same stream."""
-    long = raw64(9, 2, 13)
-    short = raw64(9, 2, 5)
+    long = stream_words(9, 2, 13)
+    short = stream_words(9, 2, 5)
     assert long[:5].tolist() == short.tolist()
 
 
 def test_streams_and_seeds_separate():
-    base = raw64(5, 0, 8)
-    assert raw64(5, 1, 8).tolist() != base.tolist()
-    assert raw64(6, 0, 8).tolist() != base.tolist()
+    base = stream_words(5, 0, 8)
+    assert stream_words(5, 1, 8).tolist() != base.tolist()
+    assert stream_words(6, 0, 8).tolist() != base.tolist()
 
 
 def test_determinism():
@@ -91,15 +104,15 @@ def test_determinism():
 
 
 def test_zero_size():
-    assert raw64(0, 0, 0).size == 0
-    assert raw64(0, 0, 0).dtype == np.uint64
-    assert uniform_open(0, 0, 0).size == 0
+    assert stream_words(0, 0, 0).size == 0
+    assert stream_words(0, 0, 0).dtype == np.uint64
+    assert stream_uniforms(0, 0, 0).size == 0
     assert standard_normal(0, 0, 0).size == 0
 
 
 def test_negative_size_rejected():
     with pytest.raises(ParameterError, match="size"):
-        raw64(0, 0, -1)
+        stream_words(0, 0, -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,7 +121,7 @@ def test_negative_size_rejected():
     stream=st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_uniforms_stay_inside_open_interval(seed, stream):
-    u = uniform_open(seed, stream, 64)
+    u = stream_uniforms(seed, stream, 64)
     assert u.min() >= 2.0**-53
     assert u.max() <= 1.0 - 2.0**-53
 
