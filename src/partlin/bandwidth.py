@@ -23,7 +23,6 @@ import numpy as np
 from .dataset import TimeSeriesDataset
 from .errors import ParameterError, RankError, SelectionError, TruncationError
 from .kernel import (
-    KERNEL_AT_ZERO,
     KernelSpec,
     TruncationSpec,
     _window_sums,
@@ -79,9 +78,6 @@ def cv_select(
         raise ParameterError("h_grid values must be finite and > 0")
     if h_grid.size > 1 and np.any(np.diff(h_grid) <= 0):
         raise ParameterError("h_grid must be strictly increasing")
-    if family not in KERNEL_AT_ZERO:
-        raise ParameterError(f"unknown kernel family {family!r}")
-    k0 = KERNEL_AT_ZERO[family]
 
     criterion = np.full(h_grid.size, np.inf)
     dropped = np.zeros(h_grid.size, dtype=int)
@@ -92,14 +88,15 @@ def cv_select(
         except (RankError, TruncationError):
             continue
         r = ds.y - ds.x @ theta
-        mass, sums = _window_sums(ds.sorted_v, None, spec, r[:, None])
-        loo_mass = mass - k0
+        loo_mass, loo_sums = _window_sums(
+            ds.sorted_v, None, spec, r[:, None], leave_out=True
+        )
         loo_ok = loo_mass > 0.0
         usable = mask & loo_ok
         dropped[i] = int(np.count_nonzero(mask & ~loo_ok))
         if not usable.any():
             continue
-        g_loo = (sums[usable, 0] - k0 * r[usable]) / loo_mass[usable]
+        g_loo = loo_sums[usable, 0] / loo_mass[usable]
         err = r[usable] - g_loo
         criterion[i] = float(err @ err)
 

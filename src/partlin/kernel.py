@@ -14,21 +14,17 @@ row are searched in one call.  When the points are the sample itself,
 the windows depend on h alone: the view finds them once per bandwidth
 and keeps those of the latest bandwidth, so the truncation mask, the
 detrending smoother and the leave-one-out score at one h share one
-search.  Both families vanish outside the window, so only in-window
-pairs are visited:
-
-* the uniform kernel is constant on its window, so its sums are read
-  off prefix sums, O((n + p) log n);
-* any other family is evaluated on the in-window (point, sample) pairs
-  alone, in chunks of bounded size, which costs the total window size
-  rather than n p.
+search.  Every family is a polynomial in u on its window, so window
+sums are read off prefix sums of moments, O((n + p) log n) whatever the
+window sizes: of each row for a constant kernel, else of blocks of width
+h, re-centred to each point (Seifert et al. 1994, Fan & Marron 1994).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import log
+from math import comb, log
 from typing import Callable
 
 import numpy as np
@@ -36,14 +32,14 @@ import numpy as np
 from .errors import NoVisitsError, ParameterError
 from .markov import SmallSet
 
-FAMILIES = ("uniform", "epanechnikov")
-
-# kernel value at 0, used by leave-one-out corrections
-KERNEL_AT_ZERO = {"uniform": 0.5, "epanechnikov": 0.75}
+# K(u) on its window |u| <= 1, as coefficients of u**0, u**1, ...
+_POLYNOMIAL = {"uniform": (0.5,), "epanechnikov": (0.75, 0.0, -0.75)}
+FAMILIES = tuple(_POLYNOMIAL)
+KERNEL_AT_ZERO = {family: c[0] for family, c in _POLYNOMIAL.items()}
 # integral of the squared kernel, the scale in the pointwise limit law
 KERNEL_L2 = {"uniform": 0.5, "epanechnikov": 0.6}
-
-_CHUNK_BUDGET = 2**22  # cap on in-window pairs evaluated per chunk
+# a window sum below this share of its terms' magnitudes lost 16 bits or more
+_CANCELLED = 2.0**-16
 
 
 @dataclass(frozen=True)
@@ -280,6 +276,7 @@ def _block_sums(
     points: np.ndarray | None,
     spec: KernelSpec,
     targets: np.ndarray | None,
+    leave_out: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Kernel mass and kernel weighted target sums at each point of
     every path in ``view``.
@@ -291,9 +288,18 @@ def _block_sums(
     shapes (R, p) and (R, p, k), where ``mass[r, i] = sum_t
     K((v_rt - p_ri)/h)`` and ``sums[r, i, j] = sum_t K((v_rt - p_ri)/h)
     * targets[r, t, j]`` (None when no targets are passed).  Kernel
-    values are unscaled by 1/h.  Own points are worked in sorted order
+    values are unscaled by 1/h.  ``leave_out`` drops each own point's
+    own term (t = i) from both.  Own points are worked in sorted order
     on the view's windows of this bandwidth, and the results are put
     back in sample order once.
+
+    K is a polynomial of degree D in u on its window (``_POLYNOMIAL``).
+    A constant K takes each row as one block; others cut the rows at
+    cells of width h, so a window is the pieces of at most four blocks,
+    each read off two prefix sums and re-centred to the point by
+    binomial expansion.  A window whose mass is below ``_CANCELLED`` of
+    the magnitudes it is formed from (its samples at or near its edges,
+    or, left out, none but the point) is summed over its pairs instead.
     """
     count, n = view.values.shape
     h = spec.bandwidth
@@ -303,82 +309,109 @@ def _block_sums(
         lo, hi = view.own_windows(h)
     else:
         lo, hi = view.windows(points, h)
-    tg = None
-    if targets is not None:
-        k = targets.shape[-1]
-        tg = np.take(targets.reshape(count * n, k), view.order, axis=0)
+    poly = _POLYNOMIAL[spec.family]
+    deg = len(poly) - 1
+    k = 0 if targets is None else targets.shape[-1]
+    flat = None if targets is None else targets.reshape(count * n, k)
 
-    if spec.family == "uniform":
-        mass = 0.5 * (hi - lo)
-        sums = None
-        if tg is not None:
-            pref = np.zeros((count, n + 1, k))
-            np.cumsum(tg.reshape(count, n, k), axis=1, out=pref[:, 1:])
-            pref = pref.reshape(count * (n + 1), k)
-            base = (np.arange(count) * (n + 1))[:, None]
-            sums = 0.5 * (
-                np.take(pref, hi + base, axis=0) - np.take(pref, lo + base, axis=0)
-            )
-    else:
-        # windows as positions in the flattened block
-        base = (np.arange(count) * n)[:, None]
-        mass, sums = _pair_sums(
-            view.values.ravel(), points.ravel(), (lo + base).ravel(),
-            (hi + base).ravel(), spec, tg,
-        )
-        mass = mass.reshape(points.shape)
-        if sums is not None:
-            sums = sums.reshape(*points.shape, k)
+    # blocks as runs of the flattened rows, and each window's first one
+    starts, first = np.arange(count) * n, np.arange(count)[:, None]
+    if deg:
+        sv = view.values.ravel()
+        cell = np.floor((view.values - view.values[:, :1]) / h)
+        starts = np.flatnonzero(np.diff(cell, axis=1, prepend=np.nan))
+        first = np.searchsorted(starts, np.minimum(lo, n - 1) + first * n, "right") - 1
+    ends = np.append(starts[1:], count * n)
+    inner, outer = starts % n, ends - starts + starts % n
 
-    if own:
-        # back to sample order
-        mass = np.take(mass.ravel(), view.rank).reshape(count, n)
-        if sums is not None:
-            sums = np.take(sums.reshape(count * n, k), view.rank, axis=0)
-            sums = sums.reshape(count, n, k)
-    return mass, sums
+    # prefix sums, restarted at each block, of each target w and for q =
+    # 1..D of w a**q, w = 1 and each target, a = (v - c)/h, c the block's
+    # first value: ``pref[base[b] + i]`` sums block b before i.  A size
+    # class of blocks, sizes in (2**(c-1), 2**c], is summed as one array
+    ones = [k + q * (1 + k) for q in range(deg)]  # the columns of 1 a**(q+1)
+    cls = np.ceil(np.log2(ends - starts))
+    classes = [np.flatnonzero(cls == c) for c in np.unique(cls)]
+    widths = [int((ends - starts)[sel].max()) + 1 for sel in classes]
+    base = np.empty(starts.size, dtype=np.intp)
+    pref = np.zeros((np.dot(widths, list(map(len, classes))), k + deg * (1 + k)))
+    top = 0
+    for sel, width in zip(classes, widths):
+        base[sel] = top + width * np.arange(sel.size) - inner[sel]
+        seg = pref[top:top + width * sel.size].reshape(sel.size, width, -1)[:, 1:]
+        top += width * sel.size
+        if not seg.size:
+            continue
+        # positions of each block, running on into sums never read
+        at = starts[sel, None] + np.arange(width - 1)
+        if k:
+            w = np.take(flat, np.take(view.order, at, mode="clip"), axis=0)
+            np.cumsum(w, axis=1, out=seg[..., :k])
+        if deg:
+            a = (np.take(sv, at, mode="clip") - sv[starts[sel], None])[..., None] / h
+            w = np.concatenate([np.ones_like(a)] + ([w] if k else []), axis=2)
+        for q, col in enumerate(ones, 1):
+            np.cumsum(w * a**q, axis=1, out=seg[..., col:col + 1 + k])
 
+    # piece j of a window is its part of the j-th block from its first;
+    # ``on`` indexes the flattened windows that have a piece j
+    on = Ellipsis
+    for j in range(starts.size if deg else 1):
+        if j:
+            on = np.flatnonzero(t < end) if j == 1 else on[t < end]
+            if not on.size:
+                break
+        b = first if j == 0 else first.ravel()[on] + j
+        s = lo if j == 0 else inner[b]
+        end, at = (hi, points) if j == 0 else (hi.ravel()[on], points.ravel()[on])
+        t = np.minimum(end, outer[b]) if deg else end
+        size = (t - s).ravel()
+        piece = tops = np.empty((0, size.size))
+        if pref.shape[1]:  # a moment per row of ``piece``
+            piece = np.take(pref, (t + base[b]).ravel(), axis=0).T
+            tops = piece[ones]
+            if j == 0:  # later pieces start at their block's start
+                piece -= np.take(pref, (s + base[b]).ravel(), axis=0).T
+            piece = np.ascontiguousarray(piece) if deg else piece
+        e = [1.0, ((sv[starts[b]] - at) / h).ravel() if deg else 0.0]
+        e += [e[1] * e[-1] for _ in range(deg - 1)]  # its powers
+        for r in range(deg + 1):
+            # the coefficient of a**r in K(a + e), and a bound on its terms
+            terms = [c * comb(q, r) * e[q - r] for q, c in enumerate(poly[r:], r) if c]
+            coef = sum(terms[1:], terms[0])
+            bound = sum(map(abs, terms[1:]), abs(terms[0]))
+            m, top = (piece[ones[r - 1]], tops[r - 1]) if r else (size, size)
+            w = piece[ones[r - 1] + 1:ones[r - 1] + 1 + k] if r else piece[:k]
+            w *= coef
+            part = (coef * m, deg and bound * top, w) if r == 0 else (
+                part[0] + coef * m, part[1] + bound * top, part[2] + w)
+        if j == 0:
+            mass, scale, sums = part
+        else:  # row by row, which is faster than at once
+            for row, add in zip([mass, scale, *sums], [part[0], part[1], *part[2]]):
+                row[on] += add
+    if leave_out:
+        mass -= poly[0]
 
-def _pair_sums(
-    sv: np.ndarray,
-    points: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    spec: KernelSpec,
-    tg: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mass and target sums of a family that is not constant on its
-    window, from the in-window (point, sample) pairs alone.
-
-    ``sv`` is the sorted sample, ``[lo, hi)`` each point's window in it
-    and ``tg`` the targets in the order of ``sv``.  Pairs are evaluated
-    in chunks of at most ``_CHUNK_BUDGET``, each holding whole windows.
-    """
-    h = spec.bandwidth
-    mass = np.empty(points.size)
-    sums = None if tg is None else np.empty((points.size, tg.shape[1]))
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    # pairs are laid out point after point; pair q of the run belongs
-    # to the point i with ends[i - 1] <= q < ends[i] and is q + shift[i]
-    shift = lo - (ends - sizes)
-    start = 0
-    while start < points.size:
-        # as many points as the budget holds, and at least one
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + _CHUNK_BUDGET, side="right"))
-        stop = max(stop, start + 1)
-        owner = np.repeat(np.arange(stop - start), sizes[start:stop])
-        idx = np.arange(base, ends[stop - 1]) + shift[start:stop][owner]
-        k = kernel_eval(spec, (sv[idx] - points[start:stop][owner]) / h)
-        mass[start:stop] = np.bincount(owner, weights=k, minlength=stop - start)
-        if tg is not None:
-            for j in range(tg.shape[1]):
-                sums[start:stop, j] = np.bincount(
-                    owner, weights=k * tg[idx, j], minlength=stop - start
-                )
-        start = stop
-    return mass, sums
+    # windows lost to cancellation, or at NaN points; constant kernels count exactly
+    redo = np.flatnonzero(~(mass > _CANCELLED * scale) if deg else [])
+    if own:  # back to sample order
+        mass = np.take(mass, view.rank)
+        sums = np.take(sums.T, view.rank, axis=0).T if k else sums
+    if leave_out:
+        sums -= poly[0] * flat.T
+    if redo.size:  # summed over their in-window pairs instead
+        width = hi.flat[redo] - lo.flat[redo]
+        owner = np.repeat(np.arange(redo.size), width)
+        at = lo.flat[redo] + redo // lo.shape[1] * n - np.cumsum(width) + width
+        at = np.arange(width.sum()) + np.repeat(at, width)
+        kern = kernel_eval(spec, (view.values.flat[at] - points.flat[redo][owner]) / h)
+        kern[leave_out & (at == redo[owner])] = 0.0  # the point's own term
+        put = view.order[redo] if own else redo
+        mass[put] = np.bincount(owner, kern, redo.size)
+        for c in range(k):
+            sums[c, put] = np.bincount(owner, kern * flat[view.order[at], c], redo.size)
+    sums = None if flat is None else sums.T.reshape(*points.shape, k)
+    return mass.reshape(points.shape), sums
 
 
 def _window_sums(
@@ -386,6 +419,7 @@ def _window_sums(
     points: np.ndarray | None,
     spec: KernelSpec,
     targets: np.ndarray | None,
+    leave_out: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``_block_sums`` of one path: ``(mass, sums)`` of shapes (p,) and
     (p, k) for ``points`` of shape (p,) and ``targets`` of shape (n, k).
@@ -394,12 +428,9 @@ def _window_sums(
     sorted here.  ``points=None`` evaluates at the sample points
     themselves, in sample order.
     """
-    view = _as_view(sample)
-    if points is not None:
-        points = np.asarray(points, dtype=float)[None]
-    if targets is not None:
-        targets = targets[None]
-    mass, sums = _block_sums(view, points, spec, targets)
+    points = None if points is None else np.asarray(points, dtype=float)[None]
+    targets = None if targets is None else targets[None]
+    mass, sums = _block_sums(_as_view(sample), points, spec, targets, leave_out)
     return mass[0], None if sums is None else sums[0]
 
 

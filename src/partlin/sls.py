@@ -126,11 +126,9 @@ def _detrend_rows(
 def _detrend(
     ds: TimeSeriesDataset, spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_detrend_rows`` of one dataset, by ``smooth``, as (ytilde,
-    xtilde); the fits without truncation take it."""
+    """``_detrend_rows`` of one dataset, by ``smooth``: (ytilde, xtilde)."""
     stacked = np.column_stack([ds.y, ds.x])
-    smoothed, _ = smooth(ds.sorted_v, stacked, spec)
-    tilde = stacked - smoothed
+    tilde = stacked - smooth(ds.sorted_v, stacked, spec)[0]
     return tilde[:, 0], tilde[:, 1:]
 
 
@@ -233,8 +231,7 @@ def truncated_theta(
     This is the inner loop of bandwidth selection, where the covariance
     block of the full fit would be wasted work.
     """
-    theta, mask, _, _ = _truncated_solve(ds, spec, trunc)
-    return theta, mask
+    return _truncated_solve(ds, spec, trunc)[:2]
 
 
 def residuals(

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import as_dataset, build_dataset, tiny_fixture
@@ -50,6 +52,38 @@ def test_criterion_matches_oracle_per_bandwidth():
         assert sel.h_star == grid[np.argmin(np.where(finite, sel.criterion, np.inf))]
         checked += 1
     assert checked >= 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    h=st.floats(min_value=0.2, max_value=0.6),
+    # each isolated point's partner sits at v + h, moved by this many ulp
+    nudges=st.lists(st.sampled_from([-1, 0, 1]), min_size=6, max_size=6),
+    family=st.sampled_from(["uniform", "epanechnikov"]),
+)
+def test_criterion_with_partners_on_the_window_edge(seed, h, nudges, family):
+    """Isolated points whose one partner sits on the edge of their
+    window, or one rounding step either side of it.  Left out, such a
+    point's window holds the partner's kernel value alone: 0, or a few
+    ulp of K(0) for Epanechnikov, which the difference of the full mass
+    and K(0) rounds away.  Scored or dropped, each must be as the
+    oracle has it."""
+    rng = random.Random(seed)
+    v = [rng.uniform(-0.5, 0.5) for _ in range(12)]
+    for i, nudge in enumerate(nudges):
+        base = 3.0 + 2.5 * i + rng.uniform(0.0, 1.0)
+        partner = base + h
+        if nudge:
+            partner = float(np.nextafter(partner, nudge * np.inf))
+        v += [base, partner]
+    x = [[rng.uniform(-2.0, 2.0)] for _ in v]
+    y = [rng.uniform(-2.0, 2.0) for _ in v]
+    trunc = TruncationSpec(0.0, SmallSet(-1.0, 1.0))
+    sel = cv_select(as_dataset(y, x, v), np.array([h]), family, trunc)
+    want, dropped = oracles.oracle_cv_criterion(y, x, v, family, h, 0.0, -1.0, 1.0)
+    assert sel.criterion[0] == pytest.approx(want, rel=1e-10)
+    assert sel.dropped[0] == dropped
 
 
 def test_single_candidate_grid():

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import oracles
 import partlin
+from partlin.bandwidth import cv_select
 from partlin.errors import NoVisitsError, ParameterError
 from partlin.kernel import (
     DEFAULT_SMALL_SET,
@@ -31,6 +32,7 @@ from partlin.kernel import (
 )
 from partlin.markov import SmallSet, count_small_set_visits, simulate_random_walk
 from partlin.rng import standard_normal
+from partlin.sls import estimate_g, estimate_h
 
 
 def test_spec_validation():
@@ -272,6 +274,107 @@ def test_window_edges_follow_standardised_distance(v, p, h):
     np.testing.assert_array_equal(sums[0], want_sums)
 
 
+def _edge_sample(rng: np.random.Generator, h: float):
+    """Clusters of samples narrower than h, far apart, and the grid
+    points p = v +- h of each cluster's outer samples whose window, in
+    floating point, holds only samples exactly on its edge
+    (|(v - p)/h| == 1).  Samples are multiples of 2**-20, so v +- h is
+    exact for the h used; the cluster's other samples share the edge
+    sample's block, so its moments do not cancel to 0 by themselves."""
+    v = np.concatenate([
+        10.0 * i + rng.uniform(0.0, 1.0) + np.sort(rng.uniform(0.0, 0.9 * h, size))
+        for i, size in enumerate(rng.integers(2, 9, 40))
+    ])
+    v = np.round(v * 2.0**20) / 2.0**20
+    near = np.concatenate([v - h, v + h])
+    u = (v[None, :] - near[:, None]) / h
+    inside = np.abs(u) <= 1.0
+    edge = inside.any(axis=1) & np.all(~inside | (np.abs(u) == 1.0), axis=1)
+    return v, near, near[edge]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_windows_with_samples_only_on_their_edge(seed):
+    """Epanechnikov vanishes on the window edge, so a window holding only
+    edge samples has mass exactly 0: never a rounding residue, never
+    negative, and every estimate flags the point as the oracle does."""
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(100, 500)) / 2.0**10
+    v, near, edge = _edge_sample(rng, h)
+    assert edge.size >= 40
+    spec = KernelSpec("epanechnikov", h)
+    x = rng.standard_normal((v.size, 1))
+    ds = partlin.TimeSeriesDataset(y=x[:, 0] + rng.standard_normal(v.size), x=x, v=v)
+    mass, sums = _window_sums(ds.sorted_v, edge, spec, x)
+    assert mass.tolist() == [0.0] * edge.size
+    assert sums.tolist() == [[0.0]] * edge.size
+    # every p = v +- h, most of whose windows hold samples inside too
+    all_mass, _ = _window_sums(ds.sorted_v, near, spec, x)
+    want, _ = oracles.oracle_window_sums(
+        v.tolist(), near.tolist(), "epanechnikov", h, x.tolist()
+    )
+    assert all_mass.min() >= 0.0
+    np.testing.assert_allclose(all_mass, want, rtol=1e-10, atol=0.0)
+    theta = np.array([1.0])
+    for curve in [estimate_g(ds, theta, edge, spec), *estimate_h(ds, edge, spec)]:
+        assert not curve.valid.any()
+        assert np.isnan(curve.values).all()
+        assert curve.local_mass.tolist() == [0.0] * edge.size
+    for p in edge:
+        assert oracles.oracle_g_at(ds.y, ds.x, v, theta, p, "epanechnikov", h) is None
+    _, valid = smooth(ds.sorted_v, ds.y, spec)
+    assert valid.all()
+
+
+def test_partners_exactly_on_the_edge_are_dropped_as_the_oracle_drops_them():
+    """Left out, a point whose only partner sits exactly on its window
+    edge has no mass; cross validation drops it, as the oracle does."""
+    rng = random.Random(11)
+    h = 0.375  # v + h is exact for these v, so the partner sits on the edge
+    v = [rng.uniform(-0.5, 0.5) for _ in range(12)]
+    v += [x for i in range(6) for x in (3.0 + 2.5 * i, 3.0 + 2.5 * i + h)]
+    x = [[rng.uniform(-2.0, 2.0)] for _ in v]
+    y = [rng.uniform(-2.0, 2.0) for _ in v]
+    trunc = TruncationSpec(0.0, SmallSet(-1.0, 1.0))
+    ds = partlin.TimeSeriesDataset(y=np.array(y), x=np.array(x), v=np.array(v))
+    sel = cv_select(ds, np.array([h]), "epanechnikov", trunc)
+    want, dropped = oracles.oracle_cv_criterion(
+        y, x, v, "epanechnikov", h, 0.0, -1.0, 1.0
+    )
+    assert dropped == 12
+    assert sel.dropped[0] == dropped
+    assert sel.criterion[0] == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["uniform", "epanechnikov"]),
+    h=st.sampled_from([0.1, 1.0]),
+)
+def test_window_sums_match_oracle_on_a_long_walk(seed, family, h):
+    """n = 10 000 on a walk far from 0, where windows hold hundreds to
+    thousands of samples and the moments are large: the engine agrees
+    with the oracle to 1e-10 at sample points and grid points alike."""
+    rng = np.random.default_rng(seed)
+    v = 1e3 + np.cumsum(0.1 * rng.standard_normal(10_000))
+    targets = np.column_stack([v, np.sin(v), np.ones_like(v)])
+    spec = KernelSpec(family, h)
+    own = rng.choice(v.size, 25, replace=False)
+    grid = np.linspace(v.min() - h, v.max() + h, 50)
+    mass, sums = _window_sums(v, None, spec, targets)
+    grid_mass, grid_sums = _window_sums(v, grid, spec, targets)
+    routes = [(v[own], mass[own], sums[own]), (grid, grid_mass, grid_sums)]
+    for at, got_mass, got_sums in routes:
+        want_mass, want_sums = oracles.oracle_window_sums(
+            v.tolist(), at.tolist(), family, h, targets.tolist()
+        )
+        np.testing.assert_allclose(got_mass, want_mass, rtol=1e-10, atol=0.0)
+        # the sum of kernel weighted |target| bounds the rounding of a sum
+        scale = np.array(want_mass)[:, None] * np.abs(targets).max(axis=0)
+        assert np.all(np.abs(got_sums - want_sums) <= 1e-10 * scale)
+
+
 def test_smooth_constant_targets():
     v = simulate_random_walk(200, 0.2, 0.0, 3)
     c = np.full(200, 2.75)
@@ -310,23 +413,6 @@ def test_smooth_own_point_always_valid():
     for family in ("uniform", "epanechnikov"):
         _, valid = smooth(v, v, KernelSpec(family, 0.01))
         assert valid.all()
-
-
-def test_direct_chunking_consistent():
-    """A point set big enough to span several chunks stays identical."""
-    v = simulate_random_walk(300, 0.1, 0.0, 29)
-    points = np.linspace(v.min(), v.max(), 2**14 + 3)
-    spec = KernelSpec("epanechnikov", 0.3)
-    mass, _ = _window_sums(v, points, spec, None)
-    import partlin.kernel as K
-
-    old = K._CHUNK_BUDGET
-    try:
-        K._CHUNK_BUDGET = 1024  # force many chunks
-        mass_chunked, _ = _window_sums(v, points, spec, None)
-    finally:
-        K._CHUNK_BUDGET = old
-    np.testing.assert_array_equal(mass, mass_chunked)
 
 
 def test_no_kernel_path_option():
