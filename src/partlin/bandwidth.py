@@ -12,6 +12,11 @@ Truncation enters twice, deliberately with the same floor for every h:
 the coefficient refit uses the floor, and only observations passing the
 floor are scored, so the criterion compares bandwidths on a common
 footing in the well visited region.
+
+Each bandwidth is one pass of window sums, left out, of y and x at
+every sample point.  Adding back each point's own term K(0) (y, x) gives
+the full sums, from which the mask and the refit are read as in a fit
+(``sls._fit_rows``), and the left-out sums give the leave-one-out fit.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TimeSeriesDataset
-from .errors import ParameterError, RankError, SelectionError, TruncationError
+from .errors import NoVisitsError, ParameterError, PartlinError, SelectionError
 from .kernel import (
+    KERNEL_AT_ZERO,
     KernelSpec,
     TruncationSpec,
     _window_sums,
     default_bandwidth,
 )
-from .sls import truncated_theta
+from .sls import _fit_rows
 
 
 @dataclass(frozen=True)
@@ -79,26 +85,15 @@ def cv_select(
     if h_grid.size > 1 and np.any(np.diff(h_grid) <= 0):
         raise ParameterError("h_grid must be strictly increasing")
 
+    specs = [KernelSpec(family, float(h)) for h in h_grid]
+    visits = np.count_nonzero(trunc.small_set.contains(ds.sorted_v.values), axis=1)
+    if visits[0] == 0:
+        raise NoVisitsError("the path never enters the small set")
+    stacked = np.column_stack([ds.y, ds.x])
     criterion = np.full(h_grid.size, np.inf)
     dropped = np.zeros(h_grid.size, dtype=int)
-    for i, h in enumerate(h_grid):
-        spec = KernelSpec(family, float(h))
-        try:
-            theta, mask = truncated_theta(ds, spec, trunc)
-        except (RankError, TruncationError):
-            continue
-        r = ds.y - ds.x @ theta
-        loo_mass, loo_sums = _window_sums(
-            ds.sorted_v, None, spec, r[:, None], leave_out=True
-        )
-        loo_ok = loo_mass > 0.0
-        usable = mask & loo_ok
-        dropped[i] = int(np.count_nonzero(mask & ~loo_ok))
-        if not usable.any():
-            continue
-        g_loo = loo_sums[usable, 0] / loo_mass[usable]
-        err = r[usable] - g_loo
-        criterion[i] = float(err @ err)
+    for i, spec in enumerate(specs):
+        criterion[i], dropped[i] = _score(ds.sorted_v, stacked, visits, spec, trunc)
 
     if not np.any(np.isfinite(criterion)):
         raise SelectionError(
@@ -111,3 +106,24 @@ def cv_select(
         criterion=criterion,
         dropped=dropped,
     )
+
+
+def _score(view, stacked, visits, spec, trunc) -> tuple[float, int]:
+    """The criterion at one bandwidth and its dropped count, from one
+    left-out pass over the (n, 1 + d) columns ``stacked``, y first.
+    A fit that fails scores infinity with none dropped."""
+    k0 = KERNEL_AT_ZERO[spec.family]
+    loo_mass, loo_sums = _window_sums(view, None, spec, stacked, leave_out=True)
+    sums = loo_sums + k0 * stacked
+    (theta,), (mask,), _ = _fit_rows(
+        stacked[None], (loo_mass + k0)[None], sums[None], visits, spec, trunc
+    )
+    if isinstance(theta, PartlinError):
+        return np.inf, 0
+    usable = mask & (loo_mass > 0.0)
+    dropped = int(np.count_nonzero(mask)) - int(np.count_nonzero(usable))
+    if not usable.any():
+        return np.inf, dropped
+    coef = np.append(1.0, -theta)
+    err = stacked[usable] @ coef - (loo_sums[usable] @ coef) / loo_mass[usable]
+    return float(err @ err), dropped

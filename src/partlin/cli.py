@@ -4,7 +4,8 @@ Five subcommands: ``simulate`` writes a synthetic dataset, ``estimate``
 fits one dataset and writes a fit report plus curve files, ``mc`` runs
 a table of simulation cells from a config file, ``unitroot`` runs the
 simulated p-value unit root test on one column, and ``bandwidth``
-sweeps the cross validation criterion.
+sweeps the cross validation criterion into ``cv.csv``, which
+``estimate --cv`` writes too.
 
 Every CSV file, and every table printed to stdout, is the text of
 :func:`partlin.dataset.csv_text`: a header row, commas, ``"\\n"`` line
@@ -17,11 +18,11 @@ Configuration is plain ``key = value`` text; command line flags
 override file values.  Every run writes ``resolved_config.txt``
 (``<out>.manifest.txt`` for ``simulate``) next to its outputs.  It
 lists every flag the run parsed (unset ones excepted), the values the
-run derived (``bn``, ``small_set``, ``h``, ``h_selected``, ``h_star``;
-for ``mc`` every resolved config key) and the package versions, so a
-result directory is self describing.  The only environment variable
-honoured is ``PARTLIN_OUT_ROOT``, an optional root prefix for relative
-output paths.
+run derived (``bn``, ``small_set``, ``h``, ``h_selected``, ``h_star``,
+``h_star_grid_end``; for ``mc`` every resolved config key) and the
+package versions, so a result directory is self describing.  The only
+environment variable honoured is ``PARTLIN_OUT_ROOT``, an optional root
+prefix for relative output paths.
 
 Every default comes from the library: the simulation design from the
 ``McConfig`` field defaults, the kernel families from ``FAMILIES``, the
@@ -335,8 +336,8 @@ def cmd_estimate(args) -> int:
     ds = _load_dataset(args)
     trunc, h_grid, derived = _resolve_fit_args(args, ds.n)
     if args.cv:
-        h = cv_select(ds, h_grid, args.family, trunc).h_star
-        derived["h_selected"] = FLOAT_FMT % h
+        h, cv_table = _cv_sweep(args, ds, h_grid, trunc, derived)
+        derived["h_selected"] = derived.pop("h_star")
     elif args.h is not None:
         h = args.h
     else:
@@ -377,6 +378,8 @@ def cmd_estimate(args) -> int:
         }
         for lab, curve in zip(ds.x_labels, h_curves):
             files[f"h_curve_{lab}.csv"] = _curve_text("h_hat", curve)
+        if args.cv:
+            files["cv.csv"] = cv_table
         files["resolved_config.txt"] = _run_record(args, **derived)
         _write_files(out, files)
 
@@ -506,18 +509,32 @@ def cmd_unitroot(args) -> int:
 # ---------------------------------------------------------------- bandwidth
 
 
+def _cv_sweep(args, ds, h_grid, trunc, derived: dict) -> tuple[float, str]:
+    """h* from ``h_grid`` by cross validation, and the ``cv.csv`` table.
+    ``derived`` gains ``h_star`` and, on the default grid,
+    ``h_star_grid_end``: ``lower`` or ``upper`` when h* is an end of the
+    grid, where the criterion may fall further (a warning), else ``none``."""
+    sel = cv_select(ds, h_grid, args.family, trunc)
+    derived["h_star"] = h_star = FLOAT_FMT % sel.h_star
+    if not args.h_grid:
+        ends = {sel.grid[0]: "lower", sel.grid[-1]: "upper"}
+        derived["h_star_grid_end"] = end = ends.get(sel.h_star, "none")
+        if end != "none":
+            print(f"warning: h_star = {h_star} is the {end} end of the default "
+                  "bandwidth grid; the criterion may fall beyond it", file=sys.stderr)
+    cols = (sel.grid, sel.criterion, sel.dropped)
+    return sel.h_star, csv_text(("h", "criterion", "dropped"), cols)
+
+
 def cmd_bandwidth(args) -> int:
     ds = _load_dataset(args)
     trunc, h_grid, derived = _resolve_fit_args(args, ds.n)
-    sel = cv_select(ds, h_grid, args.family, trunc)
-    table = csv_text(
-        ("h", "criterion", "dropped"), (sel.grid, sel.criterion, sel.dropped)
-    )
+    _, table = _cv_sweep(args, ds, h_grid, trunc, derived)
     sys.stdout.write(table)
-    print(f"# h_star = {FLOAT_FMT % sel.h_star}")
+    print(f"# h_star = {derived['h_star']}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        record = _run_record(args, **derived, h_star=FLOAT_FMT % sel.h_star)
+        record = _run_record(args, **derived)
         _write_files(args.out, {"cv.csv": table, "resolved_config.txt": record})
     return 0
 

@@ -12,12 +12,13 @@ window, the sample points with |(v_t - p_i)/h| <= 1 in floating point,
 as one contiguous run of its row's sorted sample; the points of every
 row are searched in one call.  When the points are the sample itself,
 the windows depend on h alone: the view finds them once per bandwidth
-and keeps those of the latest bandwidth, so the truncation mask, the
-detrending smoother and the leave-one-out score at one h share one
-search.  Every family is a polynomial in u on its window, so window
-sums are read off prefix sums of moments, O((n + p) log n) whatever the
-window sizes: of each row for a constant kernel, else of blocks of width
-h, re-centred to each point (Seifert et al. 1994, Fan & Marron 1994).
+and keeps those of the latest bandwidth.  A fit at one h is one pass,
+its truncation mask read off the mass of its detrending sums, and so is
+each bandwidth of the cross validation sweep, a left-out pass.  Every
+family is a polynomial in u on its window, so window sums are read off
+prefix sums of moments, O((n + p) log n) whatever the window sizes: of
+each row for a constant kernel, else of blocks of width h, re-centred
+to each point (Seifert et al. 1994, Fan & Marron 1994).
 """
 
 from __future__ import annotations
@@ -451,18 +452,12 @@ def weights(
     return k / total
 
 
-def _truncation_masks(
-    view: SortedView, spec: KernelSpec, trunc: TruncationSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """``truncation_mask`` of every path in ``view``, as (rows, n)
-    masks, with the small set visit count of each path; the mask of a
-    path without visits means nothing."""
-    rows = view.v.reshape(view.values.shape)
-    visits = np.count_nonzero(trunc.small_set.contains(rows), axis=1)
-    mass, _ = _block_sums(view, None, spec, None)
+def _density_masks(mass, visits, h: float, trunc: TruncationSpec) -> np.ndarray:
+    """``truncation_mask`` of each path from its own points' kernel mass
+    and its visit count; the mask of a path without visits means nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        dens = mass / (visits * spec.bandwidth)[:, None]
-    return dens > trunc.b_n, visits
+        dens = mass / (visits * h)[:, None]
+    return dens > trunc.b_n
 
 
 def truncation_mask(
@@ -477,10 +472,12 @@ def truncation_mask(
     normaliser is the small set visit count of the path; a path with no
     visits has no usable normaliser and raises.
     """
-    masks, visits = _truncation_masks(_as_view(v_series), spec, trunc)
+    view = _as_view(v_series)
+    visits = np.count_nonzero(trunc.small_set.contains(view.values), axis=1)
     if visits[0] == 0:
         raise NoVisitsError("the path never enters the small set")
-    return masks[0]
+    mass, _ = _block_sums(view, None, spec, None)
+    return _density_masks(mass, visits, spec.bandwidth, trunc)[0]
 
 
 def smooth(

@@ -42,7 +42,7 @@ from .kernel import (
     SortedView,
     TruncationSpec,
     _block_sums,
-    _truncation_masks,
+    _density_masks,
     _window_sums,
     smooth,
 )
@@ -107,104 +107,82 @@ class CurveEstimate:
     valid: np.ndarray
 
 
-def _detrend_rows(
-    y: np.ndarray, x: np.ndarray, view: SortedView, spec: KernelSpec
-) -> np.ndarray:
-    """Remove the covariate trend from y and x at the sample points, for
-    every path of a block: y of shape (rows, n), x of shape (rows, n, d)
-    and ``view`` the sorted covariate rows.  Returns the (rows, n, 1 + d)
-    detrended columns, y first.
-
-    Every family is positive at 0, so each sample point lies in its own
-    window and every smoothed value is defined.
-    """
-    stacked = np.concatenate([y[:, :, None], x], axis=2)
-    mass, sums = _block_sums(view, None, spec, stacked)
-    return stacked - sums / mass[:, :, None]
-
-
-def _detrend(
-    ds: TimeSeriesDataset, spec: KernelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_detrend_rows`` of one dataset, by ``smooth``: (ytilde, xtilde)."""
+def _detrend(ds: TimeSeriesDataset, spec: KernelSpec) -> np.ndarray:
+    """The (n, 1 + d) detrended columns of one dataset, y first, by
+    ``smooth``."""
     stacked = np.column_stack([ds.y, ds.x])
-    tilde = stacked - smooth(ds.sorted_v, stacked, spec)[0]
-    return tilde[:, 0], tilde[:, 1:]
+    return stacked - smooth(ds.sorted_v, stacked, spec)[0]
 
 
-def _solve_normal(
-    xt: np.ndarray, yt: np.ndarray, x_ref: np.ndarray
-) -> np.ndarray:
-    a = xt.T @ xt
-    b = xt.T @ yt
+def _solve_normal(tilde: np.ndarray, masks: np.ndarray, x: np.ndarray) -> list:
+    """Least squares of each row of a block on the points its mask keeps:
+    ``tilde`` the (rows, n, 1 + d) detrended columns, y first, and ``x``
+    the raw (rows, n, d) regressors.  Returns each row's coefficients,
+    or the RankError that stops them; the normal equations are formed
+    row by row, then checked and solved at once."""
+    rows, _, d = x.shape
+    a, b = np.empty((rows, d, d)), np.empty((rows, d))
+    for r, mask in enumerate(masks):
+        xt = tilde[r, :, 1:][mask]
+        a[r], b[r] = xt.T @ xt, xt.T @ tilde[r, :, 0][mask]
     # a column with no variation around its covariate trend detrends to
     # roundoff noise; its normal-equation diagonal is then far below the
     # raw column scale and the solve would amplify garbage
-    ref = np.maximum((x_ref * x_ref).sum(axis=0), np.finfo(float).tiny)
-    if np.any(np.diag(a) <= 1e-24 * ref):
-        raise RankError(
-            "a detrended regressor column is numerically zero, "
-            "the coefficient on it is not identified"
-        )
+    ref = np.maximum(np.einsum("rt,rtj,rtj->rj", masks, x, x), np.finfo(float).tiny)
+    zero = np.any(np.diagonal(a, axis1=1, axis2=2) <= 1e-24 * ref, axis=1)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise RankError(
-            f"detrended design is numerically singular (condition {cond:.3e})"
+    ok = ~zero & (cond <= _COND_LIMIT)  # False for a NaN condition too
+    solved = iter(np.linalg.solve(a[ok], b[ok, :, None])[..., 0])
+    return [
+        next(solved) if fine else RankError(
+            "a detrended regressor column is numerically zero, the coefficient "
+            "on it is not identified" if flat
+            else f"detrended design is numerically singular (condition {c:.3e})"
         )
-    return np.linalg.solve(a, b)
+        for fine, flat, c in zip(ok, zero, cond)
+    ]
 
 
-def naive_sls(
-    ds: TimeSeriesDataset, spec: KernelSpec
-) -> np.ndarray:
+def naive_sls(ds: TimeSeriesDataset, spec: KernelSpec) -> np.ndarray:
     """Least squares on all detrended rows, no density truncation."""
-    yt, xt = _detrend(ds, spec)
-    return _solve_normal(xt, yt, ds.x)
+    tilde = _detrend(ds, spec)[None]
+    (theta,) = _solve_normal(tilde, np.ones(tilde.shape[:2], bool), ds.x[None])
+    if isinstance(theta, RankError):
+        raise theta
+    return theta
 
 
-def _truncated_rows(
-    y: np.ndarray,
-    x: np.ndarray,
-    view: SortedView,
-    spec: KernelSpec,
-    trunc: TruncationSpec,
-) -> tuple[list, np.ndarray, np.ndarray | None]:
-    """The truncated fit of every path of a block, shaped as in
-    ``_detrend_rows``.
-
-    Returns ``(fits, masks, tilde)``: ``fits[r]`` is the coefficient
-    vector of row r, or the error that stops its fit (NoVisitsError,
-    TruncationError or RankError, checked in that order); ``masks`` the
-    (rows, n) truncation masks and ``tilde`` the detrended columns of
-    ``_detrend_rows``, None when no row gets as far as the solve.  The
-    normal equations of each row are solved on their own.
-    """
-    masks, visits = _truncation_masks(view, spec, trunc)
-    kept = masks.any(axis=1)
-    tilde = None
-    if np.any(kept & (visits > 0)):
-        tilde = _detrend_rows(y, x, view, spec)
-    fits = []
-    for r, mask in enumerate(masks):
-        if visits[r] == 0:
-            fits.append(NoVisitsError("the path never enters the small set"))
-        elif not kept[r]:
-            fits.append(
-                TruncationError(
-                    f"density floor {trunc.b_n:g} removed all "
-                    f"{mask.size} observations"
-                )
-            )
-        else:
-            try:
-                fits.append(
-                    _solve_normal(
-                        tilde[r, :, 1:][mask], tilde[r, :, 0][mask], x[r][mask]
-                    )
-                )
-            except RankError as exc:
-                fits.append(exc)
+def _fit_rows(stacked, mass, sums, visits, spec, trunc):
+    """The truncated fit of every path of a block: ``stacked`` the
+    (rows, n, 1 + d) columns y, x of each path, ``mass`` and ``sums``
+    their window sums at its own points (``_block_sums``) and ``visits``
+    each path's small set visit count.  Returns ``(fits, masks, tilde)``:
+    ``fits[r]`` is row r's coefficient vector, or the error that stops
+    its fit (NoVisitsError, TruncationError or RankError, checked in that
+    order); ``masks`` the (rows, n) truncation masks, read off ``mass``,
+    and ``tilde`` the detrended columns, written over ``sums``."""
+    masks = _density_masks(mass, visits, spec.bandwidth, trunc)
+    sums /= mass[..., None]
+    tilde = np.subtract(stacked, sums, out=sums)
+    solved = _solve_normal(tilde, masks, stacked[..., 1:])
+    fits = [
+        NoVisitsError("the path never enters the small set") if not seen
+        else fit if mask.any()
+        else TruncationError(
+            f"density floor {trunc.b_n:g} removed all {mask.size} observations"
+        )
+        for fit, mask, seen in zip(solved, masks, visits)
+    ]
     return fits, masks, tilde
+
+
+def _truncated_rows(y, x, view, spec, trunc):
+    """``_fit_rows`` of a block of paths, y of shape (rows, n) and x of
+    shape (rows, n, d), ``view`` their sorted covariate rows."""
+    stacked = np.concatenate([y[:, :, None], x], axis=2)
+    mass, sums = _block_sums(view, None, spec, stacked)
+    visits = np.count_nonzero(trunc.small_set.contains(view.values), axis=1)
+    return _fit_rows(stacked, mass, sums, visits, spec, trunc)
 
 
 def _truncated_solve(
@@ -222,15 +200,9 @@ def _truncated_solve(
 
 
 def truncated_theta(
-    ds: TimeSeriesDataset,
-    spec: KernelSpec,
-    trunc: TruncationSpec,
+    ds: TimeSeriesDataset, spec: KernelSpec, trunc: TruncationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and the truncation mask, without fit diagnostics.
-
-    This is the inner loop of bandwidth selection, where the covariance
-    block of the full fit would be wasted work.
-    """
+    """Coefficients and the truncation mask, without fit diagnostics."""
     return _truncated_solve(ds, spec, trunc)[:2]
 
 
@@ -244,8 +216,9 @@ def residuals(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ds.d,):
         raise ParameterError(f"theta must have shape ({ds.d},), got {theta.shape}")
-    yt, xt = _detrend(ds, spec)
-    return ResidualSet(eps_hat=yt - xt @ theta, u_hat=xt)
+    tilde = _detrend(ds, spec)
+    xt = tilde[:, 1:]
+    return ResidualSet(eps_hat=tilde[:, 0] - xt @ theta, u_hat=xt)
 
 
 def longrun_covariance(
@@ -454,11 +427,8 @@ def estimate_h(
         raise ParameterError("grid must be a nonempty 1-d array")
     mass, sums = _window_sums(ds.sorted_v, grid, spec, ds.x)
     valid = mass > 0.0
-    out = []
-    for j in range(ds.d):
-        values = np.full(grid.size, np.nan)
-        values[valid] = sums[valid, j] / mass[valid]
-        out.append(
-            CurveEstimate(grid=grid, values=values, local_mass=mass, valid=valid)
-        )
-    return out
+    values = np.divide(sums.T, mass, out=np.full(sums.T.shape, np.nan), where=valid)
+    return [
+        CurveEstimate(grid=grid, values=col, local_mass=mass, valid=valid)
+        for col in values
+    ]

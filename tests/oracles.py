@@ -205,6 +205,46 @@ def oracle_cv_criterion(y, x, v, family, h, bn, lo, hi):
     return crit, dropped
 
 
+def oracle_cv_dense(y, x, v, family, h, bn, lo, hi, chunk=256):
+    """``oracle_cv_criterion`` for walks too long for it: the same kernel
+    sums, taken with numpy for a chunk of points at a time against every
+    sample point within 2h of the chunk (a pair further apart has kernel
+    value exactly 0).  The leave-one-out fit of each point is its
+    left-out sums of y and x combined with (1, -theta), which is its
+    left-out sum of residuals.  Returns ``(criterion, dropped, mask,
+    theta)``; ``theta`` is None, and the criterion infinite, when the
+    mask keeps nothing or the refit is singular."""
+    v = np.asarray(v, dtype=float)
+    stacked = np.column_stack([y, x]).astype(float)
+    n = v.size
+    mass, loo_mass = np.empty(n), np.empty(n)
+    sums, loo_sums = np.empty(stacked.shape), np.empty(stacked.shape)
+    order = np.argsort(v)
+    ranked = v[order]
+    for s in range(0, n, chunk):
+        rows = order[s:s + chunk]
+        span = [ranked[s] - 2 * h, ranked[s + rows.size - 1] + 2 * h]
+        cols = order[slice(*np.searchsorted(ranked, span))]
+        u = (v[None, cols] - v[rows, None]) / h
+        k = 0.5 if family == "uniform" else 0.75 * (1.0 - u * u)
+        k = np.where(np.abs(u) <= 1.0, k, 0.0)
+        mass[rows], sums[rows] = k.sum(axis=1), k @ stacked[cols]
+        k[rows[:, None] == cols[None, :]] = 0.0
+        loo_mass[rows], loo_sums[rows] = k.sum(axis=1), k @ stacked[cols]
+    visits = np.count_nonzero((v >= lo) & (v <= hi))
+    mask = mass / (visits * h) > bn
+    tilde = stacked - sums / mass[:, None]
+    a = tilde[mask, 1:].T @ tilde[mask, 1:]
+    if not mask.any() or not np.linalg.cond(a) <= 1e12:
+        return np.inf, 0, mask, None
+    theta = np.linalg.solve(a, tilde[mask, 1:].T @ tilde[mask, 0])
+    coef = np.append(1.0, -theta)
+    scored = mask & (loo_mass > 0.0)
+    err = stacked[scored] @ coef - (loo_sums[scored] @ coef) / loo_mass[scored]
+    crit = float(err @ err) if scored.any() else np.inf
+    return crit, int(mask.sum() - scored.sum()), mask, theta
+
+
 def oracle_curve_error(v, x, h, points, g, eps_rho, eps_sd, theta_var):
     """Expected curve error of one replication given its walk and
     regressors: the average over the table grid of E|g_hat(p) - g(p)|.

@@ -15,8 +15,16 @@ from partlin.errors import (
     ParameterError,
     SelectionError,
 )
-from partlin.kernel import TruncationSpec, default_bandwidth, default_truncation
+from partlin import bandwidth, kernel, sls
+from partlin.kernel import (
+    KernelSpec,
+    TruncationSpec,
+    default_bandwidth,
+    default_truncation,
+    truncation_mask,
+)
 from partlin.markov import SmallSet
+from partlin.sls import truncated_theta
 
 
 def test_default_grid_shape_and_span():
@@ -29,29 +37,51 @@ def test_default_grid_shape_and_span():
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
+def _oracle_failure(y, x, v, family, h, bn, lo, hi) -> str | None:
+    """Why the oracle cannot score bandwidth h, or None: its mask keeps
+    nothing, its normal equations are singular, or every kept point
+    drops out of the leave-one-out score."""
+    keep = oracles.oracle_mask(v, family, h, bn, lo, hi)
+    if not any(keep):
+        return "empty mask"
+    _, xt = oracles._oracle_tilde(y, x, v, family, h)
+    a = sum(np.outer(xt[t], xt[t]) for t in range(len(y)) if keep[t])
+    if not np.linalg.cond(a) <= 1e12:
+        return "singular"
+    _, dropped = oracles.oracle_cv_criterion(y, x, v, family, h, bn, lo, hi)
+    return "all dropped" if dropped == sum(keep) else None
+
+
 def test_criterion_matches_oracle_per_bandwidth():
+    """Finite criteria equal the oracle's; an infinite one is a
+    bandwidth the oracle cannot score either, for its reason."""
     rng = random.Random(31)
     checked = 0
-    for _ in range(10):
+    failures = set()
+    for _ in range(30):
         y, x, v, family, h, bn, lo, hi = tiny_fixture(rng)
         ds = as_dataset(y, x, v)
-        grid = np.array([0.8 * h, h, 1.3 * h])
+        grid = np.array([0.05, 0.3 * h, 0.8 * h, h, 1.3 * h, 4.0 * h])
         trunc = TruncationSpec(bn, SmallSet(lo, hi))
         try:
             sel = cv_select(ds, grid, family, trunc)
         except SelectionError:
             continue
         for i, hg in enumerate(grid):
-            want_crit, want_drop = oracles.oracle_cv_criterion(
-                y, x, v, family, float(hg), bn, lo, hi
-            )
+            args = (y, x, v, family, float(hg), bn, lo, hi)
             if np.isfinite(sel.criterion[i]):
+                want_crit, want_drop = oracles.oracle_cv_criterion(*args)
                 assert sel.criterion[i] == pytest.approx(want_crit, rel=1e-10)
                 assert sel.dropped[i] == want_drop
+            else:
+                failures.add(_oracle_failure(*args))
         finite = np.isfinite(sel.criterion)
         assert sel.h_star == grid[np.argmin(np.where(finite, sel.criterion, np.inf))]
         checked += 1
-    assert checked >= 7
+    assert checked >= 20
+    # both refit failures occur; "all dropped" cannot outlive the refit,
+    # since a point alone in its window detrends to exactly 0
+    assert failures == {"empty mask", "singular"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,3 +246,118 @@ def test_result_type_fields():
         dropped=np.array([0]),
     )
     assert sel.h_star == 0.3
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record the arguments of every ``_block_sums`` call, through either
+    binding of the engine."""
+    calls = []
+    engine = kernel._block_sums
+
+    def spy(view, points, spec, targets, leave_out=False):
+        calls.append((spec.bandwidth, targets.shape, leave_out))
+        return engine(view, points, spec, targets, leave_out)
+
+    monkeypatch.setattr(kernel, "_block_sums", spy)
+    monkeypatch.setattr(sls, "_block_sums", spy)
+    return calls
+
+
+def test_sweep_is_one_left_out_pass_per_bandwidth(monkeypatch):
+    """Every bandwidth reaches its fit, failing or not, through one
+    engine call on the stacked (y, x) columns."""
+    ds = build_dataset(seed=36, n=80, d=2)
+    trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
+    grid = np.array([1e-9, 0.2, 0.5, 50.0])  # singular, fine, fine, empty mask
+    calls = _count_passes(monkeypatch)
+    sel = cv_select(ds, grid, "epanechnikov", trunc)
+    assert np.isinf(sel.criterion[[0, 3]]).all()
+    assert np.isfinite(sel.criterion[1:3]).all()
+    assert calls == [(h, (1, 80, 3), True) for h in grid]
+
+
+def test_block_fit_is_one_pass_per_block(monkeypatch):
+    """A block fit reads its masks and its detrending off one engine
+    call, whatever becomes of each row's fit; so does a dataset fit."""
+    rng = np.random.default_rng(3)
+    v = np.cumsum(0.1 * rng.standard_normal((5, 120)), axis=1)
+    v[4] += 50.0  # never visits the small set
+    x = rng.standard_normal((5, 120, 2))
+    y = x.sum(axis=2) + rng.standard_normal((5, 120))
+    trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
+    calls = _count_passes(monkeypatch)
+    fits, _, _ = sls._truncated_rows(
+        y, x, kernel.SortedView(v), KernelSpec("uniform", 0.3), trunc
+    )
+    assert isinstance(fits[4], NoVisitsError)
+    assert calls == [(0.3, (5, 120, 3), False)]
+    calls.clear()
+    sls.truncated_sls(as_dataset(y[0], x[0], v[0]), KernelSpec("uniform", 0.3), trunc)
+    assert calls == [(0.3, (1, 120, 3), False)]
+
+
+def _fit_spy(monkeypatch) -> list:
+    """Record each (mask, fit) the sweep reads off its passes."""
+    seen = []
+    fit_rows = bandwidth._fit_rows
+
+    def spy(*args):
+        fits, masks, tilde = fit_rows(*args)
+        seen.append((masks[0], fits[0]))
+        return fits, masks, tilde
+
+    monkeypatch.setattr(bandwidth, "_fit_rows", spy)
+    return seen
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["uniform", "epanechnikov"]),
+    bn=st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_sweep_matches_fits_and_oracle_on_a_long_walk(seed, family, bn):
+    """n = 10 000 on a walk far from 0, with x on the walk's scale: at
+    each bandwidth the sweep keeps the mask of ``truncation_mask``,
+    refits the coefficients of ``truncated_theta`` to 1e-12 and scores
+    the dense oracle's criterion to 1e-10, dropping the same points."""
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    v = 1e3 + np.cumsum(0.1 * rng.standard_normal(n))
+    x = (v + rng.standard_normal(n))[:, None]
+    y = x[:, 0] + np.sin(v) + rng.standard_normal(n)
+    ds = as_dataset(y, x, v)
+    trunc = TruncationSpec(bn, SmallSet(999.0, 1001.0))
+    grid = np.array([0.02, 0.1, 1.0])
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _fit_spy(mp)
+        sel = cv_select(ds, grid, family, trunc)
+    assert len(seen) == grid.size
+    for h, crit, dropped, (mask, fit) in zip(grid, sel.criterion, sel.dropped, seen):
+        spec = KernelSpec(family, float(h))
+        np.testing.assert_array_equal(mask, truncation_mask(ds.sorted_v, spec, trunc))
+        want = oracles.oracle_cv_dense(y, x, v, family, h, bn, 999.0, 1001.0)
+        if want[3] is None:
+            assert np.isinf(crit) and not isinstance(fit, np.ndarray)
+            continue
+        theta, _ = truncated_theta(ds, spec, trunc)
+        np.testing.assert_allclose(fit, theta, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(mask, want[2])
+        assert crit == pytest.approx(want[0], rel=1e-10)
+        assert dropped == want[1]
+
+
+def test_dense_oracle_is_the_oracle():
+    """``oracle_cv_dense`` agrees with the pure oracle on small cases."""
+    rng = random.Random(5)
+    for _ in range(20):
+        y, x, v, family, h, bn, lo, hi = tiny_fixture(rng)
+        args = (y, x, v, family, h, bn, lo, hi)
+        crit, dropped, mask, theta = oracles.oracle_cv_dense(*args)
+        assert list(mask) == oracles.oracle_mask(v, family, h, bn, lo, hi)
+        if theta is None:
+            continue
+        want = oracles.oracle_cv_criterion(*args)
+        assert crit == pytest.approx(want[0], rel=1e-10) and dropped == want[1]
+        want_theta = oracles.oracle_truncated_theta(*args)
+        np.testing.assert_allclose(theta, want_theta, rtol=1e-10)

@@ -151,6 +151,45 @@ def test_estimate_cv_records_selection(tmp_path):
     assert f"h_selected = {_FMT % sel.h_star}" in resolved
 
 
+def test_estimate_cv_writes_the_bandwidth_table(tmp_path, capsys):
+    """``estimate --cv`` leaves the ``cv.csv`` that ``bandwidth`` writes,
+    and on an interior h* records that it is no end of the grid."""
+    _, path = write_dataset(tmp_path)
+    fit, bw = tmp_path / "fit", tmp_path / "bw"
+    assert main(["estimate", "--data", str(path), "--cv", "--out", str(fit)]) == 0
+    assert main(["bandwidth", "--data", str(path), "--out", str(bw)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert (fit / "cv.csv").read_bytes() == (bw / "cv.csv").read_bytes()
+    for record in (fit, bw):
+        lines = (record / "resolved_config.txt").read_text().splitlines()
+        assert "h_star_grid_end = none" in lines
+
+
+def test_h_star_on_the_end_of_the_default_grid_is_recorded_and_warned(
+    tmp_path, capsys
+):
+    ds = build_dataset(seed=3, n=200, g_identity=False, rho=0.0)
+    path = tmp_path / "ds.csv"
+    write_csv(str(path), ds)
+    out = tmp_path / "fit"
+    assert main(["estimate", "--data", str(path), "--cv", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "is the upper end of the default bandwidth grid" in err
+    record = dict(
+        line.split(" = ", 1)
+        for line in (out / "resolved_config.txt").read_text().splitlines()
+    )
+    assert record["h_star_grid_end"] == "upper"
+    last = (out / "cv.csv").read_text().splitlines()[-1]
+    assert float(record["h_selected"]) == float(last.split(",")[0])
+    # a grid the caller gave is searched as given: no end is reported
+    argv = ["estimate", "--data", str(path), "--cv", "--h-grid", "0.2,0.4"]
+    assert main(argv + ["--out", str(tmp_path / "given")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    record = (tmp_path / "given" / "resolved_config.txt").read_text()
+    assert "h_star_grid_end" not in record
+
+
 def test_estimate_h_and_cv_flags_conflict(tmp_path):
     _, path = write_dataset(tmp_path)
     with pytest.raises(SystemExit) as exc:
