@@ -33,7 +33,6 @@ from .markov import (
     BlockDecomposition,
     SmallSet,
     count_small_set_visits,
-    ergodic_ratio,
     estimate_beta,
     regeneration_blocks,
     simulate_ar1,
@@ -69,6 +68,6 @@ from .sls import (
     truncated_sls,
     truncated_theta,
 )
-from .unitroot import DfResult, df_statistic, df_test, fit_ar1, simulated_pvalue
+from .unitroot import DfResult, df_statistic, df_test, simulated_pvalue
 
 __version__ = "0.1.0"

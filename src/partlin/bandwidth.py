@@ -34,7 +34,7 @@ from .kernel import (
     _window_sums,
     default_bandwidth,
 )
-from .sls import _fit_rows
+from .sls import _check_grid, _fit_rows
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,11 @@ def cv_select(
     fails a :class:`SelectionError` is raised.  A path that never visits
     the small set raises immediately, since no bandwidth can repair it.
     """
-    h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.ndim != 1 or h_grid.size < 1:
-        raise ParameterError("h_grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(h_grid)) or np.any(h_grid <= 0):
-        raise ParameterError("h_grid values must be finite and > 0")
+    h_grid = _check_grid(h_grid, "h_grid")
     if h_grid.size > 1 and np.any(np.diff(h_grid) <= 0):
         raise ParameterError("h_grid must be strictly increasing")
 
-    specs = [KernelSpec(family, float(h)) for h in h_grid]
+    specs = [KernelSpec(family, float(h)) for h in h_grid]  # rejects h <= 0
     visits = np.count_nonzero(trunc.small_set.contains(ds.sorted_v.values), axis=1)
     if visits[0] == 0:
         raise NoVisitsError("the path never enters the small set")

@@ -44,6 +44,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import scipy
@@ -114,31 +115,15 @@ def parse_kv_file(path: str) -> dict[str, str]:
     return values
 
 
-class RunConfig:
-    """Resolved ``mc`` parameters: library ``defaults``, overridden by
-    the config file's values, overridden by the ``flags`` that were
-    given (not None).  Values are kept as text and read by ``get``."""
-
-    def __init__(self, file_values: dict[str, str], flags=None, defaults=None):
-        self.values = {key: str(val) for key, val in (defaults or {}).items()}
-        self.values.update(file_values)
-        self.values.update(
-            {key: str(val) for key, val in (flags or {}).items() if val is not None}
-        )
-
-    def get(self, key: str, cast=str, default=None):
-        if key not in self.values:
-            return default
-        raw = self.values[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ParameterError(f"config key {key!r}: cannot read {raw!r}") from None
-
-    def require(self, key: str, cast=str):
-        if key not in self.values:
-            raise ParameterError(f"config key {key!r} is required")
-        return self.get(key, cast)
+def _config_value(values: dict[str, str], key: str, cast=str):
+    """The config text ``values[key]`` read by ``cast``."""
+    if key not in values:
+        raise ParameterError(f"config key {key!r} is required")
+    raw = values[key]
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ParameterError(f"config key {key!r}: cannot read {raw!r}") from None
 
 
 def _run_record(args, **derived) -> str:
@@ -163,16 +148,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_files(out: str, files: dict[str, str]) -> None:
-    """Write each named text into the directory ``out``."""
-    for name, text in files.items():
-        _write_text(os.path.join(out, name), text)
+def _write_outputs(args, files: dict[str, str], **derived) -> None:
+    """Write each named text, and the run record of ``args`` and
+    ``derived`` as ``resolved_config.txt``, into the directory
+    ``args.out``, made if missing."""
+    os.makedirs(args.out, exist_ok=True)
+    record = {"resolved_config.txt": _run_record(args, **derived)}
+    for name, text in (files | record).items():
+        _write_text(os.path.join(args.out, name), text)
 
 
 @contextmanager
 def _failure_marker(out: str):
-    """Write ``FAILED.txt`` into ``out``, naming the exception, if the
-    body raises; the exception propagates."""
+    """Make the directory ``out``, then write ``FAILED.txt`` into it,
+    naming the exception, if the body raises; the exception propagates."""
+    os.makedirs(out, exist_ok=True)
     try:
         yield
     except Exception as exc:
@@ -285,11 +275,18 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--small-set",
-        help=f"LO,HI bounds (default {_small_set_text(DEFAULT_SMALL_SET)})",
+        default=_small_set_text(DEFAULT_SMALL_SET),
+        help="LO,HI bounds (default %(default)s)",
     )
 
 
-def _load_dataset(args) -> TimeSeriesDataset:
+def _fit_inputs(
+    args,
+) -> tuple[TimeSeriesDataset, TruncationSpec, np.ndarray, dict[str, str]]:
+    """The dataset ``args`` name, warning about it on stderr, the
+    truncation and the candidate bandwidth grid they ask for, library
+    defaults filling what they leave out, and the truncation as run
+    record values."""
     x_cols = tuple(_column_selector(c) for c in split_fields(args.x_cols))
     ds = load_csv(
         args.data,
@@ -300,26 +297,15 @@ def _load_dataset(args) -> TimeSeriesDataset:
     )
     for issue in validate(ds):
         print(f"warning: column {issue.column!r}: {issue.message}", file=sys.stderr)
-    return ds
-
-
-def _resolve_fit_args(
-    args, n: int
-) -> tuple[TruncationSpec, np.ndarray, dict[str, str]]:
-    """The truncation and the candidate bandwidth grid ``args`` ask for,
-    library defaults filling what they leave out, and the truncation
-    as run record values."""
-    small_set = (
-        _parse_small_set(args.small_set) if args.small_set else DEFAULT_SMALL_SET
-    )
-    bn = args.bn if args.bn is not None else default_density_floor(n)
+    small_set = _parse_small_set(args.small_set)
+    bn = args.bn if args.bn is not None else default_density_floor(ds.n)
     h_grid = (
         np.array(_parse_list(args.h_grid, float, "--h-grid"))
         if args.h_grid
-        else default_h_grid(n)
+        else default_h_grid(ds.n)
     )
     derived = {"bn": FLOAT_FMT % bn, "small_set": _small_set_text(small_set)}
-    return TruncationSpec(bn, small_set), h_grid, derived
+    return ds, TruncationSpec(bn, small_set), h_grid, derived
 
 
 def _curve_text(label: str, curve) -> str:
@@ -333,8 +319,7 @@ def cmd_estimate(args) -> int:
     if args.h_grid and not args.cv:
         raise ParameterError("--h-grid needs --cv, which searches the grid")
     check_level(args.level)
-    ds = _load_dataset(args)
-    trunc, h_grid, derived = _resolve_fit_args(args, ds.n)
+    ds, trunc, h_grid, derived = _fit_inputs(args)
     if args.cv:
         h, cv_table = _cv_sweep(args, ds, h_grid, trunc, derived)
         derived["h_selected"] = derived.pop("h_star")
@@ -345,9 +330,7 @@ def cmd_estimate(args) -> int:
     derived["h"] = FLOAT_FMT % h
     spec = KernelSpec(args.family, h)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    with _failure_marker(out):
+    with _failure_marker(args.out):
         fit = truncated_sls(ds, spec, trunc)
         ci = None
         if np.all(np.isfinite(fit.avar)):
@@ -380,8 +363,7 @@ def cmd_estimate(args) -> int:
             files[f"h_curve_{lab}.csv"] = _curve_text("h_hat", curve)
         if args.cv:
             files["cv.csv"] = cv_table
-        files["resolved_config.txt"] = _run_record(args, **derived)
-        _write_files(out, files)
+        _write_outputs(args, files, **derived)
 
     theta_txt = ", ".join(
         f"{lab} = {fit.theta_hat[j]:.6g}" for j, lab in enumerate(ds.x_labels)
@@ -391,7 +373,7 @@ def cmd_estimate(args) -> int:
         f"beta_hat = {fit.beta_hat:.4f}, visits = {fit.n_visits}, "
         f"kept {fit.effective_n} of {fit.n} observations"
     )
-    print(f"report written to {out}")
+    print(f"report written to {args.out}")
     return 0
 
 
@@ -416,26 +398,29 @@ def cmd_mc(args) -> int:
         raise ParameterError(
             f"{args.config}: unknown config keys {sorted(unknown)}"
         )
-    # the flags named after config keys override them
-    flags = {key: val for key, val in vars(args).items() if key in _MC_KEYS}
-    rc = RunConfig(file_values, flags, _MC_FILE_DEFAULTS)
+    # library defaults < config file < the flags given, named after keys
+    flags = {k: v for k, v in vars(args).items() if k in _MC_KEYS and v is not None}
+    values = {
+        key: str(val) for key, val in (_MC_FILE_DEFAULTS | file_values | flags).items()
+    }
+    get = partial(_config_value, values)
 
-    experiment = rc.require("experiment")
+    experiment = get("experiment")
     if experiment not in ("theta", "g"):
         raise ParameterError(
             f'experiment must be "theta" or "g", got {experiment!r}'
         )
-    ns = _parse_list(rc.require("n"), int, "config key 'n'")
-    dgps = _parse_list(rc.require("dgp"), str, "config key 'dgp'")
-    bn = rc.get("bn", float)
-    small_set = _parse_small_set(rc.require("small_set"))
+    ns = _parse_list(get("n"), int, "config key 'n'")
+    dgps = _parse_list(get("dgp"), str, "config key 'dgp'")
+    bn = get("bn", float) if "bn" in values else None
+    small_set = _parse_small_set(get("small_set"))
     common = dict(
-        reps=rc.require("reps", int),
-        master_seed=rc.require("master_seed", int),
-        kernel=_parse_kernel_tag(rc.require("kernel")),
-        g_grid_points=rc.require("g_grid_points", int),
-        workers=rc.require("workers", int),
-        **{key: rc.require(key, type(_MC_DEFAULTS[key])) for key in _DESIGN_KEYS},
+        reps=get("reps", int),
+        master_seed=get("master_seed", int),
+        kernel=_parse_kernel_tag(get("kernel")),
+        g_grid_points=get("g_grid_points", int),
+        workers=get("workers", int),
+        **{key: get(key, type(_MC_DEFAULTS[key])) for key in _DESIGN_KEYS},
     )
     # every cell is checked before the output directory is made
     cells = [
@@ -451,9 +436,7 @@ def cmd_mc(args) -> int:
         for n in ns
     ]
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    with _failure_marker(out):
+    with _failure_marker(args.out):
         run = run_theta_experiment if experiment == "theta" else run_g_experiment
         rows = []
         manifest = [
@@ -477,12 +460,11 @@ def cmd_mc(args) -> int:
         files = {
             "table.csv": csv_text(header, list(zip(*rows))),
             "manifest.txt": "\n".join(manifest) + "\n",
-            "resolved_config.txt": _run_record(args, **rc.values),
         }
-        _write_files(out, files)
+        _write_outputs(args, files, **values)
     if common["reps"] < 2:
         print("warning: single replication, se reported as 0", file=sys.stderr)
-    print(f"wrote {len(rows)} cells to {os.path.join(out, 'table.csv')}")
+    print(f"wrote {len(rows)} cells to {os.path.join(args.out, 'table.csv')}")
     return 0
 
 
@@ -500,9 +482,7 @@ def cmd_unitroot(args) -> int:
     )
     sys.stdout.write(table)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        record = _run_record(args)
-        _write_files(args.out, {"unitroot.csv": table, "resolved_config.txt": record})
+        _write_outputs(args, {"unitroot.csv": table})
     return 0
 
 
@@ -527,15 +507,12 @@ def _cv_sweep(args, ds, h_grid, trunc, derived: dict) -> tuple[float, str]:
 
 
 def cmd_bandwidth(args) -> int:
-    ds = _load_dataset(args)
-    trunc, h_grid, derived = _resolve_fit_args(args, ds.n)
+    ds, trunc, h_grid, derived = _fit_inputs(args)
     _, table = _cv_sweep(args, ds, h_grid, trunc, derived)
     sys.stdout.write(table)
     print(f"# h_star = {derived['h_star']}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        record = _run_record(args, **derived)
-        _write_files(args.out, {"cv.csv": table, "resolved_config.txt": record})
+        _write_outputs(args, {"cv.csv": table}, **derived)
     return 0
 
 

@@ -114,24 +114,26 @@ class ValidationIssue:
     message: str
 
 
-def _resolve(col: int | str, names: list[str] | None, path: str) -> int:
-    """Map a column selector (name or 0-based position) to a position."""
-    if isinstance(col, int):
-        width = len(names) if names is not None else None
-        if col < 0 or (width is not None and col >= width):
-            raise SchemaError(f"{path}: no column at position {col}")
-        return col
-    if names is None:
-        raise SchemaError(
-            f"{path}: column {col!r} requested by name but the file was "
-            "read without a header row"
-        )
-    try:
-        return names.index(col)
-    except ValueError:
-        raise SchemaError(
-            f"{path}: column {col!r} not found; header has {names}"
-        ) from None
+def _select(
+    cols: list[int | str], names: list[str] | None, path: str
+) -> tuple[list[int], list[str]]:
+    """The positions of the column selectors ``cols`` (names, or 0-based
+    positions), and their labels: the header name, or ``col<position>``."""
+    positions = []
+    for col in cols:
+        if isinstance(col, int):
+            if col < 0 or (names is not None and col >= len(names)):
+                raise SchemaError(f"{path}: no column at position {col}")
+        elif names is None:
+            raise SchemaError(
+                f"{path}: column {col!r} requested by name but the file was "
+                "read without a header row"
+            )
+        elif col not in names:
+            raise SchemaError(f"{path}: column {col!r} not found; header has {names}")
+        positions.append(col if isinstance(col, int) else names.index(col))
+    labels = [names[p] if names is not None else f"col{p}" for p in positions]
+    return positions, labels
 
 
 def read_columns(
@@ -154,7 +156,9 @@ def read_columns(
     data rows, or a selector naming no column, raises
     :class:`SchemaError`.  A selected cell that is not a float raises
     :class:`ParseError` naming its column label and 1-based data row;
-    a row too short to reach a selected column, one naming the row.
+    a row too short to reach a selected column, one naming the row, and
+    a line :mod:`csv` cannot read (a field over its size limit), one
+    naming the line.
 
     numpy's C reader parses the rows.  Input it refuses or warns about
     is read again by :func:`_read_columns_exact`, which returns the
@@ -184,7 +188,7 @@ def _read_columns_fast(
                 raise SchemaError(f"{path}: empty file")
             names = [c.strip() for c in first]
         try:
-            positions = [_resolve(c, names, path) for c in cols]
+            positions, labels = _select(cols, names, path)
         except SchemaError:
             # a file without data rows says so before a selector fails;
             # finding one row settles it, the others are never read
@@ -200,9 +204,6 @@ def _read_columns_fast(
             quotechar='"',
             ndmin=2,
         )
-    labels = [
-        names[p] if names is not None else f"col{p}" for p in positions
-    ]
     return data, labels
 
 
@@ -212,8 +213,11 @@ def _read_columns_exact(
     """:func:`read_columns` one cell at a time with ``csv`` and
     ``float``: the definition the fast path must reproduce."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        reader = csv.reader(fh)
+        try:
+            rows = [r for r in reader if r]
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     names: list[str] | None = None
     if header:
         if not rows:
@@ -223,11 +227,7 @@ def _read_columns_exact(
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 
-    positions = [_resolve(c, names, path) for c in cols]
-    labels = [
-        names[p] if names is not None else f"col{p}" for p in positions
-    ]
-
+    positions, labels = _select(cols, names, path)
     data = np.empty((len(rows), len(positions)))
     for i, row in enumerate(rows):
         for j, pos in enumerate(positions):

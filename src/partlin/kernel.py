@@ -135,8 +135,7 @@ def _settle_edge(
     flat = padded.ravel()
     at = guess + (np.arange(padded.shape[0]) * width)[:, None]
     late = past((flat[at] - points) / h)
-    # a NaN point fails every comparison; its guess n must stay put
-    early = ~past((flat[at + 1] - points) / h) & (guess < n)
+    early = ~past((flat[at + 1] - points) / h)
     bad = np.flatnonzero(late | early)
     if bad.size == 0:
         return guess
@@ -393,7 +392,7 @@ def _block_sums(
     if leave_out:
         mass -= poly[0]
 
-    # windows lost to cancellation, or at NaN points; constant kernels count exactly
+    # windows lost to cancellation; constant kernels count exactly
     redo = np.flatnonzero(~(mass > _CANCELLED * scale) if deg else [])
     if own:  # back to sample order
         mass = np.take(mass, view.rank)
@@ -452,6 +451,14 @@ def weights(
     return k / total
 
 
+def _regression(mass: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel regression values ``sums / mass``, targets on the last axis
+    of ``sums``, and where they are defined: NaN and False at no mass."""
+    valid = mass > 0.0
+    out = np.full(sums.shape, np.nan)
+    return np.divide(sums, mass[..., None], out=out, where=valid[..., None]), valid
+
+
 def _density_masks(mass, visits, h: float, trunc: TruncationSpec) -> np.ndarray:
     """``truncation_mask`` of each path from its own points' kernel mass
     and its visit count; the mask of a path without visits means nothing."""
@@ -502,8 +509,5 @@ def smooth(
         raise ParameterError(
             f"targets rows {tg.shape[0]} do not match n = {view.v.size}"
         )
-    mass, sums = _window_sums(view, None, spec, tg)
-    valid = mass > 0.0
-    out = np.full(tg.shape, np.nan)
-    out[valid] = sums[valid] / mass[valid, None]
+    out, valid = _regression(*_window_sums(view, None, spec, tg))
     return (out[:, 0] if squeeze else out), valid

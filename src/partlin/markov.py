@@ -226,23 +226,3 @@ def regeneration_blocks(
         tail=float(sums[-1]),
         boundaries=visits,
     )
-
-
-def ergodic_ratio(
-    v: np.ndarray,
-    f: Callable[[float], float],
-    small_set: SmallSet,
-) -> float:
-    """Sample sum of f along the path divided by the complete block count.
-
-    This is the natural estimate of the limiting mean of f under the
-    invariant measure, normalised by regenerations rather than by n.
-    Needs at least two visits, otherwise there is no complete block.
-    """
-    dec = regeneration_blocks(v, f, small_set)
-    if dec.n_complete == 0:
-        raise NoVisitsError(
-            "only one visit to the small set, no complete block to average"
-        )
-    total = dec.head + float(dec.blocks.sum()) + dec.tail
-    return total / dec.n_complete

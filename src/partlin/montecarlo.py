@@ -42,13 +42,7 @@ import numpy as np
 
 from .bandwidth import cv_select, default_h_grid
 from .dataset import TimeSeriesDataset
-from .errors import (
-    ExperimentError,
-    NoVisitsError,
-    ParameterError,
-    RankError,
-    TruncationError,
-)
+from .errors import ExperimentError, ParameterError, PartlinError
 from .kernel import (
     KERNEL_L2,
     KernelSpec,
@@ -63,7 +57,6 @@ from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci
 STREAMS_PER_REP = 4
 DGPS = ("H_zero", "H_identity")
 G0_TAGS = ("identity", "zero")
-_FIT_ERRORS = (RankError, TruncationError, NoVisitsError)
 
 
 @dataclass(frozen=True)
@@ -242,12 +235,16 @@ def _fit_block(cfg, kspec, trunc, reps):
 
 
 def _failed(fit) -> bool:
-    return isinstance(fit, _FIT_ERRORS)
+    return isinstance(fit, PartlinError)
 
 
-def _coefficients(fits: list, d: int) -> np.ndarray:
-    """The fitted coefficients as rows, zeros standing in for failures."""
-    return np.array([np.zeros(d) if _failed(f) else f for f in fits])
+def _curve_block(cfg, kspec, trunc, reps, grid_of):
+    """The fits of ``reps``, their grids ``grid_of(v)`` and their curves
+    there (``_curve_rows``, zeros standing in for failed fits)."""
+    y, x, v, view, fits, _, _ = _fit_block(cfg, kspec, trunc, reps)
+    grids = grid_of(v)
+    thetas = np.array([np.zeros(x.shape[2]) if _failed(f) else f for f in fits])
+    return (fits, grids, *_curve_rows(y, x, thetas, view, grids, kspec))
 
 
 # each experiment's replications, module level so workers unpickle them;
@@ -265,9 +262,7 @@ def _theta_replicate(cfg, kspec, trunc, ci_level, reps) -> list:
             # only an interval needs the covariance block of the full fit
             out.append((theta, np.nan))
             continue
-        fit = _sls_fit(
-            theta, masks[r], tilde[r, :, 0], tilde[r, :, 1:], v[r], kspec, trunc
-        )
+        fit = _sls_fit(theta, masks[r], tilde[r], v[r], kspec, trunc)
         try:
             ci = asymptotic_ci(fit, ci_level)
         except ParameterError:
@@ -281,10 +276,8 @@ def _g_replicate(cfg, kspec, trunc, reps) -> list:
     """(mean absolute curve error, invalid grid points) on each
     replication's own grid; None also when no grid point has kernel
     mass."""
-    y, x, v, view, fits, _, _ = _fit_block(cfg, kspec, trunc, reps)
-    grids = table_grid(v, cfg.g_grid_points)
-    values, _, valid = _curve_rows(
-        y, x, _coefficients(fits, x.shape[2]), view, grids, kspec
+    fits, grids, values, _, valid = _curve_block(
+        cfg, kspec, trunc, reps, partial(table_grid, points=cfg.g_grid_points)
     )
     err = np.abs(values - _g0_values(cfg.g0, grids))
     out = []
@@ -300,10 +293,8 @@ def _g_replicate(cfg, kspec, trunc, reps) -> list:
 def _gpoint_replicate(cfg, kspec, trunc, v_point, reps) -> list:
     """(sqrt(local mass) times the curve error at ``v_point``, 1 if the
     point has no kernel mass else 0)."""
-    y, x, v, view, fits, _, _ = _fit_block(cfg, kspec, trunc, reps)
-    grids = np.full((len(fits), 1), v_point)
-    values, mass, valid = _curve_rows(
-        y, x, _coefficients(fits, x.shape[2]), view, grids, kspec
+    fits, _, values, mass, valid = _curve_block(
+        cfg, kspec, trunc, reps, lambda v: np.full((v.shape[0], 1), v_point)
     )
     g0v = float(_g0_values(cfg.g0, np.array([v_point]))[0])
     out = []

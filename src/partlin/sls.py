@@ -43,6 +43,7 @@ from .kernel import (
     TruncationSpec,
     _block_sums,
     _density_masks,
+    _regression,
     _window_sums,
     smooth,
 )
@@ -105,6 +106,20 @@ class CurveEstimate:
     values: np.ndarray
     local_mass: np.ndarray
     valid: np.ndarray
+
+
+def _check_theta(ds: TimeSeriesDataset, theta: np.ndarray) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (ds.d,) or not np.all(np.isfinite(theta)):
+        raise ParameterError(f"theta must be finite of shape ({ds.d},), got {theta}")
+    return theta
+
+
+def _check_grid(grid: np.ndarray, name: str = "grid") -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
+        raise ParameterError(f"{name} must be a nonempty 1-d array of finite points")
+    return grid
 
 
 def _detrend(ds: TimeSeriesDataset, spec: KernelSpec) -> np.ndarray:
@@ -187,16 +202,16 @@ def _truncated_rows(y, x, view, spec, trunc):
 
 def _truncated_solve(
     ds: TimeSeriesDataset, spec: KernelSpec, trunc: TruncationSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients, the truncation mask, and the detrended data
-    ``(ytilde, xtilde)`` they were solved from: ``_truncated_rows`` of
-    one dataset, raising its fit error."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, the truncation mask, and the (n, 1 + d) detrended
+    columns, y first, they were solved from: ``_truncated_rows`` of one
+    dataset, raising its fit error."""
     (theta,), masks, tilde = _truncated_rows(
         ds.y[None], ds.x[None], ds.sorted_v, spec, trunc
     )
     if isinstance(theta, PartlinError):
         raise theta
-    return theta, masks[0], tilde[0, :, 0], tilde[0, :, 1:]
+    return theta, masks[0], tilde[0]
 
 
 def truncated_theta(
@@ -213,9 +228,7 @@ def residuals(
 
     ``eps_hat = ytilde - xtilde' theta`` and ``u_hat = xtilde``.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ds.d,):
-        raise ParameterError(f"theta must have shape ({ds.d},), got {theta.shape}")
+    theta = _check_theta(ds, theta)
     tilde = _detrend(ds, spec)
     xt = tilde[:, 1:]
     return ResidualSet(eps_hat=tilde[:, 0] - xt @ theta, u_hat=xt)
@@ -309,14 +322,14 @@ def truncated_sls(
 def _sls_fit(
     theta: np.ndarray,
     mask: np.ndarray,
-    yt: np.ndarray,
-    xt: np.ndarray,
+    tilde: np.ndarray,
     v: np.ndarray,
     spec: KernelSpec,
     trunc: TruncationSpec,
 ) -> SlsFit:
     """``truncated_sls`` from one path's solved coefficients, mask and
-    detrended data, and its covariate ``v``."""
+    (n, 1 + d) detrended columns, y first, and its covariate ``v``."""
+    yt, xt = tilde[:, 0], tilde[:, 1:]
     n, d = xt.shape
     cov = longrun_covariance(yt - xt @ theta, xt, default_max_lag(n))
     cond = np.linalg.cond(cov.sigma_u)
@@ -380,10 +393,8 @@ def _curve_rows(
     local masses and validity flags."""
     target = np.stack([yr - xr @ th for yr, xr, th in zip(y, x, thetas)])
     mass, sums = _block_sums(view, grids, spec, target[:, :, None])
-    valid = mass > 0.0
-    values = np.full(mass.shape, np.nan)
-    values[valid] = sums[..., 0][valid] / mass[valid]
-    return values, mass, valid
+    values, valid = _regression(mass, sums)
+    return values[..., 0], mass, valid
 
 
 def estimate_g(
@@ -397,12 +408,7 @@ def estimate_g(
     Smooths the partial residual y - x' theta.  Grid points with no
     sample mass get NaN and a False flag.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ds.d,):
-        raise ParameterError(f"theta must have shape ({ds.d},), got {theta.shape}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ParameterError("grid must be a nonempty 1-d array")
+    theta, grid = _check_theta(ds, theta), _check_grid(grid)
     values, mass, valid = _curve_rows(
         ds.y[None], ds.x[None], theta[None], ds.sorted_v, grid[None], spec
     )
@@ -422,13 +428,10 @@ def estimate_h(
     detrending, reported on a grid for inspection, one estimate per
     regressor column.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ParameterError("grid must be a nonempty 1-d array")
+    grid = _check_grid(grid)
     mass, sums = _window_sums(ds.sorted_v, grid, spec, ds.x)
-    valid = mass > 0.0
-    values = np.divide(sums.T, mass, out=np.full(sums.T.shape, np.nan), where=valid)
+    values, valid = _regression(mass, sums)
     return [
         CurveEstimate(grid=grid, values=col, local_mass=mass, valid=valid)
-        for col in values
+        for col in values.T
     ]

@@ -29,8 +29,9 @@ class DfResult:
             raise ParameterError(f"p_value outside [0, 1]: {self.p_value}")
 
 
-def _ols_pieces(z: np.ndarray) -> tuple[float, float]:
-    """No-intercept AR(1) slope and its standard error."""
+def _ar1_fit(z: np.ndarray) -> tuple[float, float]:
+    """No-intercept AR(1) slope rho_hat and the t ratio
+    (rho_hat - 1) / se(rho_hat)."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size < 3:
         raise ParameterError("need a 1-d series of length >= 3")
@@ -44,24 +45,17 @@ def _ols_pieces(z: np.ndarray) -> tuple[float, float]:
     rho = float(lag @ cur) / sxx
     resid = cur - rho * lag
     dof = cur.size - 1
-    s2 = float(resid @ resid) / dof
-    return rho, float(np.sqrt(s2 / sxx))
-
-
-def fit_ar1(z: np.ndarray) -> float:
-    """Least squares slope of z_t on z_{t-1} through the origin."""
-    rho, _ = _ols_pieces(z)
-    return rho
-
-
-def df_statistic(z: np.ndarray) -> float:
-    """t ratio (rho_hat - 1) / se(rho_hat)."""
-    rho, se = _ols_pieces(z)
+    se = float(np.sqrt(float(resid @ resid) / dof / sxx))
     if se == 0.0:
         raise ParameterError(
             "zero residual variance, the series is deterministic"
         )
-    return (rho - 1.0) / se
+    return rho, (rho - 1.0) / se
+
+
+def df_statistic(z: np.ndarray) -> float:
+    """t ratio (rho_hat - 1) / se(rho_hat)."""
+    return _ar1_fit(z)[1]
 
 
 def _simulated_t(n: int, reps: int, seed: int) -> np.ndarray:
@@ -114,7 +108,6 @@ def df_test(z: np.ndarray, reps: int = 2000, seed: int = 0) -> DfResult:
     The null simulation uses the observed series length.
     """
     z = np.asarray(z, dtype=float)
-    rho, _ = _ols_pieces(z)
-    t = df_statistic(z)
+    rho, t = _ar1_fit(z)
     p = simulated_pvalue(t, z.size, reps, seed)
     return DfResult(rho_hat=rho, t_stat=t, p_value=p, sim_reps=reps)

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import build_dataset
 from partlin import __version__
-from partlin.cli import RunConfig, build_parser, main, parse_kv_file
+from partlin.cli import build_parser, main, parse_kv_file
 from partlin.dataset import TimeSeriesDataset, load_csv, write_csv
 from partlin.errors import ParameterError, ParseError
 from partlin.kernel import DENSITY_FLOOR_SCALE, KernelSpec, default_truncation
@@ -42,35 +42,6 @@ def test_parse_kv_last_duplicate_wins(tmp_path):
     p = tmp_path / "a.cfg"
     p.write_text("n = 10\nn = 20\n")
     assert parse_kv_file(str(p)) == {"n": "20"}
-
-
-def test_run_config_precedence_and_text(tmp_path):
-    defaults = {"dgp": "H_identity", "kernel": "cv", "workers": 1}
-    rc = RunConfig({"reps": "5", "dgp": "H_zero"}, {"reps": None}, defaults)
-    assert rc.get("reps", int) == 5  # an absent flag changes nothing
-    assert rc.get("dgp") == "H_zero"  # a file value beats the default
-    assert rc.get("kernel") == "cv"
-    assert rc.get("workers", int) == 1
-    assert RunConfig({"reps": "5"}, {"reps": 9}).get("reps", int) == 9
-    cfg = write_mc_config(tmp_path, n="40", dgp="H_zero")
-    out = tmp_path / "o"
-    assert main(["mc", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 0
-    lines = (out / "resolved_config.txt").read_text().splitlines()
-    assert lines[0] == "command = mc"
-    assert "reps = 2" in lines
-    assert "kernel = uniform:0.6" in lines
-    assert "workers = 1" in lines
-    assert f"partlin_version = {__version__}" in lines
-    assert any(line.startswith("numpy_version = ") for line in lines)
-    assert any(line.startswith("scipy_version = ") for line in lines)
-
-
-def test_run_config_errors():
-    rc = RunConfig({"n": "abc"})
-    with pytest.raises(ParameterError, match="cannot read"):
-        rc.get("n", int)
-    with pytest.raises(ParameterError, match="required"):
-        rc.require("missing")
 
 
 # ---------------------------------------------------------------- simulate
@@ -202,6 +173,17 @@ def test_estimate_missing_data_file_exits_before_output(tmp_path, capsys):
     code = main(["estimate", "--data", str(tmp_path / "no.csv"), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_estimate_oversized_field_exits_before_output(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text('y,x1,v\n"' + "a" * 200_000 + '",2,3\n')
+    out = tmp_path / "never"
+    assert main(["estimate", "--data", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -361,6 +343,38 @@ def test_mc_table_and_manifest(tmp_path):
     resolved = (out / "resolved_config.txt").read_text()
     assert "command = mc" in resolved
     assert "master_seed = 9" in resolved
+
+
+def test_mc_config_precedence_and_record(tmp_path):
+    """Library defaults < config file < the flags given, and the run
+    record lists every resolved key."""
+    cfg = write_mc_config(tmp_path, n="40", dgp="H_zero", reps="5")
+    out = tmp_path / "o"
+    assert main(["mc", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 0
+    with open(out / "table.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert int(row["reps_used"]) + int(row["failures"]) == 2
+    lines = (out / "resolved_config.txt").read_text().splitlines()
+    assert lines[0] == "command = mc"
+    assert "reps = 2" in lines  # the flag beats the file
+    assert "master_seed = 9" in lines  # an absent flag changes nothing
+    assert "kernel = uniform:0.6" in lines  # the file beats the default "cv"
+    assert "workers = 1" in lines  # the default fills what the file leaves out
+    assert f"eps_rho = {McConfig.eps_rho}" in lines
+    assert f"partlin_version = {__version__}" in lines
+    assert any(line.startswith("numpy_version = ") for line in lines)
+    assert any(line.startswith("scipy_version = ") for line in lines)
+
+
+def test_mc_config_errors(tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg = write_mc_config(tmp_path, reps="abc")
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config key 'reps': cannot read 'abc'" in capsys.readouterr().err
+    cfg.write_text("experiment = theta\nn = 40\ndgp = H_zero\nmaster_seed = 1\n")
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config key 'reps' is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mc_runs_are_byte_identical(tmp_path):

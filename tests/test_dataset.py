@@ -196,6 +196,15 @@ def test_short_row_rejected(tmp_path):
         load_csv(str(path))
 
 
+def test_oversized_field_is_a_parse_error(tmp_path):
+    """A field over the csv module's size limit fails both readers; the
+    error names the file and the line, not csv's own exception."""
+    path = tmp_path / "data.csv"
+    path.write_text('y,x1,v\n1,2,3\n"' + "a" * 200_000 + '",2,3\n')
+    with pytest.raises(ParseError, match=f"{path}: line 3: field larger"):
+        load_csv(str(path))
+
+
 def test_empty_and_header_only_files(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -15,7 +15,6 @@ from partlin.markov import (
     _ar1_recursion,
     SmallSet,
     count_small_set_visits,
-    ergodic_ratio,
     estimate_beta,
     regeneration_blocks,
     simulate_ar1,
@@ -277,24 +276,6 @@ def test_blocks_require_data_and_visits():
         regeneration_blocks(np.array([]), lambda x: x, small)
     with pytest.raises(NoVisitsError):
         regeneration_blocks(np.array([3.0, 4.0]), lambda x: x, small)
-
-
-def test_ergodic_ratio_hand_case():
-    v = np.array([0.0, 2.0, 0.0])
-    assert ergodic_ratio(v, lambda x: 1.0, SmallSet(-1.0, 1.0)) == 3.0
-
-
-def test_ergodic_ratio_counts_all_terms():
-    v = simulate_random_walk(500, 1.0, 0.0, 13)
-    small = SmallSet(-1.0, 1.0)
-    visits = count_small_set_visits(v, small)
-    got = ergodic_ratio(v, lambda x: 1.0, small)
-    assert got == pytest.approx(500.0 / (visits - 1))
-
-
-def test_ergodic_ratio_needs_complete_block():
-    with pytest.raises(NoVisitsError, match="complete"):
-        ergodic_ratio(np.array([0.0, 5.0]), lambda x: x, SmallSet(-1.0, 1.0))
 
 
 def test_block_decomposition_n_complete():

@@ -144,10 +144,12 @@ def test_residuals_reconstruct_detrended_response():
     )
 
 
+@pytest.mark.filterwarnings("error")
 def test_residuals_theta_shape_checked():
     ds = build_dataset(seed=6, n=30)
-    with pytest.raises(ParameterError, match="shape"):
-        residuals(ds, np.array([1.0, 2.0]), KernelSpec("uniform", 0.3))
+    for theta in ([1.0, 2.0], [np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(ParameterError, match="shape"):
+            residuals(ds, np.array(theta), KernelSpec("uniform", 0.3))
 
 
 def test_longrun_covariance_no_lag_terms_by_hand():
@@ -362,15 +364,29 @@ def test_estimate_g_interpolates_fit_smoother():
     np.testing.assert_array_equal(curve.values, want)
 
 
+_BAD_GRIDS = (np.zeros((2, 2)), [], [0.0, np.nan], [np.inf], [-np.inf])
+
+
+@pytest.mark.filterwarnings("error")
 def test_estimate_g_validates_inputs():
     ds = build_dataset(seed=20, n=40)
-    spec = KernelSpec("uniform", 0.3)
-    with pytest.raises(ParameterError, match="shape"):
-        estimate_g(ds, np.array([1.0, 2.0]), np.array([0.0]), spec)
-    with pytest.raises(ParameterError, match="grid"):
-        estimate_g(ds, np.array([1.0]), np.zeros((2, 2)), spec)
-    with pytest.raises(ParameterError, match="grid"):
-        estimate_g(ds, np.array([1.0]), np.array([]), spec)
+    for family in ("uniform", "epanechnikov"):
+        spec = KernelSpec(family, 0.3)
+        for theta in ([1.0, 2.0], [np.nan], [np.inf], [-np.inf]):
+            with pytest.raises(ParameterError, match="shape"):
+                estimate_g(ds, np.array(theta), np.array([0.0]), spec)
+        for grid in _BAD_GRIDS:
+            with pytest.raises(ParameterError, match="grid"):
+                estimate_g(ds, np.array([1.0]), np.asarray(grid), spec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_h_validates_grid():
+    ds = build_dataset(seed=20, n=40)
+    for family in ("uniform", "epanechnikov"):
+        for grid in _BAD_GRIDS:
+            with pytest.raises(ParameterError, match="grid"):
+                estimate_h(ds, np.asarray(grid), KernelSpec(family, 0.3))
 
 
 def test_estimate_h_tracks_identity_regressor():

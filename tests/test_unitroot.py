@@ -16,15 +16,14 @@ from partlin.unitroot import (
     DfResult,
     df_statistic,
     df_test,
-    fit_ar1,
     _simulated_t,
     simulated_pvalue,
 )
 
 
 def test_slope_by_hand():
-    # sum z_{t-1} z_t = 10, sum z_{t-1}^2 = 5
-    assert fit_ar1(np.array([1.0, 2.0, 4.0])) == 2.0
+    # sum z_{t-1} z_t = 8, sum z_{t-1}^2 = 5
+    assert df_test(np.array([1.0, 2.0, 3.0]), reps=100).rho_hat == 8.0 / 5.0
 
 
 def test_statistic_by_hand():
@@ -46,11 +45,11 @@ def test_statistic_matches_oracle():
 
 def test_input_validation():
     with pytest.raises(ParameterError):
-        fit_ar1(np.array([1.0, 2.0]))
+        df_statistic(np.array([1.0, 2.0]))
     with pytest.raises(ParameterError, match="finite"):
-        fit_ar1(np.array([1.0, np.nan, 2.0]))
+        df_statistic(np.array([1.0, np.nan, 2.0]))
     with pytest.raises(ParameterError, match="zero"):
-        fit_ar1(np.array([0.0, 0.0, 0.0]))
+        df_statistic(np.array([0.0, 0.0, 0.0]))
     with pytest.raises(ParameterError, match="deterministic"):
         df_statistic(np.array([1.0, 2.0, 4.0, 8.0]))
 
