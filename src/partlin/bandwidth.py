@@ -13,10 +13,11 @@ the coefficient refit uses the floor, and only observations passing the
 floor are scored, so the criterion compares bandwidths on a common
 footing in the well visited region.
 
-Each bandwidth is one pass of window sums, left out, of y and x at
-every sample point.  Adding back each point's own term K(0) (y, x) gives
-the full sums, from which the mask and the refit are read as in a fit
-(``sls._fit_rows``), and the left-out sums give the leave-one-out fit.
+Each bandwidth is one left-out read of window sums of y and x at every
+sample point off their prefix table, built once for the uniform kernel
+and per h for others.  Adding back each point's own term K(0) (y, x)
+gives the full sums, from which the mask and the refit are read as in
+a fit (``sls._fit_rows``); the left-out sums give the leave-one-out fit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .kernel import (
     KERNEL_AT_ZERO,
     KernelSpec,
     TruncationSpec,
-    _window_sums,
+    _block_sums,
+    _prefix_table,
     default_bandwidth,
 )
 from .sls import _check_grid, _fit_rows
@@ -85,11 +87,14 @@ def cv_select(
     visits = np.count_nonzero(trunc.small_set.contains(ds.sorted_v.values), axis=1)
     if visits[0] == 0:
         raise NoVisitsError("the path never enters the small set")
-    stacked = np.column_stack([ds.y, ds.x])
+    view, stacked = ds.sorted_v, np.column_stack([ds.y, ds.x])[None]
     criterion = np.full(h_grid.size, np.inf)
     dropped = np.zeros(h_grid.size, dtype=int)
+    table = None
     for i, spec in enumerate(specs):
-        criterion[i], dropped[i] = _score(ds.sorted_v, stacked, visits, spec, trunc)
+        if table is None or table[-1] is not None:  # its blocks are h wide
+            table = _prefix_table(view, spec, stacked)
+        criterion[i], dropped[i] = _score(view, stacked, table, visits, spec, trunc)
 
     if not np.any(np.isfinite(criterion)):
         raise SelectionError(
@@ -104,22 +109,23 @@ def cv_select(
     )
 
 
-def _score(view, stacked, visits, spec, trunc) -> tuple[float, int]:
+def _score(view, stacked, table, visits, spec, trunc) -> tuple[float, int]:
     """The criterion at one bandwidth and its dropped count, from one
-    left-out pass over the (n, 1 + d) columns ``stacked``, y first.
-    A fit that fails scores infinity with none dropped."""
+    left-out read of ``table``, the prefix table of the (1, n, 1 + d)
+    columns ``stacked``, y first.  A fit that fails scores infinity
+    with none dropped."""
     k0 = KERNEL_AT_ZERO[spec.family]
-    loo_mass, loo_sums = _window_sums(view, None, spec, stacked, leave_out=True)
-    sums = loo_sums + k0 * stacked
+    loo_mass, loo_sums = _block_sums(view, None, spec, table, leave_out=True)
     (theta,), (mask,), _ = _fit_rows(
-        stacked[None], (loo_mass + k0)[None], sums[None], visits, spec, trunc
+        stacked, loo_mass + k0, loo_sums + k0 * stacked, visits, spec, trunc
     )
     if isinstance(theta, PartlinError):
         return np.inf, 0
-    usable = mask & (loo_mass > 0.0)
+    loo_mass, usable = loo_mass[0], mask & (loo_mass[0] > 0.0)
     dropped = int(np.count_nonzero(mask)) - int(np.count_nonzero(usable))
     if not usable.any():
         return np.inf, dropped
     coef = np.append(1.0, -theta)
-    err = stacked[usable] @ coef - (loo_sums[usable] @ coef) / loo_mass[usable]
+    with np.errstate(divide="ignore", invalid="ignore"):  # every point, then the usable
+        err = (stacked[0] @ coef - (loo_sums[0] @ coef) / loo_mass)[usable]
     return float(err @ err), dropped

@@ -12,13 +12,14 @@ window, the sample points with |(v_t - p_i)/h| <= 1 in floating point,
 as one contiguous run of its row's sorted sample; the points of every
 row are searched in one call.  When the points are the sample itself,
 the windows depend on h alone: the view finds them once per bandwidth
-and keeps those of the latest bandwidth.  A fit at one h is one pass,
-its truncation mask read off the mass of its detrending sums, and so is
-each bandwidth of the cross validation sweep, a left-out pass.  Every
-family is a polynomial in u on its window, so window sums are read off
-prefix sums of moments, O((n + p) log n) whatever the window sizes: of
-each row for a constant kernel, else of blocks of width h, re-centred
-to each point (Seifert et al. 1994, Fan & Marron 1994).
+and keeps those of the latest bandwidth.  Every family is a polynomial
+in u on its window, so window sums are read off a table of prefix sums
+of moments (``_prefix_table``), O((n + p) log n) whatever the window
+sizes: of each row for a constant kernel, a table that holds for every
+h, so the cross validation sweep builds it once, else of blocks of
+width h, re-centred to each point (Seifert et al. 1994, Fan & Marron
+1994).  A fit at one h is one pass, its truncation mask read off the
+mass of its detrending sums.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ class SortedView:
         lower end is at most i.
         """
         if self._own is None or self._own[0] != h:
+            self._own = None  # no two bandwidths' windows at once
             count, n = self.values.shape
             lo = self._lower_ends(self.values, h)
             ends = np.bincount(
@@ -268,67 +270,46 @@ class SortedView:
 
 
 def _as_view(v_series: np.ndarray | SortedView) -> SortedView:
-    return v_series if isinstance(v_series, SortedView) else SortedView(v_series)
+    """The covariate's ``SortedView``, sorted here from a plain array;
+    a NaN or infinite covariate value is rejected by position."""
+    view = v_series if isinstance(v_series, SortedView) else SortedView(v_series)
+    bad = np.flatnonzero(~np.isfinite(view.v))
+    if bad.size:
+        at = int(bad[0])
+        raise ParameterError(
+            f"covariate must be finite, got {view.v.flat[at]} at position {at}"
+        )
+    return view
 
 
-def _block_sums(
-    view: SortedView,
-    points: np.ndarray | None,
-    spec: KernelSpec,
-    targets: np.ndarray | None,
-    leave_out: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Kernel mass and kernel weighted target sums at each point of
-    every path in ``view``.
-
-    With R paths of length n, ``points`` is an (R, p) array, row r
-    holding the evaluation points of path r, or None for each path's
-    own sample points (p = n, in sample order); ``targets`` is None or
-    an (R, n, k) array in sample order.  Returns ``(mass, sums)``, of
-    shapes (R, p) and (R, p, k), where ``mass[r, i] = sum_t
-    K((v_rt - p_ri)/h)`` and ``sums[r, i, j] = sum_t K((v_rt - p_ri)/h)
-    * targets[r, t, j]`` (None when no targets are passed).  Kernel
-    values are unscaled by 1/h.  ``leave_out`` drops each own point's
-    own term (t = i) from both.  Own points are worked in sorted order
-    on the view's windows of this bandwidth, and the results are put
-    back in sample order once.
+def _prefix_table(view: SortedView, spec: KernelSpec, targets) -> tuple:
+    """The table ``_block_sums`` reads window sums off: prefix sums of
+    ``targets`` (None or (R, n, k) in sample order) in blocks of the
+    sorted rows of ``view``, ``(pref, base, starts, inner, outer, flat,
+    cell)``.
 
     K is a polynomial of degree D in u on its window (``_POLYNOMIAL``).
-    A constant K takes each row as one block; others cut the rows at
-    cells of width h, so a window is the pieces of at most four blocks,
-    each read off two prefix sums and re-centred to the point by
-    binomial expansion.  A window whose mass is below ``_CANCELLED`` of
-    the magnitudes it is formed from (its samples at or near its edges,
-    or, left out, none but the point) is summed over its pairs instead.
+    A constant K takes each row as one block, a table that holds for
+    every h (``cell`` None); others cut the rows at cells of width
+    ``cell`` = h.  Block b begins at ``starts[b]`` of the flattened rows
+    and spans ``inner[b]`` to ``outer[b]`` of its row, and
+    ``pref[base[b] + i]`` sums it before its i-th point: each target w
+    and, for q = 1..D, w a**q with w = 1 and each target, a = (v - c)/h,
+    c the block's first value.  ``flat`` is the targets as (R n, k).
     """
     count, n = view.values.shape
     h = spec.bandwidth
-    own = points is None
-    if own:
-        points = view.values
-        lo, hi = view.own_windows(h)
-    else:
-        lo, hi = view.windows(points, h)
-    poly = _POLYNOMIAL[spec.family]
-    deg = len(poly) - 1
+    deg = len(_POLYNOMIAL[spec.family]) - 1
     k = 0 if targets is None else targets.shape[-1]
     flat = None if targets is None else targets.reshape(count * n, k)
-
-    # blocks as runs of the flattened rows, and each window's first one
-    starts, first = np.arange(count) * n, np.arange(count)[:, None]
+    starts = np.arange(count) * n
     if deg:
         sv = view.values.ravel()
         cell = np.floor((view.values - view.values[:, :1]) / h)
         starts = np.flatnonzero(np.diff(cell, axis=1, prepend=np.nan))
-        first = np.searchsorted(starts, np.minimum(lo, n - 1) + first * n, "right") - 1
     ends = np.append(starts[1:], count * n)
     inner, outer = starts % n, ends - starts + starts % n
-
-    # prefix sums, restarted at each block, of each target w and for q =
-    # 1..D of w a**q, w = 1 and each target, a = (v - c)/h, c the block's
-    # first value: ``pref[base[b] + i]`` sums block b before i.  A size
-    # class of blocks, sizes in (2**(c-1), 2**c], is summed as one array
-    ones = [k + q * (1 + k) for q in range(deg)]  # the columns of 1 a**(q+1)
+    # a size class of blocks, sizes in (2**(c-1), 2**c], is summed as one array
     cls = np.ceil(np.log2(ends - starts))
     classes = [np.flatnonzero(cls == c) for c in np.unique(cls)]
     widths = [int((ends - starts)[sel].max()) + 1 for sel in classes]
@@ -349,8 +330,51 @@ def _block_sums(
         if deg:
             a = (np.take(sv, at, mode="clip") - sv[starts[sel], None])[..., None] / h
             w = np.concatenate([np.ones_like(a)] + ([w] if k else []), axis=2)
-        for q, col in enumerate(ones, 1):
+        for q, col in enumerate(range(k, pref.shape[1], 1 + k), 1):
             np.cumsum(w * a**q, axis=1, out=seg[..., col:col + 1 + k])
+    return pref, base, starts, inner, outer, flat, h if deg else None
+
+
+def _block_sums(view: SortedView, points, spec: KernelSpec, table, leave_out=False):
+    """Kernel mass and kernel weighted target sums at each point of
+    every path in ``view``.
+
+    With R paths of length n, ``points`` is an (R, p) array, row r
+    holding the evaluation points of path r, or None for each path's
+    own sample points (p = n, in sample order); ``table`` is the
+    ``_prefix_table`` for ``spec`` of ``targets``, None or an (R, n, k)
+    array in sample order.  Returns ``(mass, sums)``, of shapes (R, p)
+    and (R, p, k), where ``mass[r, i] = sum_t K((v_rt - p_ri)/h)`` and
+    ``sums[r, i, j] = sum_t K((v_rt - p_ri)/h) * targets[r, t, j]``
+    (None when no targets are passed).  Kernel
+    values are unscaled by 1/h.  ``leave_out`` drops each own point's
+    own term (t = i) from both.  Own points are worked in sorted order
+    on the view's windows of this bandwidth, and the results are put
+    back in sample order once.
+
+    A window is the pieces of at most four blocks of the table, each
+    read off two prefix sums and re-centred to the point by binomial
+    expansion.  A window whose mass is below ``_CANCELLED`` of the
+    magnitudes it is formed from (its samples at or near its edges, or,
+    left out, none but the point) is summed over its pairs instead.
+    """
+    count, n = view.values.shape
+    h = spec.bandwidth
+    own = points is None
+    if own:
+        points = view.values
+        lo, hi = view.own_windows(h)
+    else:
+        lo, hi = view.windows(points, h)
+    poly = _POLYNOMIAL[spec.family]
+    deg = len(poly) - 1
+    pref, base, starts, inner, outer, flat, _ = table
+    k = 0 if flat is None else flat.shape[1]
+    ones = range(k, pref.shape[1], 1 + k)  # the columns of 1 a**q
+    first = np.arange(count)[:, None]  # each window's first block
+    if deg:
+        sv = view.values.ravel()
+        first = np.searchsorted(starts, np.minimum(lo, n - 1) + first * n, "right") - 1
 
     # piece j of a window is its part of the j-th block from its first;
     # ``on`` indexes the flattened windows that have a piece j
@@ -389,6 +413,7 @@ def _block_sums(
         else:  # row by row, which is faster than at once
             for row, add in zip([mass, scale, *sums], [part[0], part[1], *part[2]]):
                 row[on] += add
+    del piece, w, part  # free the sorted pieces before the sample order copies
     if leave_out:
         mass -= poly[0]
 
@@ -430,7 +455,9 @@ def _window_sums(
     """
     points = None if points is None else np.asarray(points, dtype=float)[None]
     targets = None if targets is None else targets[None]
-    mass, sums = _block_sums(_as_view(sample), points, spec, targets, leave_out)
+    view = _as_view(sample)
+    table = _prefix_table(view, spec, targets)
+    mass, sums = _block_sums(view, points, spec, table, leave_out)
     return mass[0], None if sums is None else sums[0]
 
 
@@ -483,7 +510,7 @@ def truncation_mask(
     visits = np.count_nonzero(trunc.small_set.contains(view.values), axis=1)
     if visits[0] == 0:
         raise NoVisitsError("the path never enters the small set")
-    mass, _ = _block_sums(view, None, spec, None)
+    mass, _ = _block_sums(view, None, spec, _prefix_table(view, spec, None))
     return _density_masks(mass, visits, spec.bandwidth, trunc)[0]
 
 

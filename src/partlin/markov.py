@@ -186,10 +186,6 @@ class BlockDecomposition:
     tail: float
     boundaries: np.ndarray  # 0-based indices of the visits, increasing
 
-    @property
-    def n_complete(self) -> int:
-        return int(self.blocks.size)
-
 
 def _apply(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
     try:

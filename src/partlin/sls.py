@@ -43,6 +43,7 @@ from .kernel import (
     TruncationSpec,
     _block_sums,
     _density_masks,
+    _prefix_table,
     _regression,
     _window_sums,
     smooth,
@@ -177,7 +178,8 @@ def _fit_rows(stacked, mass, sums, visits, spec, trunc):
     order); ``masks`` the (rows, n) truncation masks, read off ``mass``,
     and ``tilde`` the detrended columns, written over ``sums``."""
     masks = _density_masks(mass, visits, spec.bandwidth, trunc)
-    sums /= mass[..., None]
+    for j in range(sums.shape[-1]):  # a column at a time, not broadcast
+        sums[..., j] /= mass
     tilde = np.subtract(stacked, sums, out=sums)
     solved = _solve_normal(tilde, masks, stacked[..., 1:])
     fits = [
@@ -195,7 +197,7 @@ def _truncated_rows(y, x, view, spec, trunc):
     """``_fit_rows`` of a block of paths, y of shape (rows, n) and x of
     shape (rows, n, d), ``view`` their sorted covariate rows."""
     stacked = np.concatenate([y[:, :, None], x], axis=2)
-    mass, sums = _block_sums(view, None, spec, stacked)
+    mass, sums = _block_sums(view, None, spec, _prefix_table(view, spec, stacked))
     visits = np.count_nonzero(trunc.small_set.contains(view.values), axis=1)
     return _fit_rows(stacked, mass, sums, visits, spec, trunc)
 
@@ -392,7 +394,8 @@ def _curve_rows(
     y_r - x_r' thetas[r] on ``grids[r]``.  Returns the (rows, p) values,
     local masses and validity flags."""
     target = np.stack([yr - xr @ th for yr, xr, th in zip(y, x, thetas)])
-    mass, sums = _block_sums(view, grids, spec, target[:, :, None])
+    table = _prefix_table(view, spec, target[:, :, None])
+    mass, sums = _block_sums(view, grids, spec, table)
     values, valid = _regression(mass, sums)
     return values[..., 0], mass, valid
 

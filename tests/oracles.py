@@ -8,7 +8,9 @@ plain Python loops.  Slow is fine; these run on tiny fixtures.  The one
 exception is ``oracle_curve_error``, a vectorised closed form that runs
 on every replication of a Monte Carlo cell.  ``oracle_read_columns`` is
 the CSV reader as a ``csv`` row loop with ``float`` per cell; it takes
-only the error classes from the package.
+only the error classes from the package.  ``oracle_cv_by_pass`` is the
+one reference built on the package's own window sums: it checks how the
+sweep shares work between bandwidths, not the sums themselves.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from scipy.signal import lfilter
 from scipy.special import erf
 
 from partlin.errors import ParseError, SchemaError
+from partlin.kernel import KERNEL_AT_ZERO, KernelSpec, _window_sums
+from partlin.sls import _fit_rows
 
 _M64 = (1 << 64) - 1
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -243,6 +247,34 @@ def oracle_cv_dense(y, x, v, family, h, bn, lo, hi, chunk=256):
     err = stacked[scored] @ coef - (loo_sums[scored] @ coef) / loo_mass[scored]
     crit = float(err @ err) if scored.any() else np.inf
     return crit, int(mask.sum() - scored.sum()), mask, theta
+
+
+def oracle_cv_by_pass(ds, grid, family, trunc):
+    """``cv_select``'s criterion and dropped counts on ``grid`` with
+    nothing shared between bandwidths: each is its own left-out
+    ``_window_sums`` pass of (y, x), which builds its own prefix table,
+    refit as the sweep refits (``_fit_rows`` on the full sums, left-out
+    sums plus K(0) times the own values), and scored on the gathered
+    rows it can score.  Returns ``(criterion, dropped)``."""
+    stacked = np.column_stack([ds.y, ds.x])
+    visits = np.count_nonzero(trunc.small_set.contains(ds.sorted_v.values), axis=1)
+    k0 = KERNEL_AT_ZERO[family]
+    crit, dropped = np.full(len(grid), np.inf), np.zeros(len(grid), dtype=int)
+    for i, h in enumerate(grid):
+        spec = KernelSpec(family, float(h))
+        lm, ls = _window_sums(ds.sorted_v, None, spec, stacked, leave_out=True)
+        (theta,), (mask,), _ = _fit_rows(
+            stacked[None], (lm + k0)[None], (ls + k0 * stacked)[None], visits, spec, trunc
+        )
+        if not isinstance(theta, np.ndarray):
+            continue
+        scored = mask & (lm > 0.0)
+        dropped[i] = mask.sum() - scored.sum()
+        if scored.any():
+            coef = np.append(1.0, -theta)
+            err = stacked[scored] @ coef - (ls[scored] @ coef) / lm[scored]
+            crit[i] = err @ err
+    return crit, dropped
 
 
 def oracle_curve_error(v, x, h, points, g, eps_rho, eps_sd, theta_var):

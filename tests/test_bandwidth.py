@@ -249,31 +249,49 @@ def test_result_type_fields():
 
 
 def _count_passes(monkeypatch) -> list:
-    """Record the arguments of every ``_block_sums`` call, through either
-    binding of the engine."""
+    """Record the arguments of every ``_block_sums`` call, through each
+    binding of the engine: the bandwidth, the shape of the targets of
+    its prefix table, the table's cell width and ``leave_out``."""
     calls = []
     engine = kernel._block_sums
 
-    def spy(view, points, spec, targets, leave_out=False):
-        calls.append((spec.bandwidth, targets.shape, leave_out))
-        return engine(view, points, spec, targets, leave_out)
+    def spy(view, points, spec, table, leave_out=False):
+        calls.append((spec.bandwidth, table[-2].shape, table[-1], leave_out))
+        return engine(view, points, spec, table, leave_out)
 
-    monkeypatch.setattr(kernel, "_block_sums", spy)
-    monkeypatch.setattr(sls, "_block_sums", spy)
+    for module in (kernel, sls, bandwidth):
+        monkeypatch.setattr(module, "_block_sums", spy)
     return calls
 
 
 def test_sweep_is_one_left_out_pass_per_bandwidth(monkeypatch):
     """Every bandwidth reaches its fit, failing or not, through one
-    engine call on the stacked (y, x) columns."""
+    left-out engine call on a prefix table of the stacked (y, x)
+    columns.  A uniform sweep builds that table once, since its blocks
+    are whole rows; an Epanechnikov one builds it per bandwidth, on
+    cells of width h."""
     ds = build_dataset(seed=36, n=80, d=2)
     trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
     grid = np.array([1e-9, 0.2, 0.5, 50.0])  # singular, fine, fine, empty mask
+    built = []
+    build = bandwidth._prefix_table
+
+    def build_spy(view, spec, targets):
+        built.append((spec.bandwidth, targets.shape))
+        return build(view, spec, targets)
+
+    monkeypatch.setattr(bandwidth, "_prefix_table", build_spy)
     calls = _count_passes(monkeypatch)
-    sel = cv_select(ds, grid, "epanechnikov", trunc)
-    assert np.isinf(sel.criterion[[0, 3]]).all()
-    assert np.isfinite(sel.criterion[1:3]).all()
-    assert calls == [(h, (1, 80, 3), True) for h in grid]
+    for family, cells, tables in [
+        ("uniform", [None] * 4, grid[:1]), ("epanechnikov", grid, grid)
+    ]:
+        sel = cv_select(ds, grid, family, trunc)
+        assert np.isinf(sel.criterion[[0, 3]]).all()
+        assert np.isfinite(sel.criterion[1:3]).all()
+        assert calls == [(h, (80, 3), c, True) for h, c in zip(grid, cells)]
+        assert built == [(h, (1, 80, 3)) for h in tables]
+        calls.clear()
+        built.clear()
 
 
 def test_block_fit_is_one_pass_per_block(monkeypatch):
@@ -290,10 +308,10 @@ def test_block_fit_is_one_pass_per_block(monkeypatch):
         y, x, kernel.SortedView(v), KernelSpec("uniform", 0.3), trunc
     )
     assert isinstance(fits[4], NoVisitsError)
-    assert calls == [(0.3, (5, 120, 3), False)]
+    assert calls == [(0.3, (600, 3), None, False)]
     calls.clear()
     sls.truncated_sls(as_dataset(y[0], x[0], v[0]), KernelSpec("uniform", 0.3), trunc)
-    assert calls == [(0.3, (1, 120, 3), False)]
+    assert calls == [(0.3, (120, 3), None, False)]
 
 
 def _fit_spy(monkeypatch) -> list:
@@ -361,3 +379,41 @@ def test_dense_oracle_is_the_oracle():
         assert crit == pytest.approx(want[0], rel=1e-10) and dropped == want[1]
         want_theta = oracles.oracle_truncated_theta(*args)
         np.testing.assert_allclose(theta, want_theta, rtol=1e-10)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["uniform", "epanechnikov"]),
+    d=st.sampled_from([1, 2]),
+    bn=st.sampled_from([0.0, 0.05]),
+)
+def test_sweep_equals_a_pass_per_bandwidth_bit_for_bit(seed, family, d, bn):
+    """n = 10 000 on a walk near 1000 with values on a 2**-20 lattice: a
+    third of its steps are 0 (ties), and every bandwidth is the gap
+    between two sample values, so some windows have samples exactly on
+    their edge.  The sweep, sharing one prefix table over the grid for
+    the uniform kernel and scoring every point before keeping the
+    usable ones, gives the criterion and dropped counts of a separate
+    pass per bandwidth scored on the gathered rows, bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    steps = np.round(0.1 * rng.standard_normal(n) * 2.0**20) * 2.0**-20
+    steps[rng.random(n) < 1 / 3] = 0.0
+    v = 1e3 + np.cumsum(steps)
+    x = v[:, None] - 1e3 + rng.standard_normal((n, d))
+    y = x.sum(axis=1) + np.sin(v) + rng.standard_normal(n)
+    ds = as_dataset(y, x, v)
+    ranked = np.unique(v)
+    at = rng.integers(0, ranked.size - 600, 6)
+    gaps = ranked[at + rng.integers(1, 600, 6)] - ranked[at]
+    grid = np.unique(np.concatenate([gaps, [1.0]]))
+    trunc = TruncationSpec(bn, SmallSet(999.0, 1001.0))
+    want_crit, want_dropped = oracles.oracle_cv_by_pass(ds, grid, family, trunc)
+    try:
+        sel = cv_select(ds, grid, family, trunc)
+    except SelectionError:
+        assert np.isinf(want_crit).all()
+        return
+    np.testing.assert_array_equal(sel.criterion, want_crit)
+    np.testing.assert_array_equal(sel.dropped, want_dropped)

@@ -21,6 +21,7 @@ from partlin.kernel import (
     SortedView,
     TruncationSpec,
     _block_sums,
+    _prefix_table,
     _window_sums,
     default_bandwidth,
     default_density_floor,
@@ -242,7 +243,8 @@ def test_block_rows_are_single_paths(rows, h):
     assert hi.tolist() == searched[1].tolist()
     for family in ("uniform", "epanechnikov"):
         spec = KernelSpec(family, h)
-        block = [_block_sums(view, at, spec, targets) for at in (None, points)]
+        table = _prefix_table(view, spec, targets)
+        block = [_block_sums(view, at, spec, table) for at in (None, points)]
         for r, row in enumerate(v):
             alone = [_window_sums(row, at, spec, targets[r]) for at in (None, points[r])]
             for (mass, sums), (want_mass, want_sums) in zip(block, alone):
@@ -405,6 +407,21 @@ def test_smooth_one_dimensional_targets_keep_shape():
     got, valid = smooth(v, t, KernelSpec("uniform", 0.5))
     assert got.shape == (50,)
     assert valid.shape == (50,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_non_finite_covariate_is_rejected_by_position(family, bad):
+    """Both entry points name the first bad position, for either family,
+    before any numpy warning; a view of the same values is no way round."""
+    v = np.array([0.0, 0.3, bad, 0.5, -0.2])
+    spec = KernelSpec(family, 0.4)
+    for sample in (v, SortedView(v)):
+        with pytest.raises(ParameterError, match="finite.* at position 2"):
+            smooth(sample, np.arange(5.0), spec)
+        with pytest.raises(ParameterError, match="finite.* at position 2"):
+            truncation_mask(sample, spec, default_truncation(5))
 
 
 def test_smooth_own_point_always_valid():

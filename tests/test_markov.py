@@ -217,7 +217,7 @@ def test_blocks_hand_case():
     assert dec.head == 0.0  # just v[0]
     np.testing.assert_allclose(dec.blocks, [2.0 + 3.0 + 0.5])
     assert dec.tail == 4.0
-    assert dec.n_complete == 1
+    assert dec.blocks.size == 1
 
 
 def test_blocks_tail_empty_when_path_ends_inside():
@@ -278,8 +278,8 @@ def test_blocks_require_data_and_visits():
         regeneration_blocks(np.array([3.0, 4.0]), lambda x: x, small)
 
 
-def test_block_decomposition_n_complete():
+def test_block_decomposition_block_count():
     dec = BlockDecomposition(
         head=0.0, blocks=np.array([1.0, 2.0]), tail=0.0, boundaries=np.array([0, 1, 2])
     )
-    assert dec.n_complete == 2
+    assert dec.blocks.size == 2
