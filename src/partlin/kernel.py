@@ -9,10 +9,10 @@ row, which ``_window_sums`` serves.  The engine reads the samples
 through a ``SortedView``, built once per dataset
 (``TimeSeriesDataset.sorted_v``) or block, and finds each point's
 window, the sample points with |(v_t - p_i)/h| <= 1 in floating point,
-as one contiguous run of its row's sorted sample; the points of every
-row are searched in one call.  When the points are the sample itself,
-the windows depend on h alone: the view finds them once per bandwidth
-and keeps those of the latest bandwidth.  Every family is a polynomial
+as one contiguous run of its row's sorted sample.  When the points are
+the sample itself, the windows are read off their lower ends alone.
+The view holds nothing but the sorted rows, so every search is a pure
+function of its points and h.  Every family is a polynomial
 in u on its window, so window sums are read off a table of prefix sums
 of moments (``_prefix_table``), O((n + p) log n) whatever the window
 sizes: of each row for a constant kernel, a table that holds for every
@@ -125,8 +125,9 @@ def _settle_edge(
     sample row, and the result is an index into that row's sorted
     values.  Window membership is decided on (v - p)/h, exactly as
     ``kernel_eval`` decides it; ``past`` is monotone in v, so each
-    window is one contiguous run of the sorted sample.  ``guess`` comes
-    from searching for p -+ h, which disagrees with that predicate only
+    window is one contiguous run of the sorted sample.  ``guess`` is the
+    insertion index of p -+ h in the point's own row
+    (``SortedView._search``), which disagrees with that predicate only
     for sample values within rounding distance of the edge.  Checking
     the two neighbours of each guess costs O(p); only guesses that fail
     are bisected, within their own row.
@@ -158,24 +159,29 @@ def _settle_edge(
 
 
 class SortedView:
-    """The covariate sorted once, with the in-sample windows of the
-    latest bandwidth.
+    """The covariate sorted once.
 
     ``v`` is one covariate path of shape (n,), or a block of paths as
     the rows of an (rows, n) array; a single path is the block of one
-    row, and every row is handled as if it were alone.  ``padded`` has
-    one row per path: its values sorted, with -inf in front and +inf
-    behind (what ``_settle_edge`` reads), and ``values`` is their
-    finite middle.  ``order`` is the stable sorting permutation of each
-    row as positions in the flattened block, so for one path it is the
-    path's own sorting permutation.  ``own_windows`` keeps the windows
-    of one bandwidth only, so the view stays O(rows n) however many
-    bandwidths are tried.
+    row, and every row is handled as if it were alone.  A NaN or
+    infinite value is rejected here, by its position in the flattened
+    block, so every view is finite.  ``padded`` has one row per path:
+    its values sorted, with -inf in front and +inf behind (what
+    ``_settle_edge`` reads), and ``values`` is their finite middle.
+    ``order`` is the stable sorting permutation of each row as
+    positions in the flattened block, so for one path it is the path's
+    own sorting permutation.  These and ``rank`` are all a view holds.
     """
 
     def __init__(self, v: np.ndarray):
-        self.v = np.asarray(v, dtype=float)
-        rows = self.v if self.v.ndim == 2 else self.v[None]
+        v = np.asarray(v, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            at = int(bad[0])
+            raise ParameterError(
+                f"covariate must be finite, got {v.flat[at]} at position {at}"
+            )
+        rows = v if v.ndim == 2 else v[None]
         count, n = rows.shape
         order = np.argsort(rows, axis=1)
         ranked = np.take_along_axis(rows, order, axis=1)
@@ -194,8 +200,6 @@ class SortedView:
         self.values = self.padded[:, 1:-1]
         for arr in (self.order, self.padded):
             arr.flags.writeable = False
-        self._keys: tuple[np.ndarray, np.ndarray] | None = None
-        self._own: tuple[float, np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -207,28 +211,11 @@ class SortedView:
         return rank
 
     def _search(self, needles: np.ndarray, side: str) -> np.ndarray:
-        """Each needle's insertion index in its own row of ``values``, up
-        to rounding: the guesses ``_settle_edge`` starts from.
-
-        Every row is searched in one call.  Row r is shifted by r times
-        twice the block's span, which sorts the block as one array;
-        the shift rounds values, but ``_settle_edge`` corrects any
-        guess, so it costs only speed, and a single path is not
-        shifted at all.
-        """
-        count, n = self.values.shape
-        if self._keys is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                step = 2.0 * (self.values[:, -1].max() - self.values[:, 0].min())
-            if not np.isfinite(step):
-                step = 0.0
-            shift = (np.arange(count) * step)[:, None]
-            keys = self.values if count == 1 else self.values + shift
-            self._keys = (keys.ravel(), shift)
-        keys, shift = self._keys
-        found = np.searchsorted(keys, (needles + shift).ravel(), side=side)
-        found = found.reshape(needles.shape) - (np.arange(count) * n)[:, None]
-        return np.clip(found, 0, n, out=found)
+        """Each needle's insertion index in its own row of ``values``,
+        one search per row: the guesses ``_settle_edge`` starts from."""
+        return np.stack([
+            np.searchsorted(row, at, side=side) for row, at in zip(self.values, needles)
+        ])
 
     def _lower_ends(self, points: np.ndarray, h: float) -> np.ndarray:
         return _settle_edge(
@@ -248,38 +235,32 @@ class SortedView:
     def own_windows(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Windows of the sorted sample points themselves, in sorted order.
 
-        They depend on h alone, so they are searched once per bandwidth
-        (sorted needles search fast) and kept until another h is asked.
-        Only the lower ends are searched.  Since (v_i - v_j)/h is
-        -(v_j - v_i)/h exactly, v_j lies at or below the upper end of
-        v_i's window exactly when v_i lies at or above the lower end of
-        v_j's, so the upper end of window i counts the windows j whose
-        lower end is at most i.
+        Only the lower ends are searched (sorted needles search fast).
+        Since (v_i - v_j)/h is -(v_j - v_i)/h exactly, v_j lies at or
+        below the upper end of v_i's window exactly when v_i lies at or
+        above the lower end of v_j's, so the upper end of window i
+        counts the windows j whose lower end is at most i.
         """
-        if self._own is None or self._own[0] != h:
-            self._own = None  # no two bandwidths' windows at once
-            count, n = self.values.shape
-            lo = self._lower_ends(self.values, h)
-            ends = np.bincount(
-                (lo + (np.arange(count) * (n + 1))[:, None]).ravel(),
-                minlength=count * (n + 1),
-            )
-            hi = np.cumsum(ends.reshape(count, n + 1), axis=1)[:, :n]
-            self._own = (h, lo, hi)
-        return self._own[1], self._own[2]
+        count, n = self.values.shape
+        lo = self._lower_ends(self.values, h)
+        ends = np.bincount(
+            (lo + (np.arange(count) * (n + 1))[:, None]).ravel(),
+            minlength=count * (n + 1),
+        )
+        return lo, np.cumsum(ends.reshape(count, n + 1), axis=1)[:, :n]
 
 
 def _as_view(v_series: np.ndarray | SortedView) -> SortedView:
-    """The covariate's ``SortedView``, sorted here from a plain array;
-    a NaN or infinite covariate value is rejected by position."""
-    view = v_series if isinstance(v_series, SortedView) else SortedView(v_series)
-    bad = np.flatnonzero(~np.isfinite(view.v))
-    if bad.size:
-        at = int(bad[0])
+    """The covariate's ``SortedView``, sorted here from a plain array,
+    which must be one nonempty path."""
+    if isinstance(v_series, SortedView):
+        return v_series
+    v = np.asarray(v_series, dtype=float)
+    if v.ndim != 1 or not v.size:
         raise ParameterError(
-            f"covariate must be finite, got {view.v.flat[at]} at position {at}"
+            f"covariate must be one nonempty path, got shape {v.shape}"
         )
-    return view
+    return SortedView(v)
 
 
 def _prefix_table(view: SortedView, spec: KernelSpec, targets) -> tuple:
@@ -444,7 +425,6 @@ def _window_sums(
     points: np.ndarray | None,
     spec: KernelSpec,
     targets: np.ndarray | None,
-    leave_out: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``_block_sums`` of one path: ``(mass, sums)`` of shapes (p,) and
     (p, k) for ``points`` of shape (p,) and ``targets`` of shape (n, k).
@@ -457,7 +437,7 @@ def _window_sums(
     targets = None if targets is None else targets[None]
     view = _as_view(sample)
     table = _prefix_table(view, spec, targets)
-    mass, sums = _block_sums(view, points, spec, table, leave_out)
+    mass, sums = _block_sums(view, points, spec, table)
     return mass[0], None if sums is None else sums[0]
 
 
@@ -469,8 +449,11 @@ def weights(
     Returns None when no sample point falls in the window (the weights
     are undefined there, and None is deliberately distinct from any
     weight vector).  Otherwise the weights are nonnegative and sum to 1.
+    A NaN or infinite series value or location raises.
     """
     v_series = np.asarray(v_series, dtype=float)
+    if not (np.isfinite(v_series).all() and np.isfinite(v)):
+        raise ParameterError("weights need a finite covariate and location")
     k = kernel_eval(spec, (v_series - v) / spec.bandwidth)
     total = k.sum()
     if total <= 0.0:
@@ -489,7 +472,7 @@ def _regression(mass: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _density_masks(mass, visits, h: float, trunc: TruncationSpec) -> np.ndarray:
     """``truncation_mask`` of each path from its own points' kernel mass
     and its visit count; the mask of a path without visits means nothing."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dens = mass / (visits * h)[:, None]
     return dens > trunc.b_n
 
@@ -532,9 +515,9 @@ def smooth(
     targets = np.asarray(targets, dtype=float)
     squeeze = targets.ndim == 1
     tg = targets[:, None] if squeeze else targets
-    if tg.shape[0] != view.v.size:
+    if tg.shape[0] != view.order.size:
         raise ParameterError(
-            f"targets rows {tg.shape[0]} do not match n = {view.v.size}"
+            f"targets rows {tg.shape[0]} do not match n = {view.order.size}"
         )
     out, valid = _regression(*_window_sums(view, None, spec, tg))
     return (out[:, 0] if squeeze else out), valid

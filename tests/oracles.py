@@ -24,7 +24,7 @@ from scipy.signal import lfilter
 from scipy.special import erf
 
 from partlin.errors import ParseError, SchemaError
-from partlin.kernel import KERNEL_AT_ZERO, KernelSpec, _window_sums
+from partlin.kernel import KERNEL_AT_ZERO, KernelSpec, _block_sums, _prefix_table
 from partlin.sls import _fit_rows
 
 _M64 = (1 << 64) - 1
@@ -252,7 +252,7 @@ def oracle_cv_dense(y, x, v, family, h, bn, lo, hi, chunk=256):
 def oracle_cv_by_pass(ds, grid, family, trunc):
     """``cv_select``'s criterion and dropped counts on ``grid`` with
     nothing shared between bandwidths: each is its own left-out
-    ``_window_sums`` pass of (y, x), which builds its own prefix table,
+    ``_block_sums`` pass of (y, x) on a prefix table built for it,
     refit as the sweep refits (``_fit_rows`` on the full sums, left-out
     sums plus K(0) times the own values), and scored on the gathered
     rows it can score.  Returns ``(criterion, dropped)``."""
@@ -262,7 +262,8 @@ def oracle_cv_by_pass(ds, grid, family, trunc):
     crit, dropped = np.full(len(grid), np.inf), np.zeros(len(grid), dtype=int)
     for i, h in enumerate(grid):
         spec = KernelSpec(family, float(h))
-        lm, ls = _window_sums(ds.sorted_v, None, spec, stacked, leave_out=True)
+        table = _prefix_table(ds.sorted_v, spec, stacked[None])
+        (lm,), (ls,) = _block_sums(ds.sorted_v, None, spec, table, leave_out=True)
         (theta,), (mask,), _ = _fit_rows(
             stacked[None], (lm + k0)[None], (ls + k0 * stacked)[None], visits, spec, trunc
         )

@@ -108,6 +108,15 @@ def test_weights_normalised_and_match_oracle():
             np.testing.assert_allclose(w, want, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v_series, v", [([0.0, np.nan], 0.0), ([0.0, np.inf], 0.0), ([0.0, 0.1], np.nan)]
+)
+def test_weights_reject_non_finite_series_or_location(v_series, v):
+    with pytest.raises(ParameterError, match="finite"):
+        weights(np.array(v_series), v, KernelSpec("uniform", 0.5))
+
+
 def test_weights_empty_window_returns_none():
     v_series = np.array([0.0, 0.1])
     assert weights(v_series, 10.0, KernelSpec("uniform", 0.5)) is None
@@ -229,6 +238,8 @@ def test_window_sum_paths_agree(data, h, ties):
     h=st.sampled_from([1.0, 0.25, 2.0 / 3.0]),
 )
 @example(rows=[[6.514036392641717e-239] * 12, [0.5, -0.5, 1.5, 0.0] * 3], h=1.0)
+# a row far from the other, whose values sit on each other's window edges
+@example(rows=[[1e12 + 0.25 * (i % 5) for i in range(12)], [-3.0] * 12], h=0.25)
 def test_block_rows_are_single_paths(rows, h):
     """A block of paths gives each row what that path gives alone: the
     same windows, own windows derived from the lower ends included, and
@@ -413,15 +424,31 @@ def test_smooth_one_dimensional_targets_keep_shape():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
 def test_non_finite_covariate_is_rejected_by_position(family, bad):
-    """Both entry points name the first bad position, for either family,
-    before any numpy warning; a view of the same values is no way round."""
+    """Both entry points, and building a view, name the first bad
+    position, for either family, before any numpy warning."""
     v = np.array([0.0, 0.3, bad, 0.5, -0.2])
     spec = KernelSpec(family, 0.4)
-    for sample in (v, SortedView(v)):
-        with pytest.raises(ParameterError, match="finite.* at position 2"):
-            smooth(sample, np.arange(5.0), spec)
-        with pytest.raises(ParameterError, match="finite.* at position 2"):
-            truncation_mask(sample, spec, default_truncation(5))
+    with pytest.raises(ParameterError, match="finite.* at position 2"):
+        smooth(v, np.arange(5.0), spec)
+    with pytest.raises(ParameterError, match="finite.* at position 2"):
+        truncation_mask(v, spec, default_truncation(5))
+    with pytest.raises(ParameterError, match="finite.* at position 2"):
+        SortedView(v)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v", [np.zeros((3, 50)), np.array(0.5), np.array([]), np.zeros((1, 50))]
+)
+def test_covariate_must_be_one_nonempty_path(v):
+    """A block, a scalar or an empty covariate raises ``ParameterError``
+    naming its shape, rather than returning one row's answer or failing
+    inside numpy."""
+    spec = KernelSpec("uniform", 0.4)
+    with pytest.raises(ParameterError, match="one nonempty path"):
+        smooth(v, np.zeros((max(v.size, 1), 1)), spec)
+    with pytest.raises(ParameterError, match="one nonempty path"):
+        truncation_mask(v, spec, default_truncation(50))
 
 
 def test_smooth_own_point_always_valid():

@@ -132,6 +132,16 @@ def test_everything_truncated_raises():
         )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_huge_bandwidth_truncates_without_numpy_warnings(family):
+    """At h = 1e308 the visit count times h overflows, so the density
+    is 0 everywhere: every row is truncated, with no numpy warning."""
+    ds = build_dataset(seed=2, n=80)
+    with pytest.raises(TruncationError, match="removed all"):
+        truncated_sls(ds, KernelSpec(family, 1e308), default_truncation(ds.n))
+
+
 def test_residuals_reconstruct_detrended_response():
     ds = build_dataset(seed=6, n=90)
     spec = KernelSpec("epanechnikov", 0.5)
@@ -456,8 +466,8 @@ def test_one_sort_per_dataset(monkeypatch):
 
 
 def test_results_do_not_depend_on_call_order():
-    """Fits on one dataset, whose view keeps the windows of the latest
-    bandwidth, are bit-identical to fits on fresh datasets."""
+    """Fits on one dataset, whose view is shared by every bandwidth,
+    are bit-identical to fits on fresh datasets."""
     shared = build_dataset(seed=32, n=400)
     trunc = default_truncation(shared.n)
 
