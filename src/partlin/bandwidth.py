@@ -36,6 +36,7 @@ from .kernel import (
     _prefix_table,
     default_bandwidth,
 )
+from .markov import NO_VISITS, count_small_set_visits
 from .sls import _check_grid, _fit_rows
 
 
@@ -84,10 +85,10 @@ def cv_select(
         raise ParameterError("h_grid must be strictly increasing")
 
     specs = [KernelSpec(family, float(h)) for h in h_grid]  # rejects h <= 0
-    visits = np.count_nonzero(trunc.small_set.contains(ds.sorted_v.values), axis=1)
-    if visits[0] == 0:
-        raise NoVisitsError("the path never enters the small set")
     view, stacked = ds.sorted_v, np.column_stack([ds.y, ds.x])[None]
+    visits = count_small_set_visits(view.values, trunc.small_set)
+    if visits[0] == 0:
+        raise NoVisitsError(NO_VISITS)
     criterion = np.full(h_grid.size, np.inf)
     dropped = np.zeros(h_grid.size, dtype=int)
     table = None

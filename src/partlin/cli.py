@@ -11,8 +11,8 @@ Every CSV file, and every table printed to stdout, is the text of
 :func:`partlin.dataset.csv_text`: a header row, commas, ``"\\n"`` line
 ends, floats to 17 significant digits, integers and flags as ``%d``.
 Input files are read by :func:`partlin.dataset.read_columns`, whose
-docstring states what it accepts; ``--x-cols`` is split with the same
-quoting rules, so ``'"a,b",c'`` names the labels ``a,b`` and ``c``.
+docstring states what it accepts; every list, flag or ``mc`` key, is split
+with the same quoting rules, so ``'"a,b",c'`` names the items ``a,b`` and ``c``.
 
 Configuration is plain ``key = value`` text; command line flags
 override file values.  Every run writes ``resolved_config.txt``
@@ -43,7 +43,7 @@ import inspect
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -73,10 +73,10 @@ from .kernel import (
 )
 from .markov import SmallSet
 from .montecarlo import (
+    CURVE_GRID_POINTS,
     DGPS,
     G0_TAGS,
     McConfig,
-    resolve_kernel,
     run_g_experiment,
     run_theta_experiment,
     simulate_replication,
@@ -174,11 +174,11 @@ def _failure_marker(out: str):
 
 
 def _parse_list(text: str, cast, name: str) -> list:
-    """The nonempty comma separated list ``text``, each item read by
-    ``cast``; ``name`` labels the error."""
+    """The nonempty list ``text``, split as ``--x-cols`` is, each item
+    read by ``cast``; ``name`` labels the error."""
     try:
-        items = [cast(p.strip()) for p in text.split(",") if p.strip()]
-    except ValueError:
+        items = [cast(p) for p in split_fields(text)]
+    except (ValueError, ParameterError):
         items = []
     if not items:
         raise ParameterError(
@@ -335,7 +335,7 @@ def cmd_estimate(args) -> int:
         ci = None
         if np.all(np.isfinite(fit.avar)):
             ci = asymptotic_ci(fit, args.level)
-        grid = table_grid(ds.v, 300)
+        grid = table_grid(ds.v, CURVE_GRID_POINTS)
         g_curve = estimate_g(ds, fit.theta_hat, grid, spec)
         h_curves = estimate_h(ds, grid, spec)
 
@@ -445,14 +445,13 @@ def cmd_mc(args) -> int:
             f"partlin_version = {__version__}",
         ]
         for cfg in cells:
-            kspec = resolve_kernel(cfg)
-            cell = run(replace(cfg, kernel=kspec))
+            cell = run(cfg)
             rows.append(
                 (cfg.n, cfg.dgp, cell.ae, cell.se, cell.reps_used, cell.failures)
             )
             tag = f"cell.{cfg.n}.{cfg.dgp}"
-            manifest.append(f"{tag}.h = {FLOAT_FMT % kspec.bandwidth}")
-            manifest.append(f"{tag}.kernel_family = {kspec.family}")
+            manifest.append(f"{tag}.h = {FLOAT_FMT % cell.kernel.bandwidth}")
+            manifest.append(f"{tag}.kernel_family = {cell.kernel.family}")
             manifest.append(f"{tag}.failures = {cell.failures}")
             if experiment == "g":
                 manifest.append(f"{tag}.invalid_points = {cell.invalid_points}")

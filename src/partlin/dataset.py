@@ -7,8 +7,8 @@ commas, ``"\\n"`` line ends, floats in ``%.17g`` so that write followed
 by load reproduces every float bit for bit, integers and booleans as
 ``%d`` and strings as they are, quoted only if they hold a comma, a
 quote or a line end.  It also owns the one reader,
-:func:`read_columns`, and :func:`split_fields`, which splits a list of
-column labels with the reader's quoting rules.
+:func:`read_columns`, and :func:`split_fields`, which splits every list
+the command line takes with the reader's quoting rules.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoVisitsError, ParameterError
-from .markov import SmallSet
+from .markov import NO_VISITS, SmallSet, count_small_set_visits
 
 # K(u) on its window |u| <= 1, as coefficients of u**0, u**1, ...
 _POLYNOMIAL = {"uniform": (0.5,), "epanechnikov": (0.75, 0.0, -0.75)}
@@ -251,16 +251,16 @@ class SortedView:
 
 
 def _as_view(v_series: np.ndarray | SortedView) -> SortedView:
-    """The covariate's ``SortedView``, sorted here from a plain array,
-    which must be one nonempty path."""
-    if isinstance(v_series, SortedView):
-        return v_series
-    v = np.asarray(v_series, dtype=float)
-    if v.ndim != 1 or not v.size:
+    """The covariate's ``SortedView``, sorted here from a plain array;
+    either must hold one nonempty path."""
+    view = v_series if isinstance(v_series, SortedView) else None
+    v = np.asarray(v_series, dtype=float) if view is None else view.values
+    one_path = (v.size,) if view is None else (1, v.size)
+    if not v.size or v.shape != one_path:
         raise ParameterError(
             f"covariate must be one nonempty path, got shape {v.shape}"
         )
-    return SortedView(v)
+    return SortedView(v) if view is None else view
 
 
 def _prefix_table(view: SortedView, spec: KernelSpec, targets) -> tuple:
@@ -490,9 +490,9 @@ def truncation_mask(
     visits has no usable normaliser and raises.
     """
     view = _as_view(v_series)
-    visits = np.count_nonzero(trunc.small_set.contains(view.values), axis=1)
+    visits = count_small_set_visits(view.values, trunc.small_set)
     if visits[0] == 0:
-        raise NoVisitsError("the path never enters the small set")
+        raise NoVisitsError(NO_VISITS)
     mass, _ = _block_sums(view, None, spec, _prefix_table(view, spec, None))
     return _density_masks(mass, visits, spec.bandwidth, trunc)[0]
 

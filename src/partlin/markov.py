@@ -30,6 +30,8 @@ import numpy as np
 from .errors import NoVisitsError, ParameterError
 from .rng import normal_block
 
+NO_VISITS = "the path never enters the small set"
+
 
 @dataclass(frozen=True)
 class SmallSet:
@@ -147,26 +149,27 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
     return np.array(out, dtype=float).T.reshape(rows, n)
 
 
-def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int:
-    """Number of sample points inside the small set."""
-    return int(np.count_nonzero(small_set.contains(v)))
+def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int | np.ndarray:
+    """Number of sample points inside the small set along the last axis:
+    an ``int`` for one path, an int array, one per row, for a block."""
+    visits = np.count_nonzero(small_set.contains(v), axis=-1)
+    return visits if np.ndim(visits) else int(visits)
 
 
 def estimate_beta(v: np.ndarray, small_set: SmallSet) -> float:
     """Recurrence index estimate log(visit count) / log(n).
 
-    Requires n >= 2 (log 1 = 0 leaves the ratio undefined) and at least
-    one visit.  For a Gaussian random walk the estimate concentrates
-    near 1/2 as n grows; for a positive recurrent chain it approaches 1.
+    Requires one path of n >= 2 points (log 1 = 0 leaves the ratio
+    undefined) and a visit.  As n grows the estimate concentrates near
+    1/2 for a Gaussian random walk and approaches 1 for a positive recurrent chain.
     """
     v = np.asarray(v, dtype=float)
-    n = v.size
-    if n < 2:
-        raise ParameterError(f"need n >= 2 to estimate the index, got {n}")
+    if v.ndim != 1 or v.size < 2:
+        raise ParameterError(f"need one path of n >= 2, got shape {v.shape}")
     visits = count_small_set_visits(v, small_set)
     if visits == 0:
-        raise NoVisitsError("the path never enters the small set")
-    return float(np.log(visits) / np.log(n))
+        raise NoVisitsError(NO_VISITS)
+    return float(np.log(visits) / np.log(v.size))
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def regeneration_blocks(
         raise ParameterError("need at least one observation")
     visits = np.flatnonzero(small_set.contains(v))
     if visits.size == 0:
-        raise NoVisitsError("the path never enters the small set")
+        raise NoVisitsError(NO_VISITS)
     fv = _apply(f, v)
     cuts = np.concatenate(([0], visits + 1, [v.size]))
     sums = np.add.reduceat(

@@ -35,7 +35,7 @@ the cost by the grid size for little benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -55,6 +55,7 @@ from .rng import block_rows, normal_block
 from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci
 
 STREAMS_PER_REP = 4
+CURVE_GRID_POINTS = 300  # of a ``table_grid`` whose size is not given
 DGPS = ("H_zero", "H_identity")
 G0_TAGS = ("identity", "zero")
 
@@ -74,7 +75,7 @@ class McConfig:
     master_seed: int = 0
     kernel: KernelSpec | str = "cv"
     trunc: TruncationSpec | None = None
-    g_grid_points: int = 300
+    g_grid_points: int = CURVE_GRID_POINTS
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -101,7 +102,7 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McCellResult:
-    """Aggregate of one cell: mean absolute error and its spread.
+    """Aggregate of one cell run with ``kernel``: mean absolute error and spread.
 
     ``invalid_points`` counts grid points without kernel mass that were
     excluded from curve error averages (zero for coefficient cells).
@@ -111,6 +112,7 @@ class McCellResult:
     se: float
     reps_used: int
     failures: int
+    kernel: KernelSpec
     invalid_points: int = 0
 
 
@@ -123,6 +125,7 @@ class ThetaDraws:
     ci_level: float
     reps_used: int
     failures: int
+    kernel: KernelSpec
 
 
 @dataclass(frozen=True)
@@ -255,20 +258,16 @@ def _theta_replicate(cfg, kspec, trunc, ci_level, reps) -> list:
     y, x, v, view, fits, masks, tilde = _fit_block(cfg, kspec, trunc, reps)
     out = []
     for r, theta in enumerate(fits):
-        if _failed(theta):
-            out.append(None)
-            continue
-        if ci_level is None:
-            # only an interval needs the covariance block of the full fit
-            out.append((theta, np.nan))
-            continue
-        fit = _sls_fit(theta, masks[r], tilde[r], v[r], kspec, trunc)
-        try:
-            ci = asymptotic_ci(fit, ci_level)
-        except ParameterError:
-            out.append((theta, np.nan))
-            continue
-        out.append((theta, float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])))
+        covered = np.nan
+        # only an interval needs the covariance block of the full fit
+        if ci_level is not None and not _failed(theta):
+            fit = _sls_fit(theta, masks[r], tilde[r], v[r], kspec, trunc)
+            try:  # a ParameterError leaves no interval
+                ci = asymptotic_ci(fit, ci_level)
+                covered = float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])
+            except ParameterError:
+                pass
+        out.append(None if _failed(theta) else (theta, covered))
     return out
 
 
@@ -308,11 +307,11 @@ def _gpoint_replicate(cfg, kspec, trunc, v_point, reps) -> list:
     return out
 
 
-def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int]:
+def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int, KernelSpec]:
     """``replicate(cfg, kernel, truncation, *bound, reps)`` over blocks
     of consecutive replications; the results of every replication that
-    produced a fit, in replication order, and the count of those that
-    did not; more than 10% failures raise."""
+    produced a fit, in replication order, the count of those that did
+    not and the kernel, resolved here alone; over 10% failures raise."""
     kspec, trunc = resolve_kernel(cfg), resolve_truncation(cfg)
     run = partial(replicate, cfg, kspec, trunc, *bound)
     size = block_rows(cfg.n)
@@ -337,18 +336,19 @@ def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int]:
             "more than the 10% tolerance"
             + ("; no replication produced a fit" if not kept else "")
         )
-    return kept, failures
+    return kept, failures, kspec
 
 
 def theta_experiment_details(cfg: McConfig, ci_level: float = 0.95) -> ThetaDraws:
     """Coefficient draws and interval coverage for every replication."""
-    kept, failures = _run_all(cfg, _theta_replicate, ci_level)
+    kept, failures, kspec = _run_all(cfg, _theta_replicate, ci_level)
     return ThetaDraws(
         draws=np.vstack([theta for theta, _ in kept]),
         covered=np.array([c for _, c in kept]),
         ci_level=ci_level,
         reps_used=len(kept),
         failures=failures,
+        kernel=kspec,
     )
 
 
@@ -365,6 +365,7 @@ def run_theta_experiment(cfg: McConfig) -> McCellResult:
         se=_spread(first),
         reps_used=details.reps_used,
         failures=details.failures,
+        kernel=details.kernel,
     )
 
 
@@ -375,7 +376,7 @@ def run_g_experiment(cfg: McConfig) -> McCellResult:
     grid points with no kernel mass are excluded from that
     replication's average and tallied in ``invalid_points``.
     """
-    kept, failures = _run_all(cfg, _g_replicate)
+    kept, failures, kspec = _run_all(cfg, _g_replicate)
     aes = np.array([ae for ae, _ in kept])
     invalid = int(sum(k for _, k in kept))
     return McCellResult(
@@ -383,6 +384,7 @@ def run_g_experiment(cfg: McConfig) -> McCellResult:
         se=_spread(aes),
         reps_used=len(kept),
         failures=failures,
+        kernel=kspec,
         invalid_points=invalid,
     )
 
@@ -429,10 +431,7 @@ def g_clt_check(cfg: McConfig, v_point: float) -> GCltReport:
         raise ParameterError(
             "no stationary error variance for |eps_rho| >= 1"
         )
-    kspec = resolve_kernel(cfg)
-    kept, failures = _run_all(
-        replace(cfg, kernel=kspec), _gpoint_replicate, float(v_point)
-    )
+    kept, failures, kspec = _run_all(cfg, _gpoint_replicate, float(v_point))
     s_vals = np.array([s for s, _ in kept])
     invalid = int(sum(flag for _, flag in kept))
     if invalid > 0.2 * cfg.reps:

@@ -48,7 +48,7 @@ from .kernel import (
     _window_sums,
     smooth,
 )
-from .markov import count_small_set_visits, estimate_beta
+from .markov import NO_VISITS, count_small_set_visits, estimate_beta
 
 _COND_LIMIT = 1e12
 
@@ -139,8 +139,9 @@ def _solve_normal(tilde: np.ndarray, masks: np.ndarray, x: np.ndarray) -> list:
     rows, _, d = x.shape
     a, b = np.empty((rows, d, d)), np.empty((rows, d))
     for r, mask in enumerate(masks):
-        xt = tilde[r, :, 1:][mask]
-        a[r], b[r] = xt.T @ xt, xt.T @ tilde[r, :, 0][mask]
+        kept = np.flatnonzero(mask)
+        xt = tilde[r, kept, 1:]
+        a[r], b[r] = xt.T @ xt, xt.T @ tilde[r, kept, 0]
     # a column with no variation around its covariate trend detrends to
     # roundoff noise; its normal-equation diagonal is then far below the
     # raw column scale and the solve would amplify garbage
@@ -183,7 +184,7 @@ def _fit_rows(stacked, mass, sums, visits, spec, trunc):
     tilde = np.subtract(stacked, sums, out=sums)
     solved = _solve_normal(tilde, masks, stacked[..., 1:])
     fits = [
-        NoVisitsError("the path never enters the small set") if not seen
+        NoVisitsError(NO_VISITS) if not seen
         else fit if mask.any()
         else TruncationError(
             f"density floor {trunc.b_n:g} removed all {mask.size} observations"
@@ -198,7 +199,7 @@ def _truncated_rows(y, x, view, spec, trunc):
     shape (rows, n, d), ``view`` their sorted covariate rows."""
     stacked = np.concatenate([y[:, :, None], x], axis=2)
     mass, sums = _block_sums(view, None, spec, _prefix_table(view, spec, stacked))
-    visits = np.count_nonzero(trunc.small_set.contains(view.values), axis=1)
+    visits = count_small_set_visits(view.values, trunc.small_set)
     return _fit_rows(stacked, mass, sums, visits, spec, trunc)
 
 

@@ -53,7 +53,6 @@ from partlin.montecarlo import (
     McConfig,
     g_clt_check,
     normality_check,
-    resolve_kernel,
     run_g_experiment,
     run_theta_experiment,
     simulate_replication,
@@ -164,7 +163,7 @@ def test_criterion_2_curve_table():
     """
 
     def law(cfg, cell):
-        h = resolve_kernel(cfg).bandwidth
+        h = cell.kernel.bandwidth
         g = (lambda a: a) if cfg.g0 == "identity" else np.zeros_like
         preds = np.empty(_G_LAW_REPS)
         for rep in range(_G_LAW_REPS):

@@ -302,6 +302,28 @@ def test_x_cols_quotes_a_label_holding_a_comma(tmp_path, capsys):
     assert "column 'a' not found" in capsys.readouterr().err
 
 
+def test_every_list_takes_the_quoting_of_x_cols(tmp_path, capsys):
+    """``--h-grid``, ``--small-set`` and the ``mc`` list keys are split
+    as ``--x-cols`` is: quoted items are read, a bare line end is not."""
+    path = tmp_path / "d.csv"
+    write_csv(str(path), build_dataset(seed=9, n=150))
+    argv = ["bandwidth", "--data", str(path)]
+    assert main([*argv, "--h-grid", "0.3,0.6", "--small-set=-2,2"]) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--h-grid", '"0.3", 0.6', "--small-set", '"-2",2']) == 0
+    assert capsys.readouterr().out == plain
+    assert main([*argv, "--h-grid", "0.3,\n0.6"]) == 1
+    assert "--h-grid: cannot read '0.3,\\n0.6' as a list of float" in (
+        capsys.readouterr().err
+    )
+    assert main([*argv, "--small-set=-2,\n2"]) == 1
+    assert "--small-set: cannot read" in capsys.readouterr().err
+    cfg = write_mc_config(tmp_path, n='"40"', dgp='"H_zero"')
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 0
+    table = (tmp_path / "mc" / "table.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in table[1:]] == [["40", "H_zero"]]
+
+
 # ---------------------------------------------------------------- mc
 
 

@@ -451,6 +451,24 @@ def test_covariate_must_be_one_nonempty_path(v):
         truncation_mask(v, spec, default_truncation(50))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+@pytest.mark.parametrize("shape", [(3, 50), (1, 0)])
+def test_view_must_hold_one_nonempty_path(family, shape):
+    """A view of a block, or of an empty path, is refused by every entry
+    point that takes a view, naming its shape, rather than answering
+    with row 0."""
+    view = SortedView(np.random.default_rng(4).standard_normal(shape).cumsum(axis=-1))
+    spec = KernelSpec(family, 0.4)
+    match = rf"one nonempty path, got shape \({shape[0]}, {shape[1]}\)"
+    with pytest.raises(ParameterError, match=match):
+        smooth(view, np.zeros((view.order.size, 1)), spec)
+    with pytest.raises(ParameterError, match=match):
+        truncation_mask(view, spec, default_truncation(50))
+    with pytest.raises(ParameterError, match=match):
+        _window_sums(view, None, spec, None)
+
+
 def test_smooth_own_point_always_valid():
     """Both families are positive at zero, so every sample point has mass."""
     v = np.array([-40.0, 0.0, 55.0])

@@ -178,8 +178,13 @@ def test_ar1_parameter_errors(kwargs):
 
 
 def test_visit_count():
-    v = np.array([0.0, 5.0, -1.0, 1.0, 3.0])
-    assert count_small_set_visits(v, SmallSet(-1.0, 1.0)) == 3
+    """One path gives an ``int``; a block's rows are counted apart, one
+    count per path."""
+    v = np.array([[0.0, 5.0, -1.0, 1.0, 3.0], [4.0, 4.0, 4.0, 4.0, 4.0]])
+    one = count_small_set_visits(v[0], SmallSet(-1.0, 1.0))
+    assert type(one) is int and one == 3
+    block = count_small_set_visits(v, SmallSet(-1.0, 1.0))
+    assert block.dtype.kind == "i" and block.tolist() == [3, 0]
 
 
 def test_beta_hand_value():
@@ -196,6 +201,9 @@ def test_beta_full_range_is_one():
 def test_beta_errors():
     with pytest.raises(ParameterError):
         estimate_beta(np.array([0.0]), SmallSet(-1.0, 1.0))
+    # a block has one visit count per path, so no one index
+    with pytest.raises(ParameterError, match=r"one path .* shape \(2, 3\)"):
+        estimate_beta(np.zeros((2, 3)), SmallSet(-1.0, 1.0))
     with pytest.raises(NoVisitsError):
         estimate_beta(np.array([5.0, 6.0]), SmallSet(-1.0, 1.0))
 

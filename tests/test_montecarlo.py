@@ -201,6 +201,13 @@ def test_resolve_kernel_passthrough_and_pilot():
         pilot, default_h_grid(200), "uniform", resolve_truncation(cv_cfg)
     ).h_star
     assert spec.bandwidth == want
+    # each result reports the kernel its cell resolved, so no caller
+    # resolves it a second time
+    assert run_theta_experiment(cfg).kernel is FIXED
+    assert theta_experiment_details(cv_cfg, ci_level=None).kernel == spec
+    assert run_g_experiment(cv_cfg).kernel == spec
+    epan = small_cfg(n=150, reps=40, kernel=KernelSpec("epanechnikov", 0.6))
+    assert g_clt_check(epan, 0.0).target == pytest.approx((1.0 / (1.0 - 0.25)) * 0.6)
 
 
 def test_resolve_truncation_default_and_override():

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import build_dataset
 from partlin import write_csv
 
@@ -119,6 +121,78 @@ def test_only_dataset_formats_csv():
         for use in csv_dialect_uses(path.read_text())
     ]
     assert found == []
+
+
+_NO_VISITS = "never enters the small set"
+
+
+def shared_decisions(source: str) -> list[str]:
+    """The shared decisions a source file makes itself: each
+    ``.contains(`` call (the small set test), ``resolve_kernel(`` call
+    (a Monte Carlo cell's kernel) and ``.split(`` call (a list split by
+    hand), and each string outside a docstring that holds the no-visit
+    message."""
+    tree = ast.parse(source)
+    docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            attr = isinstance(node.func, ast.Attribute)
+            name = node.func.attr if attr else getattr(node.func, "id", None)
+            if name == "resolve_kernel":  # by name or through its module
+                found.append("resolve_kernel(")
+            elif attr and name in ("contains", "split"):
+                found.append(f".{name}(")
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _NO_VISITS in node.value
+            and id(node) not in docstrings
+        ):
+            found.append("no-visit message")
+    return found
+
+
+def test_shared_decision_scan_finds_each():
+    source = (
+        '"""A docstring may say the path never enters the small set."""\n'
+        "inside = small_set.contains(v)\n"
+        "hit = contains(v)\n"
+        "spec = resolve_kernel(cfg) or montecarlo.resolve_kernel(cfg)\n"
+        'items = text.split(",") + split_fields(text)\n'
+        'raise NoVisitsError("the path never enters the small set")\n'
+    )
+    assert sorted(shared_decisions(source)) == [
+        ".contains(", ".split(", "no-visit message", "resolve_kernel(",
+        "resolve_kernel(",
+    ]
+
+
+@pytest.mark.parametrize(
+    "use, owners, times",
+    [
+        # visits are counted by markov.count_small_set_visits
+        (".contains(", {"markov.py"}, None),
+        # markov.NO_VISITS
+        ("no-visit message", {"markov.py"}, 1),
+        # a cell's kernel is resolved once, by montecarlo._run_all
+        ("resolve_kernel(", {"montecarlo.py"}, None),
+        # lists are split by dataset.split_fields
+        (".split(", set(), None),
+    ],
+    ids=["contains", "no_visits", "resolve_kernel", "split"],
+)
+def test_each_shared_decision_has_one_owner(use, owners, times):
+    """Each decision the package shares is made in the module that owns
+    it (``times`` is how often, None for as often as the owner needs)."""
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for u in shared_decisions(path.read_text())
+        if u == use
+    ]
+    assert set(found) <= owners
+    assert times is None or len(found) == times
 
 
 def _loaded_after(code: str) -> list[str]:
