@@ -69,7 +69,7 @@ from .kernel import (
     KernelSpec,
     TruncationSpec,
     default_bandwidth,
-    default_density_floor,
+    truncation_spec,
 )
 from .markov import SmallSet
 from .montecarlo import (
@@ -298,14 +298,14 @@ def _fit_inputs(
     for issue in validate(ds):
         print(f"warning: column {issue.column!r}: {issue.message}", file=sys.stderr)
     small_set = _parse_small_set(args.small_set)
-    bn = args.bn if args.bn is not None else default_density_floor(ds.n)
+    trunc = truncation_spec(ds.n, args.bn, small_set)
     h_grid = (
         np.array(_parse_list(args.h_grid, float, "--h-grid"))
         if args.h_grid
         else default_h_grid(ds.n)
     )
-    derived = {"bn": FLOAT_FMT % bn, "small_set": _small_set_text(small_set)}
-    return ds, TruncationSpec(bn, small_set), h_grid, derived
+    derived = {"bn": FLOAT_FMT % trunc.b_n, "small_set": _small_set_text(small_set)}
+    return ds, trunc, h_grid, derived
 
 
 def _curve_text(label: str, curve) -> str:
@@ -427,9 +427,7 @@ def cmd_mc(args) -> int:
         McConfig(
             n=n,
             dgp=dgp,
-            trunc=TruncationSpec(
-                bn if bn is not None else default_density_floor(n), small_set
-            ),
+            trunc=truncation_spec(n, bn, small_set),
             **common,
         )
         for dgp in dgps

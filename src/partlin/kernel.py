@@ -105,8 +105,13 @@ def default_density_floor(n: int) -> float:
 DEFAULT_SMALL_SET = SmallSet(-1.0, 1.0)
 
 
+def truncation_spec(n: int, bn: float | None, small_set: SmallSet) -> TruncationSpec:
+    """Truncation at ``bn`` on ``small_set``, ``default_density_floor(n)`` if None."""
+    return TruncationSpec(default_density_floor(n) if bn is None else bn, small_set)
+
+
 def default_truncation(n: int) -> TruncationSpec:
-    return TruncationSpec(default_density_floor(n), DEFAULT_SMALL_SET)
+    return truncation_spec(n, None, DEFAULT_SMALL_SET)
 
 
 def _settle_edge(

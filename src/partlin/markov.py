@@ -166,10 +166,14 @@ def estimate_beta(v: np.ndarray, small_set: SmallSet) -> float:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ParameterError(f"need one path of n >= 2, got shape {v.shape}")
-    visits = count_small_set_visits(v, small_set)
+    return beta_from_visits(count_small_set_visits(v, small_set), v.size)
+
+
+def beta_from_visits(visits: int, n: int) -> float:
+    """``estimate_beta`` of a path of n >= 2 points with ``visits``."""
     if visits == 0:
         raise NoVisitsError(NO_VISITS)
-    return float(np.log(visits) / np.log(v.size))
+    return float(np.log(visits) / np.log(n))
 
 
 @dataclass(frozen=True)

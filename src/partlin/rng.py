@@ -84,12 +84,13 @@ def _words(seed: int, streams, size: int) -> np.ndarray:
 
 
 def _to_uniform(w: np.ndarray) -> np.ndarray:
-    """The open unit interval uniforms of raw words: the top 52 bits,
-    centred half a step away from both endpoints, so the inverse
-    normal transform cannot overflow."""
-    u = (w >> np.uint64(12)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
+    """The open unit interval uniforms of raw words, in ``w``'s buffer:
+    the top 52 bits m, read as the double 1 + m 2**-52, minus 1 - 2**-53
+    give (m + 0.5) 2**-52 exactly, half a step from both endpoints."""
+    w >>= np.uint64(12)
+    w |= np.uint64(0x3FF0000000000000)
+    u = w.view(np.float64)
+    u -= 1.0 - 2.0**-53
     return u
 
 
@@ -98,7 +99,7 @@ def normal_block(seed: int, streams, size: int) -> np.ndarray:
 
     Row i equals ``standard_normal(seed, streams[i], size)`` bit for bit:
     the words of each stream are drawn by ``_words`` and the whole block
-    is mapped to normals at once.
+    is mapped to uniforms and then normals in the words' own buffer.
     """
     # imported here: scipy.special costs more to load than `import partlin`
     from scipy.special import ndtri

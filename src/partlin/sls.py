@@ -48,7 +48,7 @@ from .kernel import (
     _window_sums,
     smooth,
 )
-from .markov import NO_VISITS, count_small_set_visits, estimate_beta
+from .markov import NO_VISITS, beta_from_visits, count_small_set_visits
 
 _COND_LIMIT = 1e12
 
@@ -334,6 +334,7 @@ def _sls_fit(
     (n, 1 + d) detrended columns, y first, and its covariate ``v``."""
     yt, xt = tilde[:, 0], tilde[:, 1:]
     n, d = xt.shape
+    visits = count_small_set_visits(v, trunc.small_set)
     cov = longrun_covariance(yt - xt @ theta, xt, default_max_lag(n))
     cond = np.linalg.cond(cov.sigma_u)
     if np.isfinite(cond) and cond <= _COND_LIMIT:
@@ -347,8 +348,8 @@ def _sls_fit(
         mask=mask,
         effective_n=int(mask.sum()),
         n=n,
-        n_visits=count_small_set_visits(v, trunc.small_set),
-        beta_hat=estimate_beta(v, trunc.small_set),
+        n_visits=visits,
+        beta_hat=beta_from_visits(visits, v.size),
         sigma_hat_sq=cov.sigma_hat_sq,
         sigma_u=cov.sigma_u,
         sigma_eps_u=cov.sigma_eps_u,

@@ -31,6 +31,11 @@ _ESTIMATE = {
 }
 _MC_G_TABLE = "7714770a3f5442b11bd1cc044e5eabc4944cd9468976464878a1b3030e2baf58"
 _TABLE1_TABLE = "71b8263833eddbf85a40c789967a7ca1556dae71a3ab4801a1bc215f456f9c03"
+# by reps: one block of null paths at n = 500, and sixteen
+_UNITROOT = {
+    "100": "38afa4a3a2e6bd583c032a9647db8e6fd4a33055ffe7fbfb0d45f6aafcc377c4",
+    "2000": "46d1a36f2f59053867b99e20f79facf77cc2bac8b5ebc5097389737fd969122f",
+}
 
 
 def _digests(out, names):
@@ -73,3 +78,14 @@ def test_table1_bytes(tmp_path, workers):
             "--workers", workers, "--out", str(out)]
     assert main(argv) == 0
     assert _digests(out, ["table.csv"]) == {"table.csv": _TABLE1_TABLE}
+
+
+@pytest.mark.parametrize("reps", sorted(_UNITROOT))
+def test_unitroot_bytes(tmp_path, reps):
+    data = tmp_path / "sim.csv"
+    assert main(["simulate", "--n", "500", "--seed", "0", "--out", str(data)]) == 0
+    out = tmp_path / "ur"
+    argv = ["unitroot", "--data", str(data), "--column", "v", "--reps", reps,
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert _digests(out, ["unitroot.csv"]) == {"unitroot.csv": _UNITROOT[reps]}

@@ -129,9 +129,9 @@ _NO_VISITS = "never enters the small set"
 def shared_decisions(source: str) -> list[str]:
     """The shared decisions a source file makes itself: each
     ``.contains(`` call (the small set test), ``resolve_kernel(`` call
-    (a Monte Carlo cell's kernel) and ``.split(`` call (a list split by
-    hand), and each string outside a docstring that holds the no-visit
-    message."""
+    (a Monte Carlo cell's kernel), ``default_density_floor(`` call (the
+    default truncation) and ``.split(`` call (a list split by hand), and
+    each string outside a docstring that holds the no-visit message."""
     tree = ast.parse(source)
     docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
     found = []
@@ -139,8 +139,9 @@ def shared_decisions(source: str) -> list[str]:
         if isinstance(node, ast.Call):
             attr = isinstance(node.func, ast.Attribute)
             name = node.func.attr if attr else getattr(node.func, "id", None)
-            if name == "resolve_kernel":  # by name or through its module
-                found.append("resolve_kernel(")
+            # by name or through its module
+            if name in ("resolve_kernel", "default_density_floor"):
+                found.append(f"{name}(")
             elif attr and name in ("contains", "split"):
                 found.append(f".{name}(")
         elif (
@@ -159,12 +160,13 @@ def test_shared_decision_scan_finds_each():
         "inside = small_set.contains(v)\n"
         "hit = contains(v)\n"
         "spec = resolve_kernel(cfg) or montecarlo.resolve_kernel(cfg)\n"
+        "bn = bn or kernel.default_density_floor(n)\n"
         'items = text.split(",") + split_fields(text)\n'
         'raise NoVisitsError("the path never enters the small set")\n'
     )
     assert sorted(shared_decisions(source)) == [
-        ".contains(", ".split(", "no-visit message", "resolve_kernel(",
-        "resolve_kernel(",
+        ".contains(", ".split(", "default_density_floor(", "no-visit message",
+        "resolve_kernel(", "resolve_kernel(",
     ]
 
 
@@ -179,8 +181,10 @@ def test_shared_decision_scan_finds_each():
         ("resolve_kernel(", {"montecarlo.py"}, None),
         # lists are split by dataset.split_fields
         (".split(", set(), None),
+        # a missing density floor is filled by kernel.truncation_spec
+        ("default_density_floor(", {"kernel.py"}, 1),
     ],
-    ids=["contains", "no_visits", "resolve_kernel", "split"],
+    ids=["contains", "no_visits", "resolve_kernel", "split", "density_floor"],
 )
 def test_each_shared_decision_has_one_owner(use, owners, times):
     """Each decision the package shares is made in the module that owns

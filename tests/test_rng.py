@@ -126,6 +126,19 @@ def test_uniforms_stay_inside_open_interval(seed, stream):
     assert u.max() <= 1.0 - 2.0**-53
 
 
+def test_uniform_map_is_the_documented_formula_bit_for_bit():
+    """The in-place map equals ((w >> 12) + 0.5) * 2**-52: in Python
+    floats at the extreme words, and evaluated by numpy on 10**6 seeded
+    random words."""
+    edges = [0, 4095, 4096, 2**63, 2**64 - 4096, 2**64 - 1]
+    got = _to_uniform(np.array(edges, dtype=np.uint64))
+    assert got.tolist() == [((w >> 12) + 0.5) * 2.0**-52 for w in edges]
+    words = np.random.Philox(2024).random_raw(10**6)
+    want = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    got = _to_uniform(words.copy())
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),

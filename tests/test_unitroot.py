@@ -1,7 +1,10 @@
 """AR(1) fit and the simulated p-value unit root test."""
 
+import concurrent.futures
 import math
+import os
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,12 +16,45 @@ from partlin.errors import ParameterError
 from partlin.markov import simulate_ar1, simulate_random_walk
 from partlin.rng import BLOCK_CELLS, block_rows, standard_normal
 from partlin.unitroot import (
+    MAX_THREADS,
     DfResult,
     df_statistic,
     df_test,
     _simulated_t,
     simulated_pvalue,
 )
+
+
+def patch_cores(monkeypatch, cores):
+    """Make this process look as if it may run on ``cores`` cores."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+    )
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so blocks interleave finely."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each thread pool made while the test runs."""
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return made
 
 
 def test_slope_by_hand():
@@ -94,6 +130,41 @@ def test_null_simulation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < reps * n * 8 / 4
+
+
+@pytest.mark.parametrize("n, reps", [(BLOCK_CELLS // 50 + 1, 150), (500, 2000)])
+def test_null_draws_are_identical_for_any_core_count(
+    monkeypatch, fast_switching, n, reps
+):
+    """Four and sixteen blocks give the same bytes on 1, 2, 3 and 64
+    cores, the last capped at MAX_THREADS threads, more than this host
+    may have."""
+    draws = {}
+    for cores in (1, 2, 3, 64):
+        patch_cores(monkeypatch, cores)
+        draws[cores] = _simulated_t(n, reps, 4).tobytes()
+    for cores in (2, 3, 64):
+        assert draws[cores] == draws[1]
+
+
+def test_thread_pool_only_for_several_blocks_and_cores(monkeypatch, pools):
+    """One block, or one core, runs inline; several blocks on many cores
+    start one pool of at most MAX_THREADS threads."""
+    patch_cores(monkeypatch, 64)
+    assert block_rows(500) >= 100
+    _simulated_t(500, 100, 0)
+    assert pools == []
+    _simulated_t(500, 2000, 0)
+    assert pools == [MAX_THREADS]
+    patch_cores(monkeypatch, 1)
+    _simulated_t(500, 2000, 0)
+    assert pools == [MAX_THREADS]
+
+
+def test_null_simulation_memory_is_bounded_on_a_large_host(monkeypatch):
+    """The memory bound holds with every allowed thread holding a block."""
+    patch_cores(monkeypatch, 64)
+    test_null_simulation_memory_is_bounded()
 
 
 def test_df_test_on_a_random_walk():
