@@ -117,14 +117,15 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
     to the bit as well.  Adding a zero commutes with the other sum, so
     each step adds rho e_{t-1} to w_t = innov_t + innov_{t-1} * 0,
     which is formed for the whole block at once.  The loop runs over
-    time with one vector per time step holding every row; a single row
+    time in place, one contiguous vector per time step holding every
+    row; a single row
     steps through Python floats, the same IEEE double arithmetic
     without numpy's per-call cost, read from the row's buffer and
     appended to a flat ``array("d")``, so no list of n float objects is
     ever held.
     """
     rows, n = innov.shape
-    w = np.empty_like(innov)
+    w = np.empty((n, rows)).T  # the columns (time steps) are contiguous
     w[:, 0] = innov[:, 0] + start
     np.add(innov[:, 1:], innov[:, :-1] * 0.0, out=w[:, 1:])
     # the filter's coefficient is the float -rho; negating it back keeps
@@ -139,14 +140,10 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
             e = step + rho * e
             path.append(e)
         return np.frombuffer(path).reshape(1, n)
-    columns = iter(w.T)
-    e = next(columns)
-    out = [e]
     with np.errstate(over="ignore", invalid="ignore"):
-        for col in columns:
-            e = col + rho * e
-            out.append(e)
-    return np.array(out, dtype=float).T.reshape(rows, n)
+        for prev, col in zip(w.T, w.T[1:]):
+            col += rho * prev
+    return w
 
 
 def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int | np.ndarray:

@@ -14,8 +14,10 @@ datasets, and the fit of ``sls._truncated_rows`` sorts, searches,
 truncates and detrends every row at once, then solves each row's
 normal equations on its own.  A block holds ``rng.block_rows(n)``
 replications, at most ``rng.BLOCK_CELLS`` cells per array and at
-least one replication, so memory is O(BLOCK_CELLS + n) at any n and
-any replication count.  Workers take whole blocks.
+least one replication.  Blocks run on ``rng.map_blocks`` threads, at
+most ``rng.MAX_THREADS`` in flight, so memory is O(BLOCK_CELLS + n) per
+thread at any n and replication count; with ``workers`` > 1, worker
+processes take whole blocks instead, one block per task.
 
 Determinism: replication j draws from streams 4j, 4j+1, 4j+2 of the
 master seed (walk, regressor noise, error innovations; one spare), so a
@@ -23,8 +25,9 @@ replication is a pure function of (master_seed, j).  Blocks change
 nothing here: every row of a block is computed exactly as the
 replication alone (``simulate_replication`` and the dataset fits are
 blocks of one), whichever replications share its block.  Results are
-aggregated in replication order no matter which process computed them,
-which makes output bit identical across worker counts.
+aggregated in replication order no matter which thread or process
+computed them, which makes output bit identical across core and worker
+counts.
 
 The bandwidth for a cell is either given explicitly or, with kernel set
 to "cv", calibrated once by cross validation on a pilot replication
@@ -51,7 +54,7 @@ from .kernel import (
     default_truncation,
 )
 from .markov import simulate_ar1, simulate_random_walk
-from .rng import block_rows, normal_block
+from .rng import block_rows, map_blocks, normal_block
 from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci
 
 STREAMS_PER_REP = 4
@@ -155,10 +158,11 @@ def _g0_values(tag: str, v: np.ndarray) -> np.ndarray:
     return np.zeros_like(v)
 
 
-def simulate_block(cfg: McConfig, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_block(cfg: McConfig, reps) -> tuple[np.ndarray, np.ndarray]:
     """Datasets of the replications ``reps`` under ``cfg``, one row each:
-    ``(y, x, v)`` with y and v of shape (len(reps), n) and x of shape
-    (len(reps), n, 1).
+    ``(data, v)``, the columns y, x of each row in one buffer ``data`` of
+    shape (len(reps), n, 2), y first, and the covariate ``v`` of shape
+    (len(reps), n).
 
     Row i is replication ``reps[i]`` bit for bit as
     :func:`simulate_replication` gives it, whatever else the block
@@ -171,26 +175,27 @@ def simulate_block(cfg: McConfig, reps) -> tuple[np.ndarray, np.ndarray, np.ndar
             raise ParameterError(f"rep must be >= 0, got {rep}")
     base = [STREAMS_PER_REP * rep for rep in reps]
     v = simulate_random_walk(cfg.n, cfg.increment_sd, 0.0, cfg.master_seed, base)
-    u = normal_block(cfg.master_seed, [s + 1 for s in base], cfg.n)
     eps = simulate_ar1(
         cfg.n, cfg.eps_rho, cfg.eps_sd, cfg.master_seed, [s + 2 for s in base]
     )
-    x = u if cfg.dgp == "H_zero" else v + u
-    y = x * cfg.theta0 + _g0_values(cfg.g0, v) + eps
-    finite = np.isfinite(y).all(axis=1) & np.isfinite(x).all(axis=1)
-    finite &= np.isfinite(v).all(axis=1)
+    u = normal_block(cfg.master_seed, [s + 1 for s in base], cfg.n)
+    data = np.empty((len(reps), cfg.n, 2))
+    y, x = data[..., 0], data[..., 1]
+    x[...] = u if cfg.dgp == "H_zero" else v + u
+    y[...] = x * cfg.theta0 + _g0_values(cfg.g0, v) + eps
+    finite = np.isfinite(data).all(axis=(1, 2)) & np.isfinite(v).all(axis=1)
     bad = np.flatnonzero(~finite)
     if bad.size:
         # the dataset of the first one raises, naming its column and row
         TimeSeriesDataset(y=y[bad[0]], x=x[bad[0]], v=v[bad[0]])
-    return y, x[:, :, None], v
+    return data, v
 
 
 def simulate_replication(cfg: McConfig, rep: int) -> TimeSeriesDataset:
     """Deterministic dataset of replication ``rep`` under ``cfg``: the
     block of this one replication."""
-    y, x, v = simulate_block(cfg, [rep])
-    return TimeSeriesDataset(y=y[0], x=x[0], v=v[0])
+    data, v = simulate_block(cfg, [rep])
+    return TimeSeriesDataset(y=data[0, :, 0], x=data[0, :, 1:], v=v[0])
 
 
 def resolve_truncation(cfg: McConfig) -> TruncationSpec:
@@ -229,12 +234,12 @@ def table_grid(v: np.ndarray, points: int) -> np.ndarray:
 
 
 def _fit_block(cfg, kspec, trunc, reps):
-    """The simulated block of ``reps``, its sorted covariate view and
-    its ``_truncated_rows`` fits."""
-    y, x, v = simulate_block(cfg, reps)
+    """The simulated block of ``reps``, its sorted covariate view (the
+    walk itself is not kept) and its ``_truncated_rows`` fits."""
+    data, v = simulate_block(cfg, reps)
     view = SortedView(v)
-    fits, masks, tilde = _truncated_rows(y, x, view, kspec, trunc)
-    return y, x, v, view, fits, masks, tilde
+    del v
+    return (data, view, *_truncated_rows(data, view, kspec, trunc))
 
 
 def _failed(fit) -> bool:
@@ -242,10 +247,12 @@ def _failed(fit) -> bool:
 
 
 def _curve_block(cfg, kspec, trunc, reps, grid_of):
-    """The fits of ``reps``, their grids ``grid_of(v)`` and their curves
-    there (``_curve_rows``, zeros standing in for failed fits)."""
-    y, x, v, view, fits, _, _ = _fit_block(cfg, kspec, trunc, reps)
-    grids = grid_of(v)
+    """The fits of ``reps``, their grids ``grid_of(v)`` of the walks v,
+    sorted, and their curves there (``_curve_rows``, zeros standing in
+    for failed fits)."""
+    data, view, fits = _fit_block(cfg, kspec, trunc, reps)[:3]
+    y, x = data[..., 0], data[..., 1:]
+    grids = grid_of(view.values)
     thetas = np.array([np.zeros(x.shape[2]) if _failed(f) else f for f in fits])
     return (fits, grids, *_curve_rows(y, x, thetas, view, grids, kspec))
 
@@ -255,13 +262,13 @@ def _curve_block(cfg, kspec, trunc, reps, grid_of):
 def _theta_replicate(cfg, kspec, trunc, ci_level, reps) -> list:
     """(theta_hat, whether the interval at ``ci_level`` covers theta0);
     coverage is NaN without an interval."""
-    y, x, v, view, fits, masks, tilde = _fit_block(cfg, kspec, trunc, reps)
+    _, _, fits, masks, tilde, visits = _fit_block(cfg, kspec, trunc, reps)
     out = []
     for r, theta in enumerate(fits):
         covered = np.nan
         # only an interval needs the covariance block of the full fit
         if ci_level is not None and not _failed(theta):
-            fit = _sls_fit(theta, masks[r], tilde[r], v[r], kspec, trunc)
+            fit = _sls_fit(theta, masks[r], tilde[r], visits[r], kspec, trunc)
             try:  # a ParameterError leaves no interval
                 ci = asymptotic_ci(fit, ci_level)
                 covered = float(ci[0, 0] <= cfg.theta0 <= ci[0, 1])
@@ -320,7 +327,7 @@ def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int, KernelSpec]:
         for start in range(0, cfg.reps, size)
     ]
     if cfg.workers == 1 or len(blocks) < 2:
-        results = list(map(run, blocks))
+        results = map_blocks(run, blocks)
     else:
         # imported here: the process pool loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -37,10 +37,14 @@ Blocks
     other streams share its block.  Callers size blocks with
     ``block_rows``, which keeps a block within ``BLOCK_CELLS`` cells (at
     least one row), so a block costs O(BLOCK_CELLS + size) memory
-    however many streams are drawn in all.
+    however many streams are drawn in all.  ``map_blocks`` maps a
+    function over blocks on a few threads, in block order; a block that
+    is computed alike on any thread gives the same bits on any count.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -57,6 +61,28 @@ def block_rows(size: int) -> int:
     """Streams of ``size`` draws in one block: at least one, so a block
     holds O(BLOCK_CELLS + size) cells."""
     return max(1, BLOCK_CELLS // size)
+
+
+# The most threads a map of blocks uses, each holding one block, so
+# memory stays O(MAX_THREADS (BLOCK_CELLS + size)) on any host.
+MAX_THREADS = 4
+
+
+def map_blocks(fn, items) -> list:
+    """``list(map(fn, items))`` on one thread per core this process may
+    run on, at most one per item and at most ``MAX_THREADS``; inline for
+    one item or one core.  Results keep the order of ``items``, and the
+    first item in that order to fail raises its error."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(cores, len(items), MAX_THREADS)
+    if threads < 2:
+        return list(map(fn, items))
+    # imported here: `import partlin` loads no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _words(seed: int, streams, size: int) -> np.ndarray:

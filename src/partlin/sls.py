@@ -194,27 +194,27 @@ def _fit_rows(stacked, mass, sums, visits, spec, trunc):
     return fits, masks, tilde
 
 
-def _truncated_rows(y, x, view, spec, trunc):
-    """``_fit_rows`` of a block of paths, y of shape (rows, n) and x of
-    shape (rows, n, d), ``view`` their sorted covariate rows."""
-    stacked = np.concatenate([y[:, :, None], x], axis=2)
+def _truncated_rows(stacked, view, spec, trunc):
+    """``_fit_rows`` of a block of paths, ``stacked`` their (rows, n, 1 + d)
+    columns y, x and ``view`` their sorted covariate rows, and the visit
+    counts it used: ``(fits, masks, tilde, visits)``."""
     mass, sums = _block_sums(view, None, spec, _prefix_table(view, spec, stacked))
     visits = count_small_set_visits(view.values, trunc.small_set)
-    return _fit_rows(stacked, mass, sums, visits, spec, trunc)
+    return (*_fit_rows(stacked, mass, sums, visits, spec, trunc), visits)
 
 
 def _truncated_solve(
     ds: TimeSeriesDataset, spec: KernelSpec, trunc: TruncationSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients, the truncation mask, and the (n, 1 + d) detrended
-    columns, y first, they were solved from: ``_truncated_rows`` of one
-    dataset, raising its fit error."""
-    (theta,), masks, tilde = _truncated_rows(
-        ds.y[None], ds.x[None], ds.sorted_v, spec, trunc
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Coefficients, the truncation mask, the (n, 1 + d) detrended
+    columns, y first, they were solved from and the visit count:
+    ``_truncated_rows`` of one dataset, raising its fit error."""
+    (theta,), masks, tilde, visits = _truncated_rows(
+        np.column_stack([ds.y, ds.x])[None], ds.sorted_v, spec, trunc
     )
     if isinstance(theta, PartlinError):
         raise theta
-    return theta, masks[0], tilde[0]
+    return theta, masks[0], tilde[0], visits[0]
 
 
 def truncated_theta(
@@ -319,22 +319,21 @@ def truncated_sls(
     point (truncation affects which rows enter the normal equations,
     not where residuals exist), keeping the lag structure intact.
     """
-    return _sls_fit(*_truncated_solve(ds, spec, trunc), ds.v, spec, trunc)
+    return _sls_fit(*_truncated_solve(ds, spec, trunc), spec, trunc)
 
 
 def _sls_fit(
     theta: np.ndarray,
     mask: np.ndarray,
     tilde: np.ndarray,
-    v: np.ndarray,
+    visits: int,
     spec: KernelSpec,
     trunc: TruncationSpec,
 ) -> SlsFit:
-    """``truncated_sls`` from one path's solved coefficients, mask and
-    (n, 1 + d) detrended columns, y first, and its covariate ``v``."""
+    """``truncated_sls`` from one path's solved coefficients, mask,
+    (n, 1 + d) detrended columns, y first, and small set visit count."""
     yt, xt = tilde[:, 0], tilde[:, 1:]
     n, d = xt.shape
-    visits = count_small_set_visits(v, trunc.small_set)
     cov = longrun_covariance(yt - xt @ theta, xt, default_max_lag(n))
     cond = np.linalg.cond(cov.sigma_u)
     if np.isfinite(cond) and cond <= _COND_LIMIT:
@@ -348,8 +347,8 @@ def _sls_fit(
         mask=mask,
         effective_n=int(mask.sum()),
         n=n,
-        n_visits=visits,
-        beta_hat=beta_from_visits(visits, v.size),
+        n_visits=int(visits),
+        beta_hat=beta_from_visits(visits, n),
         sigma_hat_sq=cov.sigma_hat_sq,
         sigma_u=cov.sigma_u,
         sigma_eps_u=cov.sigma_eps_u,

@@ -9,13 +9,15 @@ left tail fraction, matching the rejection direction of the test.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import ParameterError
-from .rng import block_rows, normal_block
+from .rng import block_rows, map_blocks, normal_block
+
+MAX_THREADS = rng.MAX_THREADS  # the cap on the null simulation's threads
 
 
 @dataclass(frozen=True)
@@ -59,26 +61,14 @@ def df_statistic(z: np.ndarray) -> float:
     return _ar1_fit(z)[1]
 
 
-# The most threads one null simulation uses, each holding one block of
-# paths: memory stays O(MAX_THREADS (BLOCK_CELLS + n)) on any host.
-MAX_THREADS = 4
-
-
-def _thread_count(blocks: int) -> int:
-    """Threads for ``blocks`` blocks of paths: one per core this process
-    may run on, at most one per block and at most ``MAX_THREADS``."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(cores, blocks, MAX_THREADS)
-
-
 def _simulated_t(n: int, reps: int, seed: int) -> np.ndarray:
     """DF t draws under the null, one substream per simulated path.
 
     Paths are drawn a block of ``block_rows(n)`` at a time, so memory is
     O(BLOCK_CELLS + n) per thread, not O(reps n); each path keeps only
-    its three sums.  Each block fills its own columns of the sums by the
-    same calls on any thread, so the draws do not depend on the threads.
+    its three sums.  Blocks run through ``map_blocks``, and each fills
+    its own columns of the sums by the same calls on any thread, so the
+    draws do not depend on the threads.
     """
     rows = block_rows(n)
     sums = np.empty((3, reps))
@@ -93,16 +83,7 @@ def _simulated_t(n: int, reps: int, seed: int) -> np.ndarray:
         sums[1, done] = np.einsum("ij,ij->i", lag, cur)
         sums[2, done] = np.einsum("ij,ij->i", cur, cur)
 
-    starts = range(0, reps, rows)
-    threads = _thread_count(len(starts))
-    if threads < 2:
-        list(map(fill, starts))
-    else:
-        # imported here: `import partlin` loads no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(fill, starts))  # re-raises a block's error
+    map_blocks(fill, range(0, reps, rows))
     sxx, sxy, syy = sums
     rho = sxy / sxx
     rss = syy - sxy * sxy / sxx

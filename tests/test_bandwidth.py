@@ -304,9 +304,10 @@ def test_block_fit_is_one_pass_per_block(monkeypatch):
     y = x.sum(axis=2) + rng.standard_normal((5, 120))
     trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
     calls = _count_passes(monkeypatch)
-    fits, _, _ = sls._truncated_rows(
-        y, x, kernel.SortedView(v), KernelSpec("uniform", 0.3), trunc
-    )
+    fits = sls._truncated_rows(
+        np.concatenate([y[:, :, None], x], axis=2),
+        kernel.SortedView(v), KernelSpec("uniform", 0.3), trunc,
+    )[0]
     assert isinstance(fits[4], NoVisitsError)
     assert calls == [(0.3, (600, 3), None, False)]
     calls.clear()

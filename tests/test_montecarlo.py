@@ -1,11 +1,17 @@
 """Replication engine: determinism, stream layout and aggregation."""
 
+import concurrent.futures
+import os
+import sys
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from oracles import oracle_curve_error, oracle_kernel
+from partlin import markov, montecarlo, rng, sls
 from partlin.dataset import TimeSeriesDataset
 from partlin.errors import (
     ExperimentError,
@@ -32,7 +38,7 @@ from partlin.montecarlo import (
     table_grid,
     theta_experiment_details,
 )
-from partlin.rng import block_rows, standard_normal
+from partlin.rng import MAX_THREADS, block_rows, standard_normal
 from partlin.sls import _curve_rows, _truncated_rows, estimate_g, truncated_theta
 
 FIXED = KernelSpec("uniform", 0.6)
@@ -114,8 +120,9 @@ def _bits(a):
 def test_block_rows_are_the_replications(dgp, g0):
     cfg = small_cfg(dgp=dgp, g0=g0)
     reps = [5, 0, 3, 9]
-    y, x, v = simulate_block(cfg, reps)
-    assert y.shape == v.shape == (4, 60) and x.shape == (4, 60, 1)
+    data, v = simulate_block(cfg, reps)
+    assert v.shape == (4, 60) and data.shape == (4, 60, 2)
+    y, x = data[..., 0], data[..., 1:]
     for i, rep in enumerate(reps):
         ds = simulate_replication(cfg, rep)
         assert _bits(y[i]) == _bits(ds.y)
@@ -141,9 +148,9 @@ def test_block_fits_are_the_dataset_fits(family):
     on its own, bit for bit, with the errors a single fit raises."""
     cfg = small_cfg(n=80, dgp="H_identity")
     spec, trunc = KernelSpec(family, 0.3), default_truncation(80)
-    y, x, v = simulate_block(cfg, range(6))
-    view = SortedView(v)
-    fits, masks, _ = _truncated_rows(y, x, view, spec, trunc)
+    data, v = simulate_block(cfg, range(6))
+    y, x, view = data[..., 0], data[..., 1:], SortedView(v)
+    fits, masks, _, _ = _truncated_rows(data, view, spec, trunc)
     grids = table_grid(v, 40)
     values, mass, valid = _curve_rows(y, x, np.vstack(fits), view, grids, spec)
     for r in range(6):
@@ -175,7 +182,8 @@ def test_block_mixing_fit_errors(family):
     x[3] = 2.0
     y = x[:, :, 0] + rng.normal(size=(4, n))
     spec, trunc = KernelSpec(family, h), TruncationSpec(0.5, SmallSet(-1.0, 1.0))
-    fits, _, _ = _truncated_rows(y, x, SortedView(v), spec, trunc)
+    stacked = np.concatenate([y[:, :, None], x], axis=2)
+    fits = _truncated_rows(stacked, SortedView(v), spec, trunc)[0]
     expected = [None, NoVisitsError, TruncationError, RankError]
     for r, want in enumerate(expected):
         ds = TimeSeriesDataset(y=y[r], x=x[r], v=v[r])
@@ -417,3 +425,163 @@ def test_g_clt_check_validation():
 
 def test_dgp_tags_exported():
     assert DGPS == ("H_zero", "H_identity")
+
+
+# ------------------------------------------------- blocks on threads and processes
+
+# a walk of 2000 points gives blocks of 32 replications, so 100 span four
+THREADED = dict(n=2000, reps=100, dgp="H_identity", master_seed=9, kernel=FIXED)
+# one cell of the simulation study's size: blocks of 54 replications
+STUDY_N, STUDY_H = 1200, 0.27
+
+
+def patch_cores(monkeypatch, cores):
+    """Make this process look as if it may run on ``cores`` cores."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+    )
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so blocks interleave finely."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each thread pool made while the test runs."""
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return made
+
+
+def _cell_bytes(cfg) -> dict:
+    """Every result of a cell that a thread or process count could move,
+    as bytes or values compared exactly."""
+    out = {}
+    for level in (0.95, None):
+        det = theta_experiment_details(cfg, ci_level=level)
+        out[level] = (
+            det.draws.tobytes(), det.covered.tobytes(), det.reps_used, det.failures
+        )
+    out["g"] = run_g_experiment(cfg)
+    out["clt"] = g_clt_check(cfg, 0.0)
+    return out
+
+
+def test_visits_are_counted_once_per_block(monkeypatch):
+    """A coverage run counts each block's small set visits once: the
+    intervals take each row's count from the block fit, and the draws
+    do not change."""
+    cfg = small_cfg(**THREADED)
+    want = theta_experiment_details(cfg, ci_level=0.95)
+    calls = []
+    count = markov.count_small_set_visits
+
+    def counted(v, small_set):
+        calls.append(np.shape(v))
+        return count(v, small_set)
+
+    for module in (markov, sls):
+        monkeypatch.setattr(module, "count_small_set_visits", counted)
+    got = theta_experiment_details(cfg, ci_level=0.95)
+    blocks = -(-cfg.reps // block_rows(cfg.n))
+    assert blocks == 4 and np.isfinite(got.covered).any()
+    assert sorted(calls) == sorted([(32, 2000)] * 3 + [(4, 2000)])
+    assert _bits(got.draws) == _bits(want.draws)
+    assert got.covered.tobytes() == want.covered.tobytes()
+    assert (got.reps_used, got.failures, got.kernel) == (
+        want.reps_used, want.failures, want.kernel
+    )
+
+
+def test_cells_are_identical_for_any_core_or_worker_count(monkeypatch, fast_switching):
+    """Four blocks give the same bytes on 1, 2, 3 and 64 cores, the last
+    capped at MAX_THREADS threads, and with two worker processes."""
+    cfg = small_cfg(**THREADED)
+    cells = {}
+    for cores in (1, 2, 3, 64):
+        patch_cores(monkeypatch, cores)
+        cells[cores] = _cell_bytes(cfg)
+    patch_cores(monkeypatch, 1)
+    cells["workers"] = _cell_bytes(replace(cfg, workers=2))
+    for key in (2, 3, 64, "workers"):
+        assert cells[key] == cells[1]
+
+
+def test_thread_pool_only_for_several_blocks_and_cores(monkeypatch, pools):
+    """One block, or one core, runs inline; several blocks on many cores
+    start one pool of MAX_THREADS threads."""
+    patch_cores(monkeypatch, 64)
+    theta_experiment_details(small_cfg(**{**THREADED, "reps": 32}), ci_level=None)
+    assert pools == []
+    theta_experiment_details(small_cfg(**THREADED), ci_level=None)
+    assert pools == [MAX_THREADS]
+    patch_cores(monkeypatch, 1)
+    theta_experiment_details(small_cfg(**THREADED), ci_level=None)
+    assert pools == [MAX_THREADS]
+
+
+def test_worker_processes_start_no_threads(monkeypatch):
+    """With worker processes, neither the parent nor a forked worker maps
+    blocks on threads: a map that raises is never reached."""
+
+    def refuse(fn, items):
+        raise AssertionError("blocks mapped on threads")
+
+    for module in (rng, montecarlo):
+        monkeypatch.setattr(module, "map_blocks", refuse)
+    patch_cores(monkeypatch, 64)
+    cfg = small_cfg(**THREADED, workers=2)
+    assert theta_experiment_details(cfg, ci_level=0.95).reps_used == cfg.reps
+    assert run_g_experiment(cfg).reps_used == cfg.reps
+
+
+def _traced_peak(run) -> int:
+    """The tracemalloc peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("replicate", ["theta", "g"])
+def test_block_memory_is_bounded(replicate):
+    """One block of the simulation study's size (n = 1200, 54
+    replications) peaks below 7 MiB, about 14 arrays the size of the
+    block, so two blocks in flight stay within a few MB."""
+    cfg = small_cfg(n=STUDY_N, reps=1000, dgp="H_identity",
+                    kernel=KernelSpec("uniform", STUDY_H))
+    trunc, rows = resolve_truncation(cfg), range(block_rows(STUDY_N))
+    assert len(rows) == 54
+    if replicate == "theta":
+        run = partial(montecarlo._theta_replicate, cfg, cfg.kernel, trunc, 0.95, rows)
+    else:
+        run = partial(montecarlo._g_replicate, cfg, cfg.kernel, trunc, rows)
+    run()  # loads scipy.special and numpy's lazily built tables
+    assert _traced_peak(run) <= 7 * 2**20
+
+
+def test_cell_memory_is_bounded_on_a_large_host(monkeypatch):
+    """A cell of four blocks on 64 cores holds at most MAX_THREADS blocks
+    at once."""
+    patch_cores(monkeypatch, 64)
+    cfg = small_cfg(n=STUDY_N, reps=4 * 54, dgp="H_identity",
+                    kernel=KernelSpec("uniform", STUDY_H))
+    theta_experiment_details(cfg, ci_level=0.95)
+    peak = _traced_peak(lambda: theta_experiment_details(cfg, ci_level=0.95))
+    assert peak <= MAX_THREADS * 7 * 2**20 + 2**20
