@@ -21,7 +21,11 @@ the verdict of each row:
   reads better than every parent run.
 
 A gain does not count when the change's runs fail more jobs than the
-parent's.  Usage, from the root of the change's checkout::
+parent's.  A run that prints no JSON result, or is stopped after
+``TIMEOUT_S`` seconds beyond its own, gives every row of its (workload,
+seed) the verdict ``run failed``, naming the run; the other rows and
+every run's stdout are still written, and the script exits with 1.
+Usage, from the root of the change's checkout::
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --pr NUMBER \\
         --claim fit_large:job_s.p50
@@ -41,6 +45,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NINE_TENTHS = 0.9
+# a run's allowance beyond its --seconds, for the import and the warm-up job
+TIMEOUT_S = 600
+RUN_FAILED = "run failed"
 DESCRIPTION = (
     "Paired perfbench runs, parent commit against this change, each pair in "
     "alternating order (the parent first in even pairs). Each run is "
@@ -101,12 +108,19 @@ def verdict(row: dict, bound: float, claimed: bool, failed: tuple[int, int]) -> 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One harness run from the root of ``checkout``: its exit code and
-    stdout lines."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    stdout lines.  A run still going ``TIMEOUT_S`` seconds after its own
+    ``seconds`` is killed, with exit None and the lines it printed."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=seconds + TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        # the output read before the kill comes as bytes, whatever text= says
+        out = exc.stdout or b""
+        out = out.decode(errors="replace") if isinstance(out, bytes) else out
+        return {"exit": None, "lines": out.splitlines()}
     return {"exit": proc.returncode, "lines": proc.stdout.splitlines()}
 
 
@@ -129,8 +143,17 @@ def summary_rows(runs: list[dict], benchmark: dict, claims: set) -> list[dict]:
             for side in ("parent", "change")
         }
         results = {side: [result_of(r) for r in rs] for side, rs in by_side.items()}
-        if any(res is None for rs in results.values() for res in rs):
-            raise SystemExit(f"{workload} seed {seed}: a run gave no result")
+        failed_runs = [
+            f"pair {r['pair']} {r['side']}: "
+            + ("timed out" if r["exit"] is None else f"exit {r['exit']}")
+            for side, rs in by_side.items()
+            for r, res in zip(rs, results[side]) if res is None
+        ]
+        if failed_runs:
+            rows += [{"workload": workload, "seed": seed, "metric": m["name"],
+                      "verdict": RUN_FAILED, "failed_runs": failed_runs}
+                     for m in benchmark["end_to_end"]]
+            continue
         failed = tuple(sum(res["failed"] for res in results[s]) for s in ("parent", "change"))
         correct = all(res["correct"] for rs in results.values() for res in rs)
         for metric in benchmark["end_to_end"]:
@@ -166,6 +189,12 @@ def _revision(checkout: str) -> str | None:
     proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _write(path: str, record: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,22 +234,27 @@ def main(argv: list[str] | None = None) -> int:
     done = {(r["workload"], r["seed"]) for r in new}
     runs = [r for r in record["runs"] if (r["workload"], r["seed"]) not in done] + new
     claims = sorted(set(record.get("claims", [])) | set(args.claim))
-    rows = summary_rows(runs, benchmark, set(claims))
     fresh = {
         "description": DESCRIPTION.format(seconds=args.seconds),
         "parent": args.parent_rev or record.get("parent") or _revision(args.parent),
         "environment": _environment(runs),
         "claims": claims,
-        "summary": [_rounded(row) for row in rows],
+        "summary": [],
         "runs": runs,
     }
     # keys written by hand into an appended file follow
     record = {**fresh, **{k: v for k, v in record.items() if k not in fresh}}
-    with open(out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    # the runs are on disk before the summary is made from them
+    _write(out, record)
+    rows = summary_rows(runs, benchmark, set(claims))
+    record["summary"] = [_rounded(row) for row in rows]
+    _write(out, record)
 
     for row in rows:
+        if row["verdict"] == RUN_FAILED:
+            print(f"{row['workload']:9s} seed {row['seed']:<3d} {row['metric']:12s} "
+                  f"{RUN_FAILED}: {'; '.join(row['failed_runs'])}")
+            continue
         pa, ch = row["parent"], row["change"]
         print(
             f"{row['workload']:9s} seed {row['seed']:<3d} {row['metric']:12s} "
@@ -231,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             f"iqr {row['parent_iqr']:.4f}  failed {row['failed']}  {row['verdict']}"
         )
     print(f"wrote {out}")
-    return 0
+    return 1 if any(row["verdict"] == RUN_FAILED for row in rows) else 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ the path.
 
 The path simulators draw one path per stream, or a block of paths, one
 per stream of a sequence, as the rows of an array: the walk is a
-cumulative sum along each row and the AR(1) error runs its recursion
-along the rows, with one vector per time step for the whole block.  A
+cumulative sum along each row and the AR(1) error, for rho a power of
+two, a scaled one, else a loop with one vector per time step.  A
 row is bit for bit the path its stream gives alone, so blocks change
 no result, and a block costs memory in proportion to its own size.
 """
@@ -89,7 +89,8 @@ def simulate_ar1(
     every marginal has variance innovation_sd**2 / (1 - rho**2).  For
     |rho| >= 1 no stationary law exists and the recursion starts at 0.
     ``stream`` is one stream number or a sequence of them, as in
-    :func:`simulate_random_walk`.
+    :func:`simulate_random_walk`.  Paths are lfilter's to the bit: a
+    scaled running sum for rho = 2**-k, else a loop (:func:`_ar1_recursion`).
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -116,21 +117,37 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
     included, so a noiseless path (all innovations zero) is reproduced
     to the bit as well.  Adding a zero commutes with the other sum, so
     each step adds rho e_{t-1} to w_t = innov_t + innov_{t-1} * 0,
-    which is formed for the whole block at once.  The loop runs over
-    time in place, one contiguous vector per time step holding every
-    row; a single row
-    steps through Python floats, the same IEEE double arithmetic
-    without numpy's per-call cost, read from the row's buffer and
-    appended to a flat ``array("d")``, so no list of n float objects is
-    ever held.
+    which is formed for the whole block at once.
+
+    For rho = 2**-k, 0 <= k <= 960, each segment of 960 // max(k, 1) steps
+    after t0 (the last step of the one before) is a scaled running sum: with
+    s = t - t0, g_t = 2**(k s) e_t is a cumsum of 2**(k s) w_t between a
+    scale and an unscale pass, and |g| < 2**960 max|e|.  Scaling by 2**j is
+    exact and commutes with rounding short of overflow (sums among the
+    subnormals are exact), so g_t is the loop's step scaled if rho e_{t-1}
+    is exact: if e_{t-1} = 0 (sign kept) or |e_{t-1}| >= 2**(k - 1022).  The
+    guard keeps the sums only if each is finite and 0 or at least that
+    bound; by induction on t they are then the loop's, as overflow leaves
+    inf or nan to the segment's end and a kept g_t, exactly 2**(k s) e_t,
+    unscales to e_t: a zero to the loop's signed zero, a nonzero e_t below
+    the bound to itself, which the guard sees.
+
+    Any other rho (non-dyadic, negative, +-0), and a rejected block, runs
+    a loop over time in place: a contiguous vector per time step, or for
+    one row Python floats into a flat ``array("d")``.
     """
-    rows, n = innov.shape
-    w = np.empty((n, rows)).T  # the columns (time steps) are contiguous
-    w[:, 0] = innov[:, 0] + start
-    np.add(innov[:, 1:], innov[:, :-1] * 0.0, out=w[:, 1:])
     # the filter's coefficient is the float -rho; negating it back keeps
     # its sign of zero (-float(-0) is -0.0, not the 0 of rho = 0)
     rho = -float(-rho)
+    mantissa, exponent = np.frexp(rho)
+    dyadic = mantissa == 0.5 and 0 <= 1 - exponent <= 960
+    rows, n = innov.shape
+    w = np.empty((n, rows)).T  # the columns (time steps) are contiguous
+    for scaled in (True, False) if dyadic else (False,):  # rejected: form again
+        w[:, 0] = innov[:, 0] + start
+        np.add(innov[:, 1:], innov[:, :-1] * 0.0, out=w[:, 1:])
+        if scaled and _scaled_running_sum(w, 1 - exponent):
+            return w
     # an explosive path may overflow; the dataset check reports it
     if rows == 1:
         steps = iter(memoryview(w[0]))
@@ -144,6 +161,20 @@ def _ar1_recursion(innov: np.ndarray, rho: float, start: np.ndarray) -> np.ndarr
         for prev, col in zip(w.T, w.T[1:]):
             col += rho * prev
     return w
+
+
+def _scaled_running_sum(w: np.ndarray, k: int) -> bool:
+    """rho = 2**-k over ``w``, in place; False when the guard rejects."""
+    span = 960 // max(k, 1)  # scales up to 2**960, a factor 2**63 below overflow
+    up = np.ldexp(1.0, k * np.arange(min(span + 1, w.shape[1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, w.shape[1] - 1, span):
+            seg = w[:, t0:t0 + span + 1]
+            seg *= up[: seg.shape[1]]
+            np.cumsum(seg, axis=1, out=seg)
+            seg /= up[: seg.shape[1]]
+    small = np.count_nonzero(abs(w) < np.ldexp(1.0, k - 1022))
+    return bool(np.isfinite(w).all()) and small == np.count_nonzero(w == 0)
 
 
 def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int | np.ndarray:

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import ParameterError
 from .rng import block_rows, map_blocks, normal_block
-
-MAX_THREADS = rng.MAX_THREADS  # the cap on the null simulation's threads
 
 
 @dataclass(frozen=True)

@@ -102,3 +102,53 @@ def test_summary_rows_pair_runs_by_side_and_count_failures():
     assert job["parent"]["median"] == pytest.approx(1.05)
     assert job["verdict"] == "not met"  # one more failed job than the parent
     assert rss["change_wins"] == 0 and rss["verdict"] == "no regression"
+
+
+def _result_line(job):
+    return bench_pairs.json.dumps({"correct": True, "failed": 0, "metrics": {
+        m: {"value": job} for m in ("setup_s", "job_s.p50", "peak_rss_mb")}})
+
+
+def test_a_run_without_a_result_fails_its_rows_and_keeps_every_run(
+    monkeypatch, tmp_path
+):
+    """One run of ten prints no JSON: its workload's rows say so and name
+    it, the other workload is summarised, every run is written and the
+    script exits non-zero."""
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout.endswith("parent") else "change"
+        calls.append((workload, side))
+        if (workload, side) == ("mc_cell", "change") and calls.count(calls[-1]) == 2:
+            return {"exit": 1, "lines": ["Traceback (most recent call last):"]}
+        return {"exit": 0, "lines": [_result_line(1.0 if side == "parent" else 0.5)]}
+
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    code = bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--pr", "x", "--parent-rev", "abc", "--workload", "fit_epan",
+        "--workload", "mc_cell", "--pairs", "3", "--out", str(out),
+    ])
+    assert code == 1
+    record = bench_pairs.json.loads(out.read_text())
+    assert len(record["runs"]) == 12
+    verdicts = {(r["workload"], r["metric"]): r for r in record["summary"]}
+    assert {r["verdict"] for (w, _), r in verdicts.items() if w == "fit_epan"} == {
+        "no regression"}
+    failed = [r for (w, _), r in verdicts.items() if w == "mc_cell"]
+    assert len(failed) == 3
+    for row in failed:
+        assert row["verdict"] == "run failed"
+        assert row["failed_runs"] == ["pair 1 change: exit 1"]
+
+
+def test_a_run_past_its_time_is_stopped_with_what_it_printed(monkeypatch, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import time\nprint('env {}', flush=True)\ntime.sleep(60)\n"
+    )
+    monkeypatch.setattr(bench_pairs, "TIMEOUT_S", 1)
+    run = bench_pairs.run_once(str(tmp_path), "mc_cell", 0, 0.5)
+    assert run == {"exit": None, "lines": ["env {}"]}
+    assert bench_pairs.result_of(run) is None

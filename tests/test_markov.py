@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from partlin import markov
 from partlin.errors import NoVisitsError, ParameterError
 from partlin.markov import (
     BlockDecomposition,
@@ -91,8 +92,9 @@ def _bits(a):
 
 
 # integer 0 and 1 included: the filter's coefficient is the float -rho,
-# whose zero has the other sign than that of -0.0
-AR1_RHOS = [-0.9, 0.0, -0.0, 0, 0.5, 1.0, 1, 1.2]
+# whose zero has the other sign than that of -0.0; powers of two up to 1
+# take the scaled running sum, every other rho (2.0 too) the loop
+AR1_RHOS = [-0.9, 0.0, -0.0, 0, 0.5, 0.25, 2.0**-10, 1.0, 1, 1.2, 2.0]
 # both signs of zero, which a noiseless path is made of
 _INNOVATION = st.one_of(
     st.sampled_from([0.0, -0.0]),
@@ -139,6 +141,72 @@ def test_ar1_paths_are_the_filtered_draws(seed, streams, n, rho, sd):
         want = _bits(oracles.oracle_ar1(sd * z[1:], rho, rho * e0))
         assert _bits(row) == want
         assert _bits(simulate_ar1(n, rho, sd, seed, stream)) == want
+
+
+@pytest.fixture
+def guard_verdicts(monkeypatch):
+    """The verdict of the scaled running sum's guard, one per call."""
+    verdicts = []
+    scaled = markov._scaled_running_sum
+
+    def spy(w, k):
+        verdicts.append(scaled(w, k))
+        return verdicts[-1]
+
+    monkeypatch.setattr(markov, "_scaled_running_sum", spy)
+    return verdicts
+
+
+def _assert_filtered(innov, rho, start):
+    """The block and each of its rows alone are the filter, bit for bit."""
+    innov, start = np.atleast_2d(innov), np.atleast_1d(start)
+    got = _ar1_recursion(innov, rho, start)
+    for r in range(innov.shape[0]):
+        want = _bits(oracles.oracle_ar1(innov[r], rho, start[r]))
+        assert _bits(got[r]) == want
+        assert _bits(_ar1_recursion(innov[r:r + 1], rho, start[r:r + 1])[0]) == want
+
+
+def test_design_rho_takes_the_scaled_running_sum(guard_verdicts):
+    """rho = 0.5 on N(0, 1) innovations never reaches the loop over time."""
+    z = standard_normal(0, 0, 1201)
+    _assert_filtered(np.array([z[1:], 2.0 * z[1:]]), 0.5, 0.5 * z[:2])
+    assert guard_verdicts == [True] * 3
+
+
+@pytest.mark.parametrize("rho,n", [(0.5, 2500), (2.0**-10, 300)])
+def test_rows_longer_than_one_segment(guard_verdicts, rho, n):
+    """2500 steps at k = 1 and 300 at k = 10 span three and four segments."""
+    innov = np.array([standard_normal(5, s, n) for s in range(3)])
+    _assert_filtered(innov, rho, np.array([0.3, -0.0, 4.0]))
+    assert guard_verdicts == [True] * 4
+
+
+@pytest.mark.parametrize(
+    "innov,start",
+    [
+        (np.resize([1e300, -1e300, 0.9e300], 60), 0.0),  # scaled values overflow
+        (np.resize([1536, 1], 40) * 5e-324, 0.0),  # subnormal innovations
+        (np.zeros(40), 5e-324),  # subnormal starts
+        (np.zeros(40), 2.0**-1060),
+        # decays below 2**(k - 1022), where the loop rounds rho e_{t-1}
+        (np.concatenate(([-0.1321048632913019], np.zeros(1200))), 0.0),
+    ],
+)
+@pytest.mark.parametrize("rho", [0.5, 2.0**-10])
+def test_guard_sends_inexact_blocks_to_the_loop(guard_verdicts, innov, start, rho):
+    _assert_filtered(innov, rho, start)
+    assert guard_verdicts and not any(guard_verdicts)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.25, 1.0])
+def test_zeros_of_both_signs_pass_the_guard_exactly(guard_verdicts, rho):
+    """-0, -0, then an exact cancellation to +0 that zeros carry on."""
+    innov = np.array([-0.0, -0.0, 3.0, -3.0 * rho, 0.0, -0.0, 1.0])
+    _assert_filtered(np.array([innov, -innov]), rho, np.array([-0.0, 0.0]))
+    got = _ar1_recursion(innov[None], rho, np.array([-0.0]))[0]
+    assert _bits(got[:5]) == _bits([-0.0, -0.0, 3.0, 0.0, 0.0])
+    assert guard_verdicts == [True] * 4
 
 
 def test_walks_of_a_block_are_the_walks_of_their_streams():

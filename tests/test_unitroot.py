@@ -14,9 +14,8 @@ from scipy import stats
 import oracles
 from partlin.errors import ParameterError
 from partlin.markov import simulate_ar1, simulate_random_walk
-from partlin.rng import BLOCK_CELLS, block_rows, standard_normal
+from partlin.rng import BLOCK_CELLS, MAX_THREADS, block_rows, standard_normal
 from partlin.unitroot import (
-    MAX_THREADS,
     DfResult,
     df_statistic,
     df_test,
