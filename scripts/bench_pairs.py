@@ -31,7 +31,12 @@ Usage, from the root of the change's checkout::
         --claim fit_large:job_s.p50
 
 ``--append`` adds the rows and runs of another seed or workload to an
-existing output file.
+existing output file.  ``--control DIR`` names a file copy of the
+parent: each pair is then followed by a pair of the parent against that
+copy, in the same order, and those runs and their rows go under
+``aa_control``, with the copy as the change side.  An A/A pairing shows
+how far two identical trees read apart on the host; its verdicts are
+printed but do not set the exit code, unless a run fails.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ NINE_TENTHS = 0.9
 # a run's allowance beyond its --seconds, for the import and the warm-up job
 TIMEOUT_S = 600
 RUN_FAILED = "run failed"
+CONTROL_DESCRIPTION = (
+    "Control pairing, not part of the claim: the parent commit against a file "
+    "copy of itself, in the change's place, each pair run right after the "
+    "change's pair of the same index and in the same order, same settings. "
+    "It shows how far two identical trees differ on this host."
+)
 DESCRIPTION = (
     "Paired perfbench runs, parent commit against this change, each pair in "
     "alternating order (the parent first in even pairs). Each run is "
@@ -197,6 +208,28 @@ def _write(path: str, record: dict) -> None:
         fh.write("\n")
 
 
+def _merged(old: list[dict], new: list[dict]) -> list[dict]:
+    """``old`` runs but those of the (workload, seed)s of ``new``, then ``new``."""
+    done = {(r["workload"], r["seed"]) for r in new}
+    return [r for r in old if (r["workload"], r["seed"]) not in done] + new
+
+
+def _print_rows(rows: list[dict], label: str = "") -> None:
+    for row in rows:
+        head = f"{label}{row['workload']:9s} seed {row['seed']:<3d} {row['metric']:12s} "
+        if row["verdict"] == RUN_FAILED:
+            print(f"{head}{RUN_FAILED}: {'; '.join(row['failed_runs'])}")
+            continue
+        pa, ch = row["parent"], row["change"]
+        print(
+            f"{head}parent {pa['median']:.4f} [{pa['q1']:.4f}, {pa['q3']:.4f}]  "
+            f"change {ch['median']:.4f} [{ch['q1']:.4f}, {ch['q3']:.4f}]  "
+            f"wins {row['change_wins']}/{row['pairs']} losses {row['change_losses']}  "
+            f"ratio {row['median_ratio']:.4f}  gap {row['median_gap']:.4f} "
+            f"iqr {row['parent_iqr']:.4f}  failed {row['failed']}  {row['verdict']}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
@@ -204,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="root of the parent checkout")
     p.add_argument("--change", default=ROOT, help="root of the change's checkout")
+    p.add_argument("--control", help="root of a file copy of the parent: A/A pairs")
     p.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     p.add_argument("--parent-rev", help="parent commit (default: git of --parent)")
     p.add_argument("--workload", action="append", choices=workloads)
@@ -220,19 +254,23 @@ def main(argv: list[str] | None = None) -> int:
         with open(out) as fh:
             record = json.load(fh)
 
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    new = []
+    parent = os.path.abspath(args.parent)
+    pairings = [("", {"parent": parent, "change": os.path.abspath(args.change)}, [])]
+    if args.control:
+        pairings.append(
+            ("control ", {"parent": parent, "change": os.path.abspath(args.control)}, [])
+        )
     for workload in args.workload or workloads:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                run = run_once(sides[side], workload, args.seed, args.seconds)
-                new.append({"workload": workload, "seed": args.seed, "pair": pair,
-                            "side": side, **run})
-                print(f"{workload} seed {args.seed} pair {pair} {side}: exit {run['exit']}",
-                      file=sys.stderr)
-    done = {(r["workload"], r["seed"]) for r in new}
-    runs = [r for r in record["runs"] if (r["workload"], r["seed"]) not in done] + new
+            for label, sides, new in pairings:
+                for side in order:
+                    run = run_once(sides[side], workload, args.seed, args.seconds)
+                    new.append({"workload": workload, "seed": args.seed, "pair": pair,
+                                "side": side, **run})
+                    print(f"{label}{workload} seed {args.seed} pair {pair} {side}: "
+                          f"exit {run['exit']}", file=sys.stderr)
+    runs = _merged(record["runs"], pairings[0][2])
     claims = sorted(set(record.get("claims", [])) | set(args.claim))
     fresh = {
         "description": DESCRIPTION.format(seconds=args.seconds),
@@ -242,30 +280,30 @@ def main(argv: list[str] | None = None) -> int:
         "summary": [],
         "runs": runs,
     }
+    control = record.get("aa_control", {})
+    if args.control:  # a control written by hand, without runs, is replaced
+        fresh["aa_control"] = {
+            "description": CONTROL_DESCRIPTION,
+            "summary": [],
+            "runs": _merged(control.get("runs", []), pairings[1][2]),
+        }
     # keys written by hand into an appended file follow
     record = {**fresh, **{k: v for k, v in record.items() if k not in fresh}}
     # the runs are on disk before the summary is made from them
     _write(out, record)
     rows = summary_rows(runs, benchmark, set(claims))
     record["summary"] = [_rounded(row) for row in rows]
+    control_rows = []
+    if "runs" in record.get("aa_control", {}):
+        control_rows = summary_rows(record["aa_control"]["runs"], benchmark, set(claims))
+        record["aa_control"]["summary"] = [_rounded(row) for row in control_rows]
     _write(out, record)
 
-    for row in rows:
-        if row["verdict"] == RUN_FAILED:
-            print(f"{row['workload']:9s} seed {row['seed']:<3d} {row['metric']:12s} "
-                  f"{RUN_FAILED}: {'; '.join(row['failed_runs'])}")
-            continue
-        pa, ch = row["parent"], row["change"]
-        print(
-            f"{row['workload']:9s} seed {row['seed']:<3d} {row['metric']:12s} "
-            f"parent {pa['median']:.4f} [{pa['q1']:.4f}, {pa['q3']:.4f}]  "
-            f"change {ch['median']:.4f} [{ch['q1']:.4f}, {ch['q3']:.4f}]  "
-            f"wins {row['change_wins']}/{row['pairs']} losses {row['change_losses']}  "
-            f"ratio {row['median_ratio']:.4f}  gap {row['median_gap']:.4f} "
-            f"iqr {row['parent_iqr']:.4f}  failed {row['failed']}  {row['verdict']}"
-        )
+    _print_rows(rows)
+    _print_rows(control_rows, "control ")
     print(f"wrote {out}")
-    return 1 if any(row["verdict"] == RUN_FAILED for row in rows) else 0
+    failed = any(row["verdict"] == RUN_FAILED for row in rows + control_rows)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -160,8 +160,9 @@ def read_columns(
     a line :mod:`csv` cannot read (a field over its size limit), one
     naming the line.
 
-    numpy's C reader parses the rows.  Input it refuses or warns about
-    is read again by :func:`_read_columns_exact`, which returns the
+    :mod:`csv` reads the header, numpy's C reader the rows after it, in
+    chunks of the file it opens by name.  Input numpy refuses or warns
+    about is read again by :func:`_read_columns_exact`, which returns the
     same values or raises the error above for the first faulty row.  A
     selector naming no column is reported from the header and the
     first data row alone, so a wrong name costs no pass over the file.
@@ -181,9 +182,10 @@ def _read_columns_fast(
     """The C parser's pass; the SchemaErrors it raises are the exact
     loop's, in the same order of precedence."""
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         names: list[str] | None = None
         if header:
-            first = next(filter(None, csv.reader(fh)), None)
+            first = next(filter(None, reader), None)
             if first is None:
                 raise SchemaError(f"{path}: empty file")
             names = [c.strip() for c in first]
@@ -192,13 +194,17 @@ def _read_columns_fast(
         except SchemaError:
             # a file without data rows says so before a selector fails;
             # finding one row settles it, the others are never read
-            if next(filter(None, csv.reader(fh)), None) is None:
+            if next(filter(None, reader), None) is None:
                 raise SchemaError(f"{path}: no data rows") from None
             raise
-        # the header row is consumed, so numpy reads the data rows only
+        # numpy parses a file it opens in chunks, else line by line; it skips
+        # the lines csv read, but would decompress or fetch some names
+        name = str(path)
+        named = "://" not in name and not name.endswith((".gz", ".bz2", ".xz", ".lzma"))
         data = np.loadtxt(
-            fh,
+            path if named else fh,
             delimiter=",",
+            skiprows=reader.line_num if named else 0,
             usecols=positions,
             comments=None,
             quotechar='"',

@@ -10,7 +10,8 @@ through a ``SortedView``, built once per dataset
 (``TimeSeriesDataset.sorted_v``) or block, and finds each point's
 window, the sample points with |(v_t - p_i)/h| <= 1 in floating point,
 as one contiguous run of its row's sorted sample.  When the points are
-the sample itself, the windows are read off their lower ends alone.
+the sample itself, the windows are read off their upper ends alone,
+found by one walk along each sorted row.
 The view holds nothing but the sorted rows, so every search is a pure
 function of its points and h.  Every family is a polynomial
 in u on its window, so window sums are read off a table of prefix sums
@@ -130,12 +131,12 @@ def _settle_edge(
     sample row, and the result is an index into that row's sorted
     values.  Window membership is decided on (v - p)/h, exactly as
     ``kernel_eval`` decides it; ``past`` is monotone in v, so each
-    window is one contiguous run of the sorted sample.  ``guess`` is the
-    insertion index of p -+ h in the point's own row
-    (``SortedView._search``), which disagrees with that predicate only
-    for sample values within rounding distance of the edge.  Checking
-    the two neighbours of each guess costs O(p); only guesses that fail
-    are bisected, within their own row.
+    window is one contiguous run of the sorted sample.  ``guess`` may be
+    any index from 0 to n; in practice it is the insertion index of
+    p -+ h in the point's own row, which misses only for values within
+    rounding distance of the edge.  Checking the two neighbours of each
+    guess costs O(p); only guesses that fail are bisected, within their
+    own row, so a guess sets the speed, never the result.
     """
     width = padded.shape[1]
     n = width - 2
@@ -222,44 +223,49 @@ class SortedView:
         out.ravel()[self.order] = sorted_cells.ravel()
         return out
 
-    def _search(self, needles: np.ndarray, side: str) -> np.ndarray:
-        """Each needle's insertion index in its own row of ``values``,
-        one search per row: the guesses ``_settle_edge`` starts from."""
-        return np.stack([
-            np.searchsorted(row, at, side=side) for row, at in zip(self.values, needles)
-        ])
+    def _walk(self, needles: np.ndarray) -> np.ndarray:
+        """Guesses of how many values of its own row of ``values`` lie at
+        or below each needle, by ``np.interp`` of the row's indices: it
+        starts each search at the previous needle's interval, so sorted
+        needles walk the row once, and lands on the end of a run of ties.
+        A guess is one high where the interpolated index rounds up."""
+        n = self.values.shape[1]
+        count = np.arange(1, n + 1, dtype=float)
+        out = np.empty(needles.shape, dtype=np.intp)
+        for row, at, guess in zip(self.values, needles, out):
+            below = np.interp(at, row, count, left=0.0)  # inf across a subnormal gap
+            np.minimum(below, n, out=guess, casting="unsafe")
+        return out
 
-    def _lower_ends(self, points: np.ndarray, h: float) -> np.ndarray:
+    def _upper_ends(self, points: np.ndarray, h: float) -> np.ndarray:
         return _settle_edge(
-            self.padded, points, h, self._search(points - h, "left"),
-            lambda u: u >= -1.0,
+            self.padded, points, h, self._walk(points + h), lambda u: u > 1.0
         )
 
     def windows(self, points: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Bounds ``[lo, hi)`` in each row's sorted sample of the windows
-        of that row's points (``points`` has one row per path)."""
-        hi = _settle_edge(
-            self.padded, points, h, self._search(points + h, "right"),
-            lambda u: u > 1.0,
-        )
-        return self._lower_ends(points, h), hi
+        of that row's points (``points`` has one row per path); the lower
+        ends by binary search, exact on ties."""
+        guess = [np.searchsorted(row, at) for row, at in zip(self.values, points - h)]
+        lo = _settle_edge(self.padded, points, h, np.stack(guess), lambda u: u >= -1.0)
+        return lo, self._upper_ends(points, h)
 
     def own_windows(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Windows of the sorted sample points themselves, in sorted order.
 
-        Only the lower ends are searched (sorted needles search fast).
-        Since (v_i - v_j)/h is -(v_j - v_i)/h exactly, v_j lies at or
-        below the upper end of v_i's window exactly when v_i lies at or
-        above the lower end of v_j's, so the upper end of window i
-        counts the windows j whose lower end is at most i.
+        Only the upper ends are searched, in one walk along each row.
+        Since (v_i - v_j)/h is -(v_j - v_i)/h exactly, v_j lies below
+        the lower end of v_i's window exactly when v_i lies at or above
+        the upper end of v_j's, so the lower end of window i counts the
+        windows j whose upper end is at most i.
         """
         count, n = self.values.shape
-        lo = self._lower_ends(self.values, h)
+        hi = self._upper_ends(self.values, h)
         ends = np.bincount(
-            (lo + (np.arange(count) * (n + 1))[:, None]).ravel(),
+            (hi + (np.arange(count) * (n + 1))[:, None]).ravel(),
             minlength=count * (n + 1),
         )
-        return lo, np.cumsum(ends.reshape(count, n + 1), axis=1)[:, :n]
+        return np.cumsum(ends.reshape(count, n + 1), axis=1)[:, :n], hi
 
 
 def _as_view(v_series: np.ndarray | SortedView) -> SortedView:

@@ -105,7 +105,8 @@ def simulate_ar1(
         e0 = innovation_sd / np.sqrt(1.0 - rho * rho) * z[:, 0]
     else:
         e0 = np.zeros(z.shape[0])
-    paths = _ar1_recursion(innovation_sd * z[:, 1:], rho, rho * e0)
+    z[:, 1:] *= innovation_sd  # the innovations, in the draws' own buffer
+    paths = _ar1_recursion(z[:, 1:], rho, rho * e0)
     return paths[0] if np.isscalar(stream) else paths
 
 

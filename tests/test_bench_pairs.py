@@ -1,6 +1,7 @@
 """The summary arithmetic of ``scripts/bench_pairs.py``."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -152,3 +153,37 @@ def test_a_run_past_its_time_is_stopped_with_what_it_printed(monkeypatch, tmp_pa
     run = bench_pairs.run_once(str(tmp_path), "mc_cell", 0, 0.5)
     assert run == {"exit": None, "lines": ["env {}"]}
     assert bench_pairs.result_of(run) is None
+
+
+def test_control_pairs_follow_each_pair_and_go_under_aa_control(monkeypatch, tmp_path):
+    """With ``--control``, each pair of the parent against the change is
+    followed by one of the parent against the copy, in the same order;
+    those runs and their rows go under ``aa_control``, the copy as the
+    change side, and the main rows are made from the main runs alone."""
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(os.path.basename(checkout))
+        job = 0.5 if checkout.endswith("change") else 1.0
+        return {"exit": 0, "lines": [_result_line(job)]}
+
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    code = bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--control", str(tmp_path / "copy"), "--pr", "x", "--parent-rev", "abc",
+        "--workload", "fit_large", "--pairs", "2", "--claim", "fit_large:job_s.p50",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert calls == ["parent", "change", "parent", "copy",
+                     "change", "parent", "copy", "parent"]
+    record = bench_pairs.json.loads(out.read_text())
+    assert [r["side"] for r in record["runs"]] == ["parent", "change", "change", "parent"]
+    control = record["aa_control"]
+    assert [(r["pair"], r["side"]) for r in control["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+    job = {r["metric"]: r for r in record["summary"]}["job_s.p50"]
+    assert job["change"]["median"] == 0.5
+    same = {r["metric"]: r for r in control["summary"]}["job_s.p50"]
+    assert same["change"]["median"] == 1.0 and same["claimed"]
+    assert same["verdict"] == "not met"

@@ -293,6 +293,11 @@ def _outcome(read, path, cols, header):
 @example(case=('\r\ny,"a,b",v\r\n\r\n1, "2" ,3\r\n', ["a,b", 0], True))
 @example(case=("1_0,2\n", [0, 1], False))
 @example(case=('"1,2,3",9\n', [1], False))
+# a header label holding a quoted line end spans two lines
+@example(case=('"a\nb",v\n1,2\n3,4\n', ["a\nb", "v"], True))
+@example(case=("\n\n\ny,v\n1,2\n", ["v", "y"], True))
+@example(case=("y,v\r1,2\r3,4\r", ["y", "v"], True))
+@example(case=("\n\n1,2\n3,4\n", [1, 0], False))
 def test_read_columns_matches_oracle(case):
     text, cols, header = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -304,15 +309,64 @@ def test_read_columns_matches_oracle(case):
     assert got == want
 
 
-def test_clean_file_is_read_without_the_exact_loop(tmp_path, monkeypatch):
+def _fast_path_only(monkeypatch) -> list:
+    """Make the exact loop raise; the first argument of every
+    ``np.loadtxt`` call is appended to the list returned."""
     def refuse(*args):
         raise AssertionError("the exact loop ran")
 
+    def loadtxt(source, *args, **kwargs):
+        sources.append(source)
+        return numpy_loadtxt(source, *args, **kwargs)
+
+    sources, numpy_loadtxt = [], np.loadtxt
     monkeypatch.setattr(dataset, "_read_columns_exact", refuse)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return sources
+
+
+def test_clean_file_is_read_without_the_exact_loop(tmp_path, monkeypatch):
+    sources = _fast_path_only(monkeypatch)
     ds = build_dataset(seed=4, n=30)
     path = tmp_path / "sim.csv"
     write_csv(str(path), ds)
     np.testing.assert_array_equal(load_csv(str(path)).v, ds.v)
+    # numpy opens the file itself, so it parses chunks, not lines
+    assert sources == [str(path)]
+
+
+@pytest.mark.parametrize(
+    "text, cols, header",
+    [
+        ('"a\nb",v\n1,2\n3,4\n', ["a\nb", "v"], True),
+        ("\n\n\ny,v\n1,2\n", ["v", "y"], True),
+        ("y,v\r1,2\r3,4\r", ["y", "v"], True),
+        ("y,v\r\n\r\n1,2\r\n3,4\r\n", ["v"], True),
+        ("\n\n1,2\n3,4\n", [1, 0], False),
+    ],
+)
+def test_rows_after_any_header_layout_are_read_by_numpy(
+    tmp_path, monkeypatch, text, cols, header
+):
+    """numpy skips the lines csv read for the header, however they end
+    or whatever the header's quotes hold, and no data row with them."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    want = _outcome(oracles.oracle_read_columns, str(path), cols, header)
+    sources = _fast_path_only(monkeypatch)
+    assert _outcome(read_columns, str(path), cols, header) == want
+    assert sources == [str(path)]
+
+
+def test_plain_text_named_as_compressed_is_read_as_written(tmp_path, monkeypatch):
+    """numpy's opener would decompress a ``.gz`` name; the reader hands
+    numpy its own open file instead, so the bytes are parsed as text."""
+    path = tmp_path / "data.csv.gz"
+    path.write_text("y,x1,v\n1,2,3\n4,5,6\n")
+    sources = _fast_path_only(monkeypatch)
+    data, labels = read_columns(str(path), ["v", "y"])
+    assert data.tolist() == [[3.0, 1.0], [6.0, 4.0]] and labels == ["v", "y"]
+    assert len(sources) == 1 and not isinstance(sources[0], str)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import oracles
 import partlin
+from partlin import kernel
 from partlin.bandwidth import cv_select
 from partlin.errors import NoVisitsError, ParameterError
 from partlin.kernel import (
@@ -357,6 +358,110 @@ def test_partners_exactly_on_the_edge_are_dropped_as_the_oracle_drops_them():
     assert dropped == 12
     assert sel.dropped[0] == dropped
     assert sel.criterion[0] == pytest.approx(want, rel=1e-10)
+
+
+def _lattice(seed: int, rows: int, n: int) -> np.ndarray:
+    """Integer-valued walks of steps -1, 0 and 1: each value recurs many
+    times, so a window's edge needle ties a whole run of samples."""
+    steps = np.random.default_rng(seed).integers(-1, 2, (rows, n))
+    return np.cumsum(steps, axis=1).astype(float)
+
+
+_LOWER, _UPPER = (lambda u: u >= -1.0), (lambda u: u > 1.0)
+
+
+def _first_past(view, points, h, past):
+    """Each point's index of the first sorted value of its row that is
+    ``past`` its edge, counted off the predicate directly."""
+    u = (view.values[:, None, :] - points[:, :, None]) / h
+    return np.count_nonzero(~past(u), axis=2)
+
+
+def _probe_points(view, rng):
+    """Per row: its own values, each shifted by +-1/2, and uniform draws
+    over the row's range and a little beyond."""
+    v = view.values
+    spread = rng.uniform(v.min(axis=1, keepdims=True) - 3, v.max(axis=1, keepdims=True) + 3,
+                         (v.shape[0], 40))
+    return np.concatenate([v, v + 0.5, v - 0.5, spread], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_settled_edges_do_not_depend_on_the_guess(seed):
+    """From guesses all 0, all n, one off either way or random, every
+    window end settles on the predicate's own count."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(0.1 * rng.standard_normal((1, 200)), axis=1)
+    view = SortedView(np.concatenate([_lattice(seed, 2, 200), walk]))
+    points = _probe_points(view, rng)
+    n = view.values.shape[1]
+    for h in (1.0, 2.0, 0.3):
+        for past in (_LOWER, _UPPER):
+            want = _first_past(view, points, h, past)
+            guesses = [np.zeros_like(want), np.full_like(want, n),
+                       np.clip(want - 1, 0, n), np.clip(want + 1, 0, n),
+                       rng.integers(0, n + 1, want.shape)]
+            for guess in guesses:
+                got = kernel._settle_edge(view.padded, points, h, guess, past)
+                assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walked_guesses_are_insertion_indices(monkeypatch, seed):
+    """The guesses ``windows`` settles are ``np.searchsorted``'s for
+    p + h on the right and p - h on the left, on tie-heavy rows and a
+    block of them.  An exact tie is a hit on either side; only where the
+    interpolated index rounds may a guess be one off, at a needle within
+    rounding distance of a sample, never on it."""
+    guesses = {}
+    settle = kernel._settle_edge
+
+    def spy(padded, points, h, guess, past):
+        # the lower edge's predicate holds at u = -1, the upper's does not
+        guesses["left" if past(-1.0) else "right"] = guess.copy()
+        return settle(padded, points, h, guess, past)
+
+    monkeypatch.setattr(kernel, "_settle_edge", spy)
+    rng = np.random.default_rng(seed)
+    for rows in (1, 3):
+        view = SortedView(_lattice(seed, rows, 300))
+        points = _probe_points(view, rng)
+        # needles one ulp either side of a sample
+        near = view.values[:, ::13]
+        points = np.concatenate(
+            [points, np.nextafter(near, -np.inf) - 1.0, np.nextafter(near, np.inf) + 1.0],
+            axis=1,
+        )
+        for h in (1.0, 0.5, 3.0):
+            lo, hi = view.windows(points, h)
+            assert lo.tolist() == _first_past(view, points, h, _LOWER).tolist()
+            assert hi.tolist() == _first_past(view, points, h, _UPPER).tolist()
+            for row, p, up, down in zip(view.values, points, guesses["right"],
+                                        guesses["left"]):
+                for needle, got, side in ((p + h, up, "right"), (p - h, down, "left")):
+                    want = np.searchsorted(row, needle, side)
+                    miss = np.flatnonzero(got != want)
+                    gap = np.abs(row[:, None] - needle[miss]).min(axis=0)
+                    assert np.all(np.abs(got[miss] - want[miss]) == 1)
+                    assert np.all((gap > 0.0) & (gap <= 1e-12))
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0])
+def test_lattice_windows_match_the_oracle(h):
+    """On an integer-valued block every needle p -+ h ties a run of
+    samples; own windows and searched windows hold exactly the values
+    the oracle kernel weighs."""
+    view = SortedView(_lattice(7, 2, 250))
+    shifted = np.concatenate([view.values[:, ::5] + d for d in (-1.0, 0.0, 1.0)], axis=1)
+    for points, (lo, hi) in [
+        (view.values, view.own_windows(h)),
+        (view.values, view.windows(view.values, h)),
+        (shifted, view.windows(shifted, h)),
+    ]:
+        for row, at, row_lo, row_hi in zip(view.values, points, lo, hi):
+            for p, a, b in zip(at, row_lo, row_hi):
+                inside = [oracles.oracle_kernel("uniform", (v - p) / h) > 0 for v in row]
+                assert inside == [a <= i < b for i in range(row.size)]
 
 
 @settings(max_examples=6, deadline=None)
