@@ -13,11 +13,17 @@ the coefficient refit uses the floor, and only observations passing the
 floor are scored, so the criterion compares bandwidths on a common
 footing in the well visited region.
 
-Each bandwidth is one left-out read of window sums of y and x at every
-sample point off their prefix table, built once for the uniform kernel
-and per h for others.  Adding back each point's own term K(0) (y, x)
-gives the full sums, from which the mask and the refit are read as in
-a fit (``sls._fit_rows``); the left-out sums give the leave-one-out fit.
+A block of R = max(1, SWEEP_CELLS // n) bandwidths, R copies of the
+sorted dataset with one h to a row, is one left-out read of window sums
+of y and x at every sample point off their prefix table, built once per
+block height for the uniform kernel and per block for others.  Adding
+back each point's own term K(0) (y, x) gives the full sums, from which
+the masks and refits are read as in a block fit (``sls._fit_rows``); the
+left-out sums give the leave-one-out fits.  A block shares a pass's
+fixed cost among its rows; SWEEP_CELLS caps its memory (an Epanechnikov
+pass holds some 70 doubles a cell), so from n = SWEEP_CELLS on each h
+is its own pass.  No threads: one per h ran slower on two cores, numpy
+holding the GIL through each cumulative sum of the table.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .kernel import (
 )
 from .markov import NO_VISITS, count_small_set_visits
 from .sls import _check_grid, _fit_rows
+
+SWEEP_CELLS = 2**12  # a block of the sweep: bandwidths times sample points
 
 
 @dataclass(frozen=True)
@@ -84,18 +92,22 @@ def cv_select(
     if h_grid.size > 1 and np.any(np.diff(h_grid) <= 0):
         raise ParameterError("h_grid must be strictly increasing")
 
-    specs = [KernelSpec(family, float(h)) for h in h_grid]  # rejects h <= 0
-    view, stacked = ds.sorted_v, np.column_stack([ds.y, ds.x])[None]
-    visits = count_small_set_visits(view.values, trunc.small_set)
+    spec = [KernelSpec(family, float(h)) for h in h_grid][0]  # rejects h <= 0
+    one, stacked = ds.sorted_v, np.column_stack([ds.y, ds.x])
+    visits = count_small_set_visits(one.values, trunc.small_set)
     if visits[0] == 0:
         raise NoVisitsError(NO_VISITS)
-    criterion = np.full(h_grid.size, np.inf)
-    dropped = np.zeros(h_grid.size, dtype=int)
-    table = None
-    for i, spec in enumerate(specs):
+    rows, scores, block = max(1, SWEEP_CELLS // ds.n), [], ()
+    for i in range(0, h_grid.size, rows):
+        h = h_grid[i:i + rows, None]
+        if len(h) != len(block):  # R copies of the dataset, a bandwidth each
+            view, table = one if len(h) == 1 else one.repeated(len(h)), None
+            block = np.broadcast_to(stacked, (len(h), *stacked.shape))
+        h = float(h[0, 0]) if len(h) == 1 else h  # one row runs as one path
         if table is None or table[-1] is not None:  # its blocks are h wide
-            table = _prefix_table(view, spec, stacked)
-        criterion[i], dropped[i] = _score(view, stacked, table, visits, spec, trunc)
+            table = _prefix_table(view, spec, block, h)
+        scores += _score(view, block, table, visits, spec, h, trunc)
+    criterion, dropped = map(np.array, zip(*scores))
 
     if not np.any(np.isfinite(criterion)):
         raise SelectionError(
@@ -110,23 +122,28 @@ def cv_select(
     )
 
 
-def _score(view, stacked, table, visits, spec, trunc) -> tuple[float, int]:
-    """The criterion at one bandwidth and its dropped count, from one
-    left-out read of ``table``, the prefix table of the (1, n, 1 + d)
-    columns ``stacked``, y first.  A fit that fails scores infinity
-    with none dropped."""
+def _score(view, stacked, table, visits, spec, h, trunc):
+    """The criterion and dropped count of each bandwidth of a block, h an
+    (R, 1) array or a float, from one left-out read of ``table``, the
+    prefix table of the (R, n, 1 + d) columns ``stacked``, y first."""
     k0 = KERNEL_AT_ZERO[spec.family]
-    loo_mass, loo_sums = _block_sums(view, None, spec, table, leave_out=True)
-    (theta,), (mask,), _ = _fit_rows(
-        stacked, loo_mass + k0, loo_sums + k0 * stacked, visits, spec, trunc
+    loo_mass, loo_sums = _block_sums(view, None, spec, table, leave_out=True, h=h)
+    fits, masks, _ = _fit_rows(
+        stacked, loo_mass + k0, loo_sums + k0 * stacked,
+        visits.repeat(len(stacked)), h, trunc,
     )
+    return list(map(_row_score, fits, masks, stacked, loo_mass, loo_sums))
+
+
+def _row_score(theta, mask, stacked, loo_mass, loo_sums) -> tuple[float, int]:
+    """One row's score; a fit that fails scores infinity, none dropped."""
     if isinstance(theta, PartlinError):
         return np.inf, 0
-    loo_mass, usable = loo_mass[0], mask & (loo_mass[0] > 0.0)
+    usable = mask & (loo_mass > 0.0)
     dropped = int(np.count_nonzero(mask)) - int(np.count_nonzero(usable))
     if not usable.any():
         return np.inf, dropped
     coef = np.append(1.0, -theta)
     with np.errstate(divide="ignore", invalid="ignore"):  # every point, then the usable
-        err = (stacked[0] @ coef - (loo_sums[0] @ coef) / loo_mass)[usable]
+        err = (stacked @ coef - (loo_sums @ coef) / loo_mass)[usable]
     return float(err @ err), dropped

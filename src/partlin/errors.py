@@ -7,6 +7,9 @@ report the message without losing the distinction between failure modes.
 
 from __future__ import annotations
 
+from math import isfinite
+from numbers import Integral, Real
+
 
 class PartlinError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,3 +47,14 @@ class SelectionError(PartlinError):
 class ExperimentError(PartlinError):
     """A simulation experiment failed in too many replications to be
     trustworthy, or a diagnostic was asked of degenerate input."""
+
+
+def store_scalars(obj, kind: type, *names: str) -> None:
+    """Store the fields ``names`` of the frozen dataclass ``obj`` as Python
+    ``kind`` (float or int); a field that is not one raises ParameterError."""
+    for name in names:
+        value = getattr(obj, name)
+        ok = isinstance(value, Integral if kind is int else Real)
+        if isinstance(value, bool) or not (ok and (kind is int or isfinite(value))):
+            raise ParameterError(f"{name} must be a finite {kind.__name__}: {value!r}")
+        object.__setattr__(obj, name, kind(value))

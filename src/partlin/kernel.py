@@ -13,7 +13,8 @@ as one contiguous run of its row's sorted sample.  When the points are
 the sample itself, the windows are read off their upper ends alone,
 found by one walk along each sorted row.
 The view holds nothing but the sorted rows, so every search is a pure
-function of its points and h.  Every family is a polynomial
+function of its points and h, a float or an (R, 1) array of one per
+row (a block of one sample at R bandwidths).  Every family is a polynomial
 in u on its window, so window sums are read off a table of prefix sums
 of moments (``_prefix_table``), O((n + p) log n) whatever the window
 sizes: of each row for a constant kernel, a table that holds for every
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoVisitsError, ParameterError
+from .errors import NoVisitsError, ParameterError, store_scalars
 from .markov import NO_VISITS, SmallSet, count_small_set_visits
 
 # K(u) on its window |u| <= 1, as coefficients of u**0, u**1, ...
@@ -57,8 +58,8 @@ class KernelSpec:
             raise ParameterError(
                 f"unknown kernel family {self.family!r}, expected one of {FAMILIES}"
             )
-        h = self.bandwidth
-        if not np.isfinite(h) or h <= 0:
+        store_scalars(self, float, "bandwidth")
+        if (h := self.bandwidth) <= 0:
             raise ParameterError(f"bandwidth must be finite and > 0, got {h}")
 
 
@@ -70,7 +71,8 @@ class TruncationSpec:
     small_set: SmallSet
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.b_n) or self.b_n < 0:
+        store_scalars(self, float, "b_n")
+        if self.b_n < 0:
             raise ParameterError(f"b_n must be finite and >= 0, got {self.b_n}")
 
 
@@ -115,10 +117,15 @@ def default_truncation(n: int) -> TruncationSpec:
     return truncation_spec(n, None, DEFAULT_SMALL_SET)
 
 
+def _of_windows(h, windows: np.ndarray, width: int):
+    """h at each flattened window of a block, ``width`` windows to a row."""
+    return h if np.ndim(h) == 0 else h.ravel()[windows // width]
+
+
 def _settle_edge(
     padded: np.ndarray,
     points: np.ndarray,
-    h: float,
+    h,
     guess: np.ndarray,
     past: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
@@ -147,7 +154,7 @@ def _settle_edge(
     bad = np.flatnonzero(late | early)
     if bad.size == 0:
         return guess
-    pts = points.ravel()[bad]
+    pts, hb = points.ravel()[bad], _of_windows(h, bad, guess.shape[1])
     start = (bad // guess.shape[1]) * width
     was = guess.ravel()[bad]
     up = early.ravel()[bad]
@@ -155,7 +162,7 @@ def _settle_edge(
     hi = np.where(up, n, was - 1)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
-        hit = past((flat[start + mid + 1] - pts) / h)
+        hit = past((flat[start + mid + 1] - pts) / hb)
         active = lo < hi
         hi = np.where(active & hit, mid, hi)
         lo = np.where(active & ~hit, mid + 1, lo)
@@ -188,7 +195,6 @@ class SortedView:
                 f"covariate must be finite, got {v.flat[at]} at position {at}"
             )
         rows = v if v.ndim == 2 else v[None]
-        count, n = rows.shape
         order = np.argsort(rows, axis=1)
         ranked = np.take_along_axis(rows, order, axis=1)
         # the default sort is not stable, but a row whose sorted values
@@ -198,6 +204,10 @@ class SortedView:
         if tied.any():
             order[tied] = np.argsort(rows[tied], axis=1, kind="stable")
             ranked[tied] = np.take_along_axis(rows[tied], order[tied], axis=1)
+        self._hold(order, ranked)
+
+    def _hold(self, order: np.ndarray, ranked: np.ndarray) -> None:
+        count, n = ranked.shape
         self.order = (order + (np.arange(count) * n)[:, None]).ravel()
         self.padded = np.empty((count, n + 2))
         self.padded[:, 0] = -np.inf
@@ -206,6 +216,12 @@ class SortedView:
         self.values = self.padded[:, 1:-1]
         for arr in (self.order, self.padded):
             arr.flags.writeable = False
+
+    def repeated(self, rows: int) -> SortedView:
+        """A view of ``rows`` copies of this one path, not sorted again."""
+        block = object.__new__(SortedView)
+        block._hold(np.tile(self.order, (rows, 1)), np.tile(self.values, (rows, 1)))
+        return block
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -237,12 +253,12 @@ class SortedView:
             np.minimum(below, n, out=guess, casting="unsafe")
         return out
 
-    def _upper_ends(self, points: np.ndarray, h: float) -> np.ndarray:
+    def _upper_ends(self, points: np.ndarray, h) -> np.ndarray:
         return _settle_edge(
             self.padded, points, h, self._walk(points + h), lambda u: u > 1.0
         )
 
-    def windows(self, points: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    def windows(self, points: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
         """Bounds ``[lo, hi)`` in each row's sorted sample of the windows
         of that row's points (``points`` has one row per path); the lower
         ends by binary search, exact on ties."""
@@ -250,7 +266,7 @@ class SortedView:
         lo = _settle_edge(self.padded, points, h, np.stack(guess), lambda u: u >= -1.0)
         return lo, self._upper_ends(points, h)
 
-    def own_windows(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+    def own_windows(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Windows of the sorted sample points themselves, in sorted order.
 
         Only the upper ends are searched, in one walk along each row.
@@ -281,7 +297,7 @@ def _as_view(v_series: np.ndarray | SortedView) -> SortedView:
     return SortedView(v) if view is None else view
 
 
-def _prefix_table(view: SortedView, spec: KernelSpec, targets) -> tuple:
+def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     """The table ``_block_sums`` reads window sums off: prefix sums of
     ``targets`` (None or (R, n, k) in sample order) in blocks of the
     sorted rows of ``view``, ``(pref, base, starts, inner, outer, flat,
@@ -290,14 +306,14 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets) -> tuple:
     K is a polynomial of degree D in u on its window (``_POLYNOMIAL``).
     A constant K takes each row as one block, a table that holds for
     every h (``cell`` None); others cut the rows at cells of width
-    ``cell`` = h.  Block b begins at ``starts[b]`` of the flattened rows
-    and spans ``inner[b]`` to ``outer[b]`` of its row, and
+    ``cell`` = h (spec's if None).  Block b begins at ``starts[b]`` of the
+    flattened rows and spans ``inner[b]`` to ``outer[b]`` of its row, and
     ``pref[base[b] + i]`` sums it before its i-th point: each target w
     and, for q = 1..D, w a**q with w = 1 and each target, a = (v - c)/h,
     c the block's first value.  ``flat`` is the targets as (R n, k).
     """
     count, n = view.values.shape
-    h = spec.bandwidth
+    h = spec.bandwidth if h is None else h
     deg = len(_POLYNOMIAL[spec.family]) - 1
     k = 0 if targets is None else targets.shape[-1]
     flat = None if targets is None else targets.reshape(count * n, k)
@@ -327,23 +343,24 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets) -> tuple:
             w = np.take(flat, np.take(view.order, at, mode="clip"), axis=0)
             np.cumsum(w, axis=1, out=seg[..., :k])
         if deg:
-            a = (np.take(sv, at, mode="clip") - sv[starts[sel], None])[..., None] / h
+            a = np.take(sv, at, mode="clip") - sv[starts[sel], None]
+            a = (a / _of_windows(h, starts[sel, None], n))[..., None]
             w = np.concatenate([np.ones_like(a)] + ([w] if k else []), axis=2)
         for q, col in enumerate(range(k, pref.shape[1], 1 + k), 1):
             np.cumsum(w * a**q, axis=1, out=seg[..., col:col + 1 + k])
     return pref, base, starts, inner, outer, flat, h if deg else None
 
 
-def _block_sums(view: SortedView, points, spec: KernelSpec, table, leave_out=False):
+def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
     """Kernel mass and kernel weighted target sums at each point of
     every path in ``view``.
 
     With R paths of length n, ``points`` is an (R, p) array, row r
     holding the evaluation points of path r, or None for each path's
     own sample points (p = n, in sample order); ``table`` is the
-    ``_prefix_table`` for ``spec`` of ``targets``, None or an (R, n, k)
-    array in sample order.  Returns ``(mass, sums)``, of shapes (R, p)
-    and (R, p, k), where ``mass[r, i] = sum_t K((v_rt - p_ri)/h)`` and
+    ``_prefix_table`` for ``spec`` and h (spec's if None) of ``targets``,
+    None or an (R, n, k) array in sample order.  Returns ``(mass, sums)``
+    of shapes (R, p) and (R, p, k): ``mass[r, i] = sum_t K((v_rt - p_ri)/h)``,
     ``sums[r, i, j] = sum_t K((v_rt - p_ri)/h) * targets[r, t, j]``
     (None when no targets are passed).  Kernel
     values are unscaled by 1/h.  ``leave_out`` drops each own point's
@@ -360,7 +377,7 @@ def _block_sums(view: SortedView, points, spec: KernelSpec, table, leave_out=Fal
     left out, none but the point) is summed over its pairs instead.
     """
     count, n = view.values.shape
-    h = spec.bandwidth
+    h = spec.bandwidth if h is None else h
     own = points is None
     poly = _POLYNOMIAL[spec.family]
     deg = len(poly) - 1
@@ -401,7 +418,8 @@ def _block_sums(view: SortedView, points, spec: KernelSpec, table, leave_out=Fal
             if j == 0:  # later pieces start at their block's start
                 piece -= np.take(pref, (s + base[b]).ravel(), axis=0).T
             piece = np.ascontiguousarray(piece) if deg else piece
-        e = [1.0, ((sv[starts[b]] - at) / h).ravel() if deg else 0.0]
+        hj = h if j == 0 else _of_windows(h, on, lo.shape[1])
+        e = [1.0, ((sv[starts[b]] - at) / hj).ravel() if deg else 0.0]
         e += [e[1] * e[-1] for _ in range(deg - 1)]  # its powers
         for r in range(deg + 1):
             # the coefficient of a**r in K(a + e), and a bound on its terms
@@ -434,7 +452,8 @@ def _block_sums(view: SortedView, points, spec: KernelSpec, table, leave_out=Fal
         owner = np.repeat(np.arange(redo.size), width)
         at = lo.flat[redo] + redo // lo.shape[1] * n - np.cumsum(width) + width
         at = np.arange(width.sum()) + np.repeat(at, width)
-        kern = kernel_eval(spec, (view.values.flat[at] - points.flat[redo][owner]) / h)
+        hr = h if np.ndim(h) == 0 else _of_windows(h, redo, lo.shape[1])[owner]
+        kern = kernel_eval(spec, (view.values.flat[at] - points.flat[redo][owner]) / hr)
         at = view.order[at]  # as positions in sample order
         put = view.order[redo] if own and not unsorted else redo
         kern[leave_out & (at == put[owner])] = 0.0  # the point's own term
@@ -494,11 +513,11 @@ def _regression(mass: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.divide(sums, mass[..., None], out=out, where=valid[..., None]), valid
 
 
-def _density_masks(mass, visits, h: float, trunc: TruncationSpec) -> np.ndarray:
+def _density_masks(mass, visits, h, trunc: TruncationSpec) -> np.ndarray:
     """``truncation_mask`` of each path from its own points' kernel mass
-    and its visit count; the mask of a path without visits means nothing."""
+    at h and its visit count; the mask of a path without visits means nothing."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dens = mass / (visits * h)[:, None]
+        dens = mass / (visits[:, None] * h)
     return dens > trunc.b_n
 
 

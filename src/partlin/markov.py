@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoVisitsError, ParameterError
+from .errors import NoVisitsError, ParameterError, store_scalars
 from .rng import normal_block
 
 NO_VISITS = "the path never enters the small set"
@@ -41,8 +41,7 @@ class SmallSet:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ParameterError("small set endpoints must be finite")
+        store_scalars(self, float, "lower", "upper")
         if not self.lower < self.upper:
             raise ParameterError(
                 f"small set needs lower < upper, got [{self.lower}, {self.upper}]"

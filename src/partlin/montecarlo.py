@@ -45,7 +45,7 @@ import numpy as np
 
 from .bandwidth import cv_select, default_h_grid
 from .dataset import TimeSeriesDataset
-from .errors import ExperimentError, ParameterError, PartlinError
+from .errors import ExperimentError, ParameterError, PartlinError, store_scalars
 from .kernel import (
     KERNEL_L2,
     KernelSpec,
@@ -82,6 +82,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        store_scalars(self, int, "n", "reps", "master_seed", "g_grid_points", "workers")
+        store_scalars(self, float, "theta0", "increment_sd", "eps_rho", "eps_sd")
         if self.n < 10:
             raise ParameterError(f"n must be >= 10, got {self.n}")
         if self.reps < 1:
@@ -90,9 +92,6 @@ class McConfig:
             raise ParameterError(f"dgp must be one of {DGPS}, got {self.dgp!r}")
         if self.g0 not in G0_TAGS:
             raise ParameterError(f"g0 must be one of {G0_TAGS}, got {self.g0!r}")
-        for name in ("theta0", "increment_sd", "eps_rho", "eps_sd"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
         if self.increment_sd < 0 or self.eps_sd < 0:
             raise ParameterError("standard deviations must be >= 0")
         if not isinstance(self.kernel, KernelSpec) and self.kernel != "cv":

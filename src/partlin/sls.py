@@ -169,16 +169,16 @@ def naive_sls(ds: TimeSeriesDataset, spec: KernelSpec) -> np.ndarray:
     return theta
 
 
-def _fit_rows(stacked, mass, sums, visits, spec, trunc):
+def _fit_rows(stacked, mass, sums, visits, h, trunc):
     """The truncated fit of every path of a block: ``stacked`` the
     (rows, n, 1 + d) columns y, x of each path, ``mass`` and ``sums``
-    their window sums at its own points (``_block_sums``) and ``visits``
+    their window sums at h at its own points (``_block_sums``), ``visits``
     each path's small set visit count.  Returns ``(fits, masks, tilde)``:
     ``fits[r]`` is row r's coefficient vector, or the error that stops
     its fit (NoVisitsError, TruncationError or RankError, checked in that
     order); ``masks`` the (rows, n) truncation masks, read off ``mass``,
     and ``tilde`` the detrended columns, written over ``sums``."""
-    masks = _density_masks(mass, visits, spec.bandwidth, trunc)
+    masks = _density_masks(mass, visits, h, trunc)
     for j in range(sums.shape[-1]):  # a column at a time, not broadcast
         sums[..., j] /= mass
     tilde = np.subtract(stacked, sums, out=sums)
@@ -200,7 +200,7 @@ def _truncated_rows(stacked, view, spec, trunc):
     counts it used: ``(fits, masks, tilde, visits)``."""
     mass, sums = _block_sums(view, None, spec, _prefix_table(view, spec, stacked))
     visits = count_small_set_visits(view.values, trunc.small_set)
-    return (*_fit_rows(stacked, mass, sums, visits, spec, trunc), visits)
+    return (*_fit_rows(stacked, mass, sums, visits, spec.bandwidth, trunc), visits)
 
 
 def _truncated_solve(

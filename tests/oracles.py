@@ -265,7 +265,7 @@ def oracle_cv_by_pass(ds, grid, family, trunc):
         table = _prefix_table(ds.sorted_v, spec, stacked[None])
         (lm,), (ls,) = _block_sums(ds.sorted_v, None, spec, table, leave_out=True)
         (theta,), (mask,), _ = _fit_rows(
-            stacked[None], (lm + k0)[None], (ls + k0 * stacked)[None], visits, spec, trunc
+            stacked[None], (lm + k0)[None], (ls + k0 * stacked)[None], visits, h, trunc
         )
         if not isinstance(theta, np.ndarray):
             continue

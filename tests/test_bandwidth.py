@@ -248,48 +248,58 @@ def test_result_type_fields():
     assert sel.h_star == 0.3
 
 
+def _bandwidths(h):
+    """A float bandwidth as it is, an (R, 1) array of them as a list."""
+    return h if np.ndim(h) == 0 else np.ravel(h).tolist()
+
+
 def _count_passes(monkeypatch) -> list:
     """Record the arguments of every ``_block_sums`` call, through each
-    binding of the engine: the bandwidth, the shape of the targets of
-    its prefix table, the table's cell width and ``leave_out``."""
+    binding of the engine: the bandwidths, the shape of the targets of
+    its prefix table, the table's cell widths and ``leave_out``."""
     calls = []
     engine = kernel._block_sums
 
-    def spy(view, points, spec, table, leave_out=False):
-        calls.append((spec.bandwidth, table[-2].shape, table[-1], leave_out))
-        return engine(view, points, spec, table, leave_out)
+    def spy(view, points, spec, table, leave_out=False, h=None):
+        hs = _bandwidths(spec.bandwidth if h is None else h)
+        calls.append((hs, table[-2].shape, _bandwidths(table[-1]), leave_out))
+        return engine(view, points, spec, table, leave_out, h)
 
     for module in (kernel, sls, bandwidth):
         monkeypatch.setattr(module, "_block_sums", spy)
     return calls
 
 
-def test_sweep_is_one_left_out_pass_per_bandwidth(monkeypatch):
-    """Every bandwidth reaches its fit, failing or not, through one
-    left-out engine call on a prefix table of the stacked (y, x)
-    columns.  A uniform sweep builds that table once, since its blocks
-    are whole rows; an Epanechnikov one builds it per bandwidth, on
-    cells of width h."""
+def test_sweep_is_one_left_out_pass_per_block(monkeypatch):
+    """Every block of bandwidths reaches its fits, failing or not,
+    through one left-out engine call on a prefix table of R copies of
+    the stacked (y, x) columns, one bandwidth to a row, and a block of
+    one is a pass at a float h.  A uniform sweep builds that table once
+    per block height, since its blocks are whole rows; an Epanechnikov
+    one builds it per block, on cells of each row's h."""
     ds = build_dataset(seed=36, n=80, d=2)
     trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
-    grid = np.array([1e-9, 0.2, 0.5, 50.0])  # singular, fine, fine, empty mask
+    grid = np.array([1e-9, 0.2, 0.3, 0.5, 50.0])  # singular, fine x 3, empty mask
+    blocks = [grid[:2].tolist(), grid[2:4].tolist(), grid[4]]
+    monkeypatch.setattr(bandwidth, "SWEEP_CELLS", 2 * ds.n + 1)  # 2 rows a block
     built = []
     build = bandwidth._prefix_table
 
-    def build_spy(view, spec, targets):
-        built.append((spec.bandwidth, targets.shape))
-        return build(view, spec, targets)
+    def build_spy(view, spec, targets, h):
+        built.append((_bandwidths(h), targets.shape))
+        return build(view, spec, targets, h)
 
     monkeypatch.setattr(bandwidth, "_prefix_table", build_spy)
     calls = _count_passes(monkeypatch)
+    shapes = [(160, 3), (160, 3), (80, 3)]
     for family, cells, tables in [
-        ("uniform", [None] * 4, grid[:1]), ("epanechnikov", grid, grid)
+        ("uniform", [None] * 3, blocks[::2]), ("epanechnikov", blocks, blocks)
     ]:
         sel = cv_select(ds, grid, family, trunc)
-        assert np.isinf(sel.criterion[[0, 3]]).all()
-        assert np.isfinite(sel.criterion[1:3]).all()
-        assert calls == [(h, (80, 3), c, True) for h, c in zip(grid, cells)]
-        assert built == [(h, (1, 80, 3)) for h in tables]
+        assert np.isinf(sel.criterion[[0, 4]]).all()
+        assert np.isfinite(sel.criterion[1:4]).all()
+        assert calls == [(h, s, c, True) for h, s, c in zip(blocks, shapes, cells)]
+        assert built == [(h, (np.size(h), 80, 3)) for h in tables]
         calls.clear()
         built.clear()
 
@@ -316,13 +326,14 @@ def test_block_fit_is_one_pass_per_block(monkeypatch):
 
 
 def _fit_spy(monkeypatch) -> list:
-    """Record each (mask, fit) the sweep reads off its passes."""
+    """Record each (mask, fit) the sweep reads off its passes, a row of
+    each block at a time."""
     seen = []
     fit_rows = bandwidth._fit_rows
 
     def spy(*args):
         fits, masks, tilde = fit_rows(*args)
-        seen.append((masks[0], fits[0]))
+        seen.extend(zip(masks, fits))
         return fits, masks, tilde
 
     monkeypatch.setattr(bandwidth, "_fit_rows", spy)
@@ -336,10 +347,11 @@ def _fit_spy(monkeypatch) -> list:
     bn=st.sampled_from([0.0, 0.05, 0.3]),
 )
 def test_sweep_matches_fits_and_oracle_on_a_long_walk(seed, family, bn):
-    """n = 10 000 on a walk far from 0, with x on the walk's scale: at
-    each bandwidth the sweep keeps the mask of ``truncation_mask``,
-    refits the coefficients of ``truncated_theta`` to 1e-12 and scores
-    the dense oracle's criterion to 1e-10, dropping the same points."""
+    """n = 10 000 on a walk far from 0, with x on the walk's scale, the
+    grid swept as one block: at each bandwidth the sweep keeps the mask
+    of ``truncation_mask``, refits the coefficients of
+    ``truncated_theta`` to 1e-12 and scores the dense oracle's
+    criterion to 1e-10, dropping the same points."""
     rng = np.random.default_rng(seed)
     n = 10_000
     v = 1e3 + np.cumsum(0.1 * rng.standard_normal(n))
@@ -349,6 +361,7 @@ def test_sweep_matches_fits_and_oracle_on_a_long_walk(seed, family, bn):
     trunc = TruncationSpec(bn, SmallSet(999.0, 1001.0))
     grid = np.array([0.02, 0.1, 1.0])
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandwidth, "SWEEP_CELLS", grid.size * n)
         seen = _fit_spy(mp)
         sel = cv_select(ds, grid, family, trunc)
     assert len(seen) == grid.size
@@ -418,3 +431,36 @@ def test_sweep_equals_a_pass_per_bandwidth_bit_for_bit(seed, family, d, bn):
         return
     np.testing.assert_array_equal(sel.criterion, want_crit)
     np.testing.assert_array_equal(sel.dropped, want_dropped)
+
+
+def _lattice_dataset(seed: int, n: int):
+    """A walk on a 1/8 lattice (many ties), with y and one regressor."""
+    rng = np.random.default_rng(seed)
+    v = np.cumsum(rng.integers(-1, 2, n)) / 8.0
+    x = rng.standard_normal((n, 1))
+    return as_dataset(x[:, 0] + np.sin(v) + rng.standard_normal(n), x, v)
+
+
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_sweep_does_not_depend_on_the_block_height(monkeypatch, family):
+    """1, 2 or 5 bandwidths to a block, or the whole grid in one, give
+    the same ``CvResult`` bit for bit, on a walk and on an odd-length
+    lattice sample with ties; the walk's grid holds a bandwidth whose
+    refit is singular (1e-9) and one whose mask is empty (50.0)."""
+    trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
+    grid = np.array([1e-9, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8, 50.0])
+    for ds in (build_dataset(seed=36, n=80, d=2), _lattice_dataset(4, 301)):
+        results = []
+        for rows in (1, 2, 5, grid.size):
+            monkeypatch.setattr(bandwidth, "SWEEP_CELLS", rows * ds.n)
+            results.append(cv_select(ds, grid, family, trunc))
+        want = results[0]
+        for sel in results[1:]:
+            assert sel.h_star == want.h_star
+            assert sel.criterion.view(np.uint64).tolist() == (
+                want.criterion.view(np.uint64).tolist()
+            )
+            assert sel.dropped.tolist() == want.dropped.tolist()
+    walk = cv_select(build_dataset(seed=36, n=80, d=2), grid, family, trunc)
+    assert np.isinf(walk.criterion[[0, -1]]).all()
+    assert np.isfinite(walk.criterion[1:-1]).all()

@@ -1,0 +1,54 @@
+"""The file comparison of ``scripts/compare_outputs.py``."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+
+def _tree(top: Path, files: dict[str, bytes]) -> Path:
+    for name, data in files.items():
+        (top / name).parent.mkdir(parents=True, exist_ok=True)
+        (top / name).write_bytes(data)
+    return top
+
+
+FILES = {
+    "fit/fit_report.csv": b"theta,1.5\n", "fit/cv.csv": b"h,crit\n", "table.csv": b"1\n"
+}
+
+
+def test_identical_trees_have_no_difference(tmp_path):
+    parent = _tree(tmp_path / "parent", FILES)
+    change = _tree(tmp_path / "change", FILES)
+    assert compare_outputs.compare(str(parent), str(change)) == []
+
+
+def test_a_file_that_differs_by_one_byte_is_named(tmp_path):
+    parent = _tree(tmp_path / "parent", FILES)
+    change = _tree(tmp_path / "change", {**FILES, "fit/cv.csv": b"h,crit \n"})
+    assert compare_outputs.compare(str(parent), str(change)) == ["differs: fit/cv.csv"]
+
+
+def test_a_file_on_one_side_only_is_named_as_missing(tmp_path):
+    parent = _tree(tmp_path / "parent", FILES)
+    extra = {**FILES, "fit/FAILED.txt": b"run failed\n"}
+    del extra["table.csv"]
+    change = _tree(tmp_path / "change", extra)
+    assert compare_outputs.compare(str(parent), str(change)) == [
+        "missing in parent: fit/FAILED.txt",
+        "missing in change: table.csv",
+    ]
+
+
+def test_every_command_writes_under_out_of_its_own_directory():
+    """Each tree runs the same commands from a directory of its own, so
+    the paths a run records in its outputs are the same on both sides."""
+    inputs = {300: "/d/300.csv", 1200: "/d/1200.csv"}
+    cmds = compare_outputs.commands(inputs, ["/d/t1.cfg"])
+    outs = [argv[argv.index("--out") + 1] for argv in cmds]
+    assert all(out.startswith("out/") for out in outs)
+    assert len(set(outs)) == len(outs) == 2 * 2 * 2 + 1 + 1

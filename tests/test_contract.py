@@ -11,14 +11,18 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_dataset
 from partlin import (
     KernelSpec,
+    ParameterError,
     PartlinError,
+    SmallSet,
     TimeSeriesDataset,
+    TruncationSpec,
     cv_select,
     default_h_grid,
     default_truncation,
@@ -26,6 +30,7 @@ from partlin import (
     load_csv,
     truncated_sls,
 )
+from partlin.montecarlo import McConfig
 
 
 @st.composite
@@ -95,3 +100,54 @@ def test_fits_raise_partlin_error_or_return_finite(case):
     grid = np.linspace(ds.v.min(), ds.v.max(), 7)
     curve = estimate_g(ds, theta, grid, spec)
     assert np.all(np.isfinite(curve.values[curve.valid]))
+
+
+_SET = SmallSet(-1.0, 1.0)
+
+
+def _config(**kwargs):
+    return McConfig(**{"n": 60, "reps": 8, "dgp": "H_zero", **kwargs})
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: KernelSpec("uniform", [0.5]), "bandwidth"),
+        (lambda: KernelSpec("uniform", np.array(0.5)), "bandwidth"),
+        (lambda: KernelSpec("uniform", True), "bandwidth"),
+        (lambda: KernelSpec("uniform", "0.5"), "bandwidth"),
+        (lambda: KernelSpec("uniform", np.nan), "bandwidth"),
+        (lambda: TruncationSpec(np.array([0.1, 0.2]), _SET), "b_n"),
+        (lambda: TruncationSpec(np.bool_(True), _SET), "b_n"),
+        (lambda: SmallSet("a", 1), "lower"),
+        (lambda: SmallSet(-1.0, np.array([1.0])), "upper"),
+        (lambda: SmallSet(-1.0, np.inf), "upper"),
+        (lambda: _config(n="a"), "n"),
+        (lambda: _config(n=60.0), "n"),
+        (lambda: _config(reps=np.array(8)), "reps"),
+        (lambda: _config(workers=True), "workers"),
+        (lambda: _config(master_seed=None), "master_seed"),
+        (lambda: _config(theta0="1"), "theta0"),
+        (lambda: _config(eps_rho=[0.5]), "eps_rho"),
+    ],
+)
+def test_scalar_fields_reject_other_values_by_name(build, field):
+    """A bool, an array, a string, None or a non-finite value in a scalar
+    field raises a ``ParameterError`` that names the field, not a raw
+    numpy or Python error."""
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, 2, np.float64(0.5), np.float32(0.25), np.int64(3)]
+)
+def test_scalar_fields_are_stored_as_python_numbers(value):
+    spec = KernelSpec("epanechnikov", value)
+    trunc = TruncationSpec(value, SmallSet(-value, value))
+    assert type(spec.bandwidth) is float and spec.bandwidth == value
+    assert type(trunc.b_n) is float and trunc.b_n == value
+    assert type(trunc.small_set.lower) is float and trunc.small_set.upper == value
+    cfg = _config(n=np.int64(60), reps=np.int32(8), theta0=value, workers=1)
+    assert (type(cfg.n), type(cfg.reps), type(cfg.theta0)) == (int, int, float)
+    assert (cfg.n, cfg.reps, cfg.theta0) == (60, 8, value)

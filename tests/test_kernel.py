@@ -340,6 +340,56 @@ def test_windows_with_samples_only_on_their_edge(seed):
     assert valid.all()
 
 
+def _bits(arrays) -> list:
+    return [a.view(np.uint64).tolist() for a in arrays]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_bandwidth_per_row_is_a_pass_per_bandwidth(monkeypatch, seed):
+    """``_block_sums`` on R copies of one sample with an (R, 1) array of
+    bandwidths gives each row what a pass at that row's float h gives,
+    bit for bit: at its own points, left out or not, and at given
+    points, for both families.  Some Epanechnikov windows cancel, so the
+    block sums them over their pairs, as the passes do: at the edge
+    points of ``_edge_sample``, and left out, at pairs whose partner
+    sits just inside the window edge at h0 (rows 1 and 3, whose pairs
+    an h from another row would miss)."""
+    rng = np.random.default_rng(seed)
+    h0 = int(rng.integers(100, 500)) / 2.0**10
+    v, near, _ = _edge_sample(rng, h0)
+    base = v.max() + 10.0 * np.arange(1, 7)
+    v = np.concatenate([v, base, base + h0 * (1.0 - 2.0**-30)])
+    h = h0 * np.array([[0.05], [1.0], [1.7], [1.0]])
+    one = SortedView(v)
+    view = one.repeated(len(h))
+    targets = np.column_stack([np.sin(v), rng.standard_normal(v.size)])
+    tiled = np.broadcast_to(targets, (len(h), *targets.shape))
+    paired, pair_sums = [], kernel.kernel_eval
+
+    def spy(*args):  # the pair sums of guarded windows
+        paired.append(args)
+        return pair_sums(*args)
+
+    monkeypatch.setattr(kernel, "kernel_eval", spy)
+    for family in ("uniform", "epanechnikov"):
+        spec = KernelSpec(family, h0)
+        table = _prefix_table(view, spec, tiled, h)
+        for points, leave_out in [(None, False), (None, True), (near, False)]:
+            at = None if points is None else np.tile(points, (len(h), 1))
+            paired.clear()
+            block = _block_sums(view, at, spec, table, leave_out, h)
+            # Epanechnikov windows that cancel, left out or at the edge points
+            guarded = family == "epanechnikov" and (leave_out or at is not None)
+            assert bool(paired) == guarded
+            for r, hr in enumerate(h[:, 0]):
+                alone = KernelSpec(family, float(hr))
+                want = _block_sums(
+                    one, None if points is None else points[None], alone,
+                    _prefix_table(one, alone, targets[None]), leave_out,
+                )
+                assert _bits(a[r] for a in block) == _bits(a[0] for a in want)
+
+
 def test_partners_exactly_on_the_edge_are_dropped_as_the_oracle_drops_them():
     """Left out, a point whose only partner sits exactly on its window
     edge has no mass; cross validation drops it, as the oracle does."""
@@ -373,7 +423,7 @@ _LOWER, _UPPER = (lambda u: u >= -1.0), (lambda u: u > 1.0)
 def _first_past(view, points, h, past):
     """Each point's index of the first sorted value of its row that is
     ``past`` its edge, counted off the predicate directly."""
-    u = (view.values[:, None, :] - points[:, :, None]) / h
+    u = (view.values[:, None, :] - points[:, :, None]) / np.reshape(h, (-1, 1, 1))
     return np.count_nonzero(~past(u), axis=2)
 
 
@@ -389,13 +439,14 @@ def _probe_points(view, rng):
 @pytest.mark.parametrize("seed", range(3))
 def test_settled_edges_do_not_depend_on_the_guess(seed):
     """From guesses all 0, all n, one off either way or random, every
-    window end settles on the predicate's own count."""
+    window end settles on the predicate's own count, at one h or at one
+    h per row."""
     rng = np.random.default_rng(seed)
     walk = np.cumsum(0.1 * rng.standard_normal((1, 200)), axis=1)
     view = SortedView(np.concatenate([_lattice(seed, 2, 200), walk]))
     points = _probe_points(view, rng)
     n = view.values.shape[1]
-    for h in (1.0, 2.0, 0.3):
+    for h in (1.0, 2.0, 0.3, np.array([[0.3], [2.0], [1.0]])):
         for past in (_LOWER, _UPPER):
             want = _first_past(view, points, h, past)
             guesses = [np.zeros_like(want), np.full_like(want, n),
