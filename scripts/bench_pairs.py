@@ -36,7 +36,10 @@ parent: each pair is then followed by a pair of the parent against that
 copy, in the same order, and those runs and their rows go under
 ``aa_control``, with the copy as the change side.  An A/A pairing shows
 how far two identical trees read apart on the host; its verdicts are
-printed but do not set the exit code, unless a run fails.
+printed but do not set the exit code, unless a run fails or the control
+row of a claimed metric is a ``gain`` too: the claim then reads ``not
+met (A/A control also gains)`` and the script exits with 1, since a
+rule that an identical tree meets shows no gain.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ import os
 import statistics
 import subprocess
 import sys
+from operator import itemgetter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NINE_TENTHS = 0.9
 # a run's allowance beyond its --seconds, for the import and the warm-up job
 TIMEOUT_S = 600
 RUN_FAILED = "run failed"
+AA_GAIN = "not met (A/A control also gains)"
 CONTROL_DESCRIPTION = (
     "Control pairing, not part of the claim: the parent commit against a file "
     "copy of itself, in the change's place, each pair run right after the "
@@ -292,17 +297,22 @@ def main(argv: list[str] | None = None) -> int:
     # the runs are on disk before the summary is made from them
     _write(out, record)
     rows = summary_rows(runs, benchmark, set(claims))
-    record["summary"] = [_rounded(row) for row in rows]
     control_rows = []
     if "runs" in record.get("aa_control", {}):
         control_rows = summary_rows(record["aa_control"]["runs"], benchmark, set(claims))
         record["aa_control"]["summary"] = [_rounded(row) for row in control_rows]
+    key = itemgetter("workload", "seed", "metric")
+    aa_gains = {key(row) for row in control_rows if row["verdict"] == "gain"}
+    for row in rows:
+        if row["verdict"] == "gain" and key(row) in aa_gains:
+            row["verdict"] = AA_GAIN
+    record["summary"] = [_rounded(row) for row in rows]
     _write(out, record)
 
     _print_rows(rows)
     _print_rows(control_rows, "control ")
     print(f"wrote {out}")
-    failed = any(row["verdict"] == RUN_FAILED for row in rows + control_rows)
+    failed = any(row["verdict"] in (RUN_FAILED, AA_GAIN) for row in rows + control_rows)
     return 1 if failed else 0
 
 

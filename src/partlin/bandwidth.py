@@ -144,6 +144,6 @@ def _row_score(theta, mask, stacked, loo_mass, loo_sums) -> tuple[float, int]:
     if not usable.any():
         return np.inf, dropped
     coef = np.append(1.0, -theta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # every point, then the usable
+    with np.errstate(all="ignore"):  # every point, then the usable; the sum may overflow
         err = (stacked @ coef - (loo_sums @ coef) / loo_mass)[usable]
-    return float(err @ err), dropped
+        return float(err @ err), dropped

@@ -3,6 +3,7 @@
 Every error raised by the library derives from :class:`PartlinError`, so
 callers (in particular the command line driver) can catch one type and
 report the message without losing the distinction between failure modes.
+:func:`scalar` is the one check of a scalar argument or dataclass field.
 """
 
 from __future__ import annotations
@@ -49,12 +50,25 @@ class ExperimentError(PartlinError):
     trustworthy, or a diagnostic was asked of degenerate input."""
 
 
-def store_scalars(obj, kind: type, *names: str) -> None:
-    """Store the fields ``names`` of the frozen dataclass ``obj`` as Python
-    ``kind`` (float or int); a field that is not one raises ParameterError."""
-    for name in names:
-        value = getattr(obj, name)
-        ok = isinstance(value, Integral if kind is int else Real)
-        if isinstance(value, bool) or not (ok and (kind is int or isfinite(value))):
-            raise ParameterError(f"{name} must be a finite {kind.__name__}: {value!r}")
-        object.__setattr__(obj, name, kind(value))
+def scalar(value, name: str, kind: type = float, low=None):
+    """``value`` as a Python ``kind`` (float or int), at least ``low`` if given;
+    a bool, an array, a string, None, a fraction for an int or a NaN or
+    infinite value raises a ParameterError naming ``name``."""
+    try:  # kind first: a Python number skips the slower abstract class check
+        ok = isinstance(value, (kind, Integral if kind is int else Real)) and (
+            kind is int or isfinite(value)
+        )
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if isinstance(value, bool) or not ok or (low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ParameterError(
+            f"{name} must be a finite {kind.__name__}{at_least}: {value!r}"
+        )
+    return kind(value)
+
+
+def store_scalars(obj, kind: type, **lows) -> None:
+    """Store each field ``name=low`` of the frozen dataclass ``obj`` as ``scalar``."""
+    for name, low in lows.items():
+        object.__setattr__(obj, name, scalar(getattr(obj, name), name, kind, low))

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoVisitsError, ParameterError, store_scalars
+from .errors import NoVisitsError, ParameterError, scalar, store_scalars
 from .markov import NO_VISITS, SmallSet, count_small_set_visits
 
 # K(u) on its window |u| <= 1, as coefficients of u**0, u**1, ...
@@ -58,7 +58,7 @@ class KernelSpec:
             raise ParameterError(
                 f"unknown kernel family {self.family!r}, expected one of {FAMILIES}"
             )
-        store_scalars(self, float, "bandwidth")
+        store_scalars(self, float, bandwidth=None)
         if (h := self.bandwidth) <= 0:
             raise ParameterError(f"bandwidth must be finite and > 0, got {h}")
 
@@ -71,9 +71,7 @@ class TruncationSpec:
     small_set: SmallSet
 
     def __post_init__(self) -> None:
-        store_scalars(self, float, "b_n")
-        if self.b_n < 0:
-            raise ParameterError(f"b_n must be finite and >= 0, got {self.b_n}")
+        store_scalars(self, float, b_n=0)
 
 
 def kernel_eval(spec: KernelSpec, u: np.ndarray | float) -> np.ndarray | float:
@@ -89,9 +87,7 @@ def kernel_eval(spec: KernelSpec, u: np.ndarray | float) -> np.ndarray | float:
 
 def default_bandwidth(n: int) -> float:
     """Rule of thumb bandwidth n**(-1/4)."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return float(n) ** -0.25
+    return float(scalar(n, "n", int, 1)) ** -0.25
 
 
 DENSITY_FLOOR_SCALE = 0.05
@@ -100,9 +96,7 @@ DENSITY_FLOOR_SCALE = 0.05
 def default_density_floor(n: int) -> float:
     """Slowly vanishing truncation level DENSITY_FLOOR_SCALE / log n
     (needs n >= 2)."""
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    return DENSITY_FLOOR_SCALE / log(n)
+    return DENSITY_FLOOR_SCALE / log(scalar(n, "n", int, 2))
 
 
 DEFAULT_SMALL_SET = SmallSet(-1.0, 1.0)
@@ -122,6 +116,7 @@ def _of_windows(h, windows: np.ndarray, width: int):
     return h if np.ndim(h) == 0 else h.ravel()[windows // width]
 
 
+@np.errstate(over="ignore")  # (v - p)/h overflows to +-inf, which past() decides
 def _settle_edge(
     padded: np.ndarray,
     points: np.ndarray,
@@ -320,8 +315,9 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     starts = np.arange(count) * n
     if deg:
         sv = view.values.ravel()
-        cell = np.floor((view.values - view.values[:, :1]) / h)
-        starts = np.flatnonzero(np.diff(cell, axis=1, prepend=np.nan))
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny h: +-inf cells
+            cell = np.floor((view.values - view.values[:, :1]) / h)
+            starts = np.flatnonzero(np.diff(cell, axis=1, prepend=np.nan))
     ends = np.append(starts[1:], count * n)
     inner, outer = starts % n, ends - starts + starts % n
     # a size class of blocks, sizes in (2**(c-1), 2**c], is summed as one array
@@ -493,11 +489,12 @@ def weights(
     Returns None when no sample point falls in the window (the weights
     are undefined there, and None is deliberately distinct from any
     weight vector).  Otherwise the weights are nonnegative and sum to 1.
-    A NaN or infinite series value or location raises.
+    A series that is not one path, a NaN or infinite series value or a
+    location that is not a finite number raises.
     """
-    v_series = np.asarray(v_series, dtype=float)
-    if not (np.isfinite(v_series).all() and np.isfinite(v)):
-        raise ParameterError("weights need a finite covariate and location")
+    v_series, v = np.asarray(v_series, dtype=float), scalar(v, "v")
+    if v_series.ndim != 1 or not np.isfinite(v_series).all():
+        raise ParameterError("v_series must be one path of finite values")
     k = kernel_eval(spec, (v_series - v) / spec.bandwidth)
     total = k.sum()
     if total <= 0.0:

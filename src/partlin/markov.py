@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoVisitsError, ParameterError, store_scalars
+from .errors import NoVisitsError, ParameterError, scalar, store_scalars
 from .rng import normal_block
 
 NO_VISITS = "the path never enters the small set"
@@ -41,7 +41,7 @@ class SmallSet:
     upper: float
 
     def __post_init__(self) -> None:
-        store_scalars(self, float, "lower", "upper")
+        store_scalars(self, float, lower=None, upper=None)
         if not self.lower < self.upper:
             raise ParameterError(
                 f"small set needs lower < upper, got [{self.lower}, {self.upper}]"
@@ -70,12 +70,9 @@ def simulate_random_walk(
     stream as the rows of an array; each row is the path its stream
     gives alone.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not np.isfinite(increment_sd) or increment_sd < 0:
-        raise ParameterError(f"increment_sd must be >= 0, got {increment_sd}")
-    steps = increment_sd * normal_block(seed, _streams(stream), n)
-    paths = v0 + np.cumsum(steps, axis=1)
+    n, v0 = scalar(n, "n", int, 1), scalar(v0, "v0")
+    sd = scalar(increment_sd, "increment_sd", low=0)
+    paths = v0 + np.cumsum(sd * normal_block(seed, _streams(stream), n), axis=1)
     return paths[0] if np.isscalar(stream) else paths
 
 
@@ -91,14 +88,9 @@ def simulate_ar1(
     :func:`simulate_random_walk`.  Paths are lfilter's to the bit: a
     scaled running sum for rho = 2**-k, else a loop (:func:`_ar1_recursion`).
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not np.isfinite(innovation_sd) or innovation_sd < 0:
-        raise ParameterError(
-            f"innovation_sd must be >= 0, got {innovation_sd}"
-        )
-    if not np.isfinite(rho):
-        raise ParameterError(f"rho must be finite, got {rho}")
+    n = scalar(n, "n", int, 1)
+    innovation_sd = scalar(innovation_sd, "innovation_sd", low=0)
+    scalar(rho, "rho")  # not converted: an int 0 keeps its sign (_ar1_recursion)
     z = normal_block(seed, _streams(stream), n + 1)
     if abs(rho) < 1:
         e0 = innovation_sd / np.sqrt(1.0 - rho * rho) * z[:, 0]
@@ -239,8 +231,8 @@ def regeneration_blocks(
 ) -> BlockDecomposition:
     """Split sum(f(v_t)) into head, complete blocks and tail."""
     v = np.asarray(v, dtype=float)
-    if v.size < 1:
-        raise ParameterError("need at least one observation")
+    if v.size < 1 or not np.isfinite(v).all():
+        raise ParameterError("v must be a nonempty path of finite values")
     visits = np.flatnonzero(small_set.contains(v))
     if visits.size == 0:
         raise NoVisitsError(NO_VISITS)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .bandwidth import cv_select, default_h_grid
 from .dataset import TimeSeriesDataset
-from .errors import ExperimentError, ParameterError, PartlinError, store_scalars
+from .errors import ExperimentError, ParameterError, PartlinError, scalar, store_scalars
 from .kernel import (
     KERNEL_L2,
     KernelSpec,
@@ -82,24 +82,15 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        store_scalars(self, int, "n", "reps", "master_seed", "g_grid_points", "workers")
-        store_scalars(self, float, "theta0", "increment_sd", "eps_rho", "eps_sd")
-        if self.n < 10:
-            raise ParameterError(f"n must be >= 10, got {self.n}")
-        if self.reps < 1:
-            raise ParameterError(f"reps must be >= 1, got {self.reps}")
+        store_scalars(self, int, n=10, reps=1, master_seed=None)
+        store_scalars(self, int, g_grid_points=1, workers=1)
+        store_scalars(self, float, theta0=None, increment_sd=0, eps_rho=None, eps_sd=0)
         if self.dgp not in DGPS:
             raise ParameterError(f"dgp must be one of {DGPS}, got {self.dgp!r}")
         if self.g0 not in G0_TAGS:
             raise ParameterError(f"g0 must be one of {G0_TAGS}, got {self.g0!r}")
-        if self.increment_sd < 0 or self.eps_sd < 0:
-            raise ParameterError("standard deviations must be >= 0")
         if not isinstance(self.kernel, KernelSpec) and self.kernel != "cv":
             raise ParameterError('kernel must be a KernelSpec or the tag "cv"')
-        if self.g_grid_points < 1:
-            raise ParameterError("g_grid_points must be >= 1")
-        if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -168,10 +159,7 @@ def simulate_block(cfg: McConfig, reps) -> tuple[np.ndarray, np.ndarray]:
     holds.  A replication with a non-finite cell raises the error its
     dataset raises, the first such replication in ``reps`` first.
     """
-    reps = [int(r) for r in reps]
-    for rep in reps:
-        if rep < 0:
-            raise ParameterError(f"rep must be >= 0, got {rep}")
+    reps = [scalar(r, "rep", int, 0) for r in reps]
     base = [STREAMS_PER_REP * rep for rep in reps]
     v = simulate_random_walk(cfg.n, cfg.increment_sd, 0.0, cfg.master_seed, base)
     eps = simulate_ar1(
@@ -224,9 +212,9 @@ def table_grid(v: np.ndarray, points: int) -> np.ndarray:
     block of paths, the rows of ``v``, the grids are the rows of the
     result.
     """
-    if points < 1:
-        raise ParameterError(f"points must be >= 1, got {points}")
-    v = np.asarray(v, dtype=float)
+    points, v = scalar(points, "points", int, 1), np.asarray(v, dtype=float)
+    if v.ndim < 1 or not v.size or not np.isfinite(v).all():
+        raise ParameterError("v must be a nonempty array of finite values")
     lo = v.min(axis=-1, keepdims=True)
     hi = v.max(axis=-1, keepdims=True)
     return lo + (np.arange(points) / points) * (hi - lo)
@@ -431,13 +419,12 @@ def g_clt_check(cfg: McConfig, v_point: float) -> GCltReport:
     ``v_point`` and compares the empirical variance with the stationary
     error variance times the squared kernel integral.
     """
-    if not np.isfinite(v_point):
-        raise ParameterError(f"v_point must be finite, got {v_point}")
+    v_point = scalar(v_point, "v_point")
     if abs(cfg.eps_rho) >= 1:
         raise ParameterError(
             "no stationary error variance for |eps_rho| >= 1"
         )
-    kept, failures, kspec = _run_all(cfg, _gpoint_replicate, float(v_point))
+    kept, failures, kspec = _run_all(cfg, _gpoint_replicate, v_point)
     s_vals = np.array([s for s, _ in kept])
     invalid = int(sum(flag for _, flag in kept))
     if invalid > 0.2 * cfg.reps:

@@ -48,7 +48,7 @@ import os
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import scalar
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,15 +92,14 @@ def _words(seed: int, streams, size: int) -> np.ndarray:
     sets the key and a zero counter exactly as a fresh generator has
     them.
     """
-    if size < 0:
-        raise ParameterError(f"size must be >= 0, got {size}")
+    seed, size = scalar(seed, "seed", int) & _MASK64, scalar(size, "size", int, 0)
     words = np.empty((len(streams), size), dtype=np.uint64)
     if size:
         gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         state = gen.state
         for row, stream in zip(words, streams):
             state["state"]["key"] = np.array(
-                [seed & _MASK64, int(stream) & _MASK64], dtype=np.uint64
+                [seed, scalar(stream, "stream", int) & _MASK64], dtype=np.uint64
             )
             state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
             state["buffer_pos"] = 4  # the buffer is empty, as when fresh

@@ -36,6 +36,7 @@ from .errors import (
     PartlinError,
     RankError,
     TruncationError,
+    scalar,
 )
 from .kernel import (
     KernelSpec,
@@ -262,8 +263,9 @@ def longrun_covariance(
     m = eps.size
     if u.shape[0] != m:
         raise ParameterError(f"eps has {m} rows, u has {u.shape[0]}")
-    if max_lag < 0:
-        raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
+    if not (np.isfinite(eps).all() and np.isfinite(u).all()):
+        raise ParameterError("eps and u must be finite")
+    max_lag = scalar(max_lag, "max_lag", int, 0)
     if m < max_lag + 2:
         raise ParameterError(
             f"need at least max_lag + 2 = {max_lag + 2} pairs, got {m}"
@@ -298,8 +300,7 @@ def default_max_lag(n: int) -> int:
     Computed in integers; the float cube root of a perfect cube can land
     just below the true value (1000 ** (1/3) rounds to 9.999...).
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = scalar(n, "n", int, 1)
     k = int(float(n) ** (1.0 / 3.0))
     while (k + 1) ** 3 <= n:
         k += 1

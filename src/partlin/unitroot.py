@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, scalar
 from .rng import block_rows, map_blocks, normal_block
 
 
@@ -97,12 +97,8 @@ def simulated_pvalue(t_stat: float, n: int, reps: int, seed: int) -> float:
     Gaussian increments; path r uses stream r of ``seed``, so the
     p-value is deterministic given the seed and monotone in ``t_stat``.
     """
-    if not np.isfinite(t_stat):
-        raise ParameterError(f"t_stat must be finite, got {t_stat}")
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if reps < 100:
-        raise ParameterError(f"reps must be >= 100, got {reps}")
+    t_stat, n = scalar(t_stat, "t_stat"), scalar(n, "n", int, 3)
+    reps = scalar(reps, "reps", int, 100)
     t_sim = _simulated_t(n, reps, seed)
     return float(np.count_nonzero(t_sim <= t_stat)) / reps
 

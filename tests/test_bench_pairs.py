@@ -187,3 +187,27 @@ def test_control_pairs_follow_each_pair_and_go_under_aa_control(monkeypatch, tmp
     same = {r["metric"]: r for r in control["summary"]}["job_s.p50"]
     assert same["change"]["median"] == 1.0 and same["claimed"]
     assert same["verdict"] == "not met"
+
+
+def test_a_claim_the_control_also_meets_is_not_met(monkeypatch, tmp_path, capsys):
+    """A file copy of the parent that reads as fast as the change meets the
+    gain rule too; the claim then is not met and the script exits with 1."""
+    def run_once(checkout, workload, seed, seconds):
+        job = 1.0 if checkout.endswith("parent") else 0.5
+        return {"exit": 0, "lines": [_result_line(job)]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    code = bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--control", str(tmp_path / "copy"), "--pr", "x", "--parent-rev", "abc",
+        "--workload", "fit_large", "--pairs", "2", "--claim", "fit_large:job_s.p50",
+        "--out", str(out),
+    ])
+    assert code == 1
+    record = bench_pairs.json.loads(out.read_text())
+    job = {r["metric"]: r for r in record["summary"]}["job_s.p50"]
+    assert job["verdict"] == "not met (A/A control also gains)"
+    same = {r["metric"]: r for r in record["aa_control"]["summary"]}["job_s.p50"]
+    assert same["verdict"] == "gain"
+    assert "not met (A/A control also gains)" in capsys.readouterr().out

@@ -588,6 +588,37 @@ def test_bandwidth_default_grid_size(tmp_path, capsys):
     assert len(lines) == 14  # header, twelve grid rows, h_star comment
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+@pytest.mark.parametrize(
+    "y_scale, args",
+    [
+        (1.0, ["bandwidth", "--h-grid", "1e-320,1e-300"]),
+        (1.0, ["estimate", "--h", "1e-310"]),
+        (1e300, ["estimate", "--cv"]),
+    ],
+    ids=["subnormal_grid", "subnormal_h", "huge_y"],
+)
+def test_extreme_bandwidth_or_scale_fails_without_a_numpy_warning(
+    tmp_path, capsys, family, y_scale, args
+):
+    """(v - p)/h at a subnormal h and the squared errors of a huge y
+    overflow to inf; the run still ends in its PartlinError, and numpy
+    warns of nothing."""
+    path = tmp_path / "d.csv"
+    seed = ["--seed", "7", "--dgp", "H_identity"]
+    assert main(["simulate", "--n", "300", *seed, "--out", str(path)]) == 0
+    ds = load_csv(str(path))
+    write_csv(str(path), TimeSeriesDataset(y=ds.y * y_scale, x=ds.x, v=ds.v))
+    capsys.readouterr()
+    code = main(
+        [args[0], "--data", str(path), *args[1:], "--family", family,
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- shared
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partlin
 from helpers import build_dataset
 from partlin import (
     KernelSpec,
@@ -151,3 +152,55 @@ def test_scalar_fields_are_stored_as_python_numbers(value):
     cfg = _config(n=np.int64(60), reps=np.int32(8), theta0=value, workers=1)
     assert (type(cfg.n), type(cfg.reps), type(cfg.theta0)) == (int, int, float)
     assert (cfg.n, cfg.reps, cfg.theta0) == (60, 8, value)
+
+
+_V = np.linspace(-1.0, 1.0, 9)
+_E = np.linspace(-1.0, 1.0, 20) ** 3
+_E_NAN = np.append(_E, np.nan)
+_SPEC = KernelSpec("uniform", 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        # scalar arguments: one owner, errors.scalar
+        (lambda: partlin.simulate_random_walk(10.5, 0.1, 0.0, 1), "n"),
+        (lambda: partlin.simulate_random_walk(np.nan, 0.1, 0.0, 1), "n"),
+        (lambda: partlin.simulate_random_walk(10, 0.1, 0.0, 1.5), "seed"),
+        (lambda: partlin.simulate_random_walk(10, 0.1, np.nan, 1), "v0"),
+        (lambda: partlin.simulate_random_walk(10, 0.1, 0.0, 1, stream=1.5), "stream"),
+        (lambda: partlin.simulate_ar1(True, 0.5, 1.0, 1), "n"),
+        (lambda: partlin.default_max_lag(np.nan), "n"),
+        (lambda: partlin.default_max_lag(np.inf), "n"),
+        (lambda: partlin.default_bandwidth(np.nan), "n"),
+        (lambda: partlin.default_bandwidth(2.5), "n"),
+        (lambda: partlin.default_density_floor(np.inf), "n"),
+        (lambda: partlin.table_grid(_V, np.nan), "points"),
+        (lambda: partlin.table_grid(_V, 2.5), "points"),
+        (lambda: partlin.simulated_pvalue(-1.0, 50, 150.5, 0), "reps"),
+        (lambda: partlin.simulated_pvalue(-1.0, np.inf, 200, 0), "n"),
+        (lambda: partlin.longrun_covariance(_E, _E, 1.5), "max_lag"),
+        (lambda: partlin.simulate_block(_config(), [1.5]), "rep"),
+        # array arguments
+        (lambda: partlin.weights(np.zeros((2, 3)), 0.0, _SPEC), "v_series"),
+        (lambda: partlin.table_grid(np.array([]), 3), "v"),
+        (lambda: partlin.table_grid(np.append(_V, np.inf), 3), "v"),
+        (lambda: partlin.table_grid(np.append(_V, -np.inf), 3), "v"),
+        (lambda: partlin.regeneration_blocks(np.append(_V, np.nan), abs, _SET), "v"),
+        (lambda: partlin.longrun_covariance(_E_NAN, np.append(_E, 0), 2), "eps"),
+    ],
+)
+def test_arguments_reject_other_values_by_name(call, name):
+    """A scalar argument that is a bool, a fraction for an int, NaN or
+    +-inf, and an array argument of the wrong shape or with a non-finite
+    value, raise a ``ParameterError`` that names the argument, not a raw
+    Python or numpy error, a warning or a silently wrong result."""
+    with pytest.raises(ParameterError, match=rf"^{name}\b.*must be"):
+        call()
+
+
+def test_scalar_arguments_take_numpy_scalars():
+    assert partlin.default_max_lag(np.int64(1000)) == 10
+    assert partlin.default_bandwidth(np.int32(16)) == 0.5
+    assert partlin.table_grid(_V, np.int64(4)).shape == (4,)

@@ -123,7 +123,11 @@ def test_only_dataset_formats_csv():
     assert found == []
 
 
-_NO_VISITS = "never enters the small set"
+# text of a message outside a docstring, and the decision it shows
+_MESSAGES = {
+    "never enters the small set": "no-visit message",
+    "must be >=": "bound message",
+}
 
 
 def shared_decisions(source: str) -> list[str]:
@@ -131,7 +135,8 @@ def shared_decisions(source: str) -> list[str]:
     ``.contains(`` call (the small set test), ``resolve_kernel(`` call
     (a Monte Carlo cell's kernel), ``default_density_floor(`` call (the
     default truncation) and ``.split(`` call (a list split by hand), and
-    each string outside a docstring that holds the no-visit message."""
+    each string outside a docstring that holds the no-visit message or
+    a hand-written lower bound message."""
     tree = ast.parse(source)
     docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
     found = []
@@ -147,10 +152,9 @@ def shared_decisions(source: str) -> list[str]:
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
-            and _NO_VISITS in node.value
             and id(node) not in docstrings
         ):
-            found.append("no-visit message")
+            found += [use for text, use in _MESSAGES.items() if text in node.value]
     return found
 
 
@@ -170,6 +174,17 @@ def test_shared_decision_scan_finds_each():
     ]
 
 
+def test_shared_decision_scan_finds_a_bound_message():
+    source = (
+        '"""A docstring may say n must be >= 1."""\n'
+        'raise ParameterError(f"n must be >= 1, got {n}")\n'
+        'raise ParameterError("standard deviations must be >= 0")\n'
+        'raise ParameterError("n must be at least 1")\n'
+        'raise ParameterError(scalar_message("n", low=1))\n'
+    )
+    assert shared_decisions(source) == ["bound message", "bound message"]
+
+
 @pytest.mark.parametrize(
     "use, owners, times",
     [
@@ -183,8 +198,13 @@ def test_shared_decision_scan_finds_each():
         (".split(", set(), None),
         # a missing density floor is filled by kernel.truncation_spec
         ("default_density_floor(", {"kernel.py"}, 1),
+        # scalar lower bounds are checked by errors.scalar
+        ("bound message", {"errors.py"}, None),
     ],
-    ids=["contains", "no_visits", "resolve_kernel", "split", "density_floor"],
+    ids=[
+        "contains", "no_visits", "resolve_kernel", "split", "density_floor",
+        "scalar_bound",
+    ],
 )
 def test_each_shared_decision_has_one_owner(use, owners, times):
     """Each decision the package shares is made in the module that owns
