@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TimeSeriesDataset
-from .errors import NoVisitsError, ParameterError, PartlinError, SelectionError
+from .errors import (
+    NoVisitsError, ParameterError, PartlinError, SelectionError, finite_array
+)
 from .kernel import (
     KERNEL_AT_ZERO,
     KernelSpec,
@@ -43,7 +45,7 @@ from .kernel import (
     default_bandwidth,
 )
 from .markov import NO_VISITS, count_small_set_visits
-from .sls import _check_grid, _fit_rows
+from .sls import _fit_rows
 
 SWEEP_CELLS = 2**12  # a block of the sweep: bandwidths times sample points
 
@@ -88,7 +90,7 @@ def cv_select(
     fails a :class:`SelectionError` is raised.  A path that never visits
     the small set raises immediately, since no bandwidth can repair it.
     """
-    h_grid = _check_grid(h_grid, "h_grid")
+    h_grid = finite_array(h_grid, "h_grid")
     if h_grid.size > 1 and np.any(np.diff(h_grid) <= 0):
         raise ParameterError("h_grid must be strictly increasing")
 

@@ -224,6 +224,8 @@ def _read_columns_exact(
             rows = [r for r in reader if r]
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded in chunks: no line to name
+            raise ParseError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
     names: list[str] | None = None
     if header:
         if not rows:

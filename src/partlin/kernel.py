@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, log
+from math import comb, log, ulp
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoVisitsError, ParameterError, scalar, store_scalars
+from .errors import NoVisitsError, ParameterError, finite_array, scalar, store_scalars
 from .markov import NO_VISITS, SmallSet, count_small_set_visits
 
 # K(u) on its window |u| <= 1, as coefficients of u**0, u**1, ...
@@ -58,9 +58,7 @@ class KernelSpec:
             raise ParameterError(
                 f"unknown kernel family {self.family!r}, expected one of {FAMILIES}"
             )
-        store_scalars(self, float, bandwidth=None)
-        if (h := self.bandwidth) <= 0:
-            raise ParameterError(f"bandwidth must be finite and > 0, got {h}")
+        store_scalars(self, float, bandwidth=ulp(0.0))  # the least float > 0
 
 
 @dataclass(frozen=True)
@@ -172,23 +170,17 @@ class SortedView:
     ``v`` is one covariate path of shape (n,), or a block of paths as
     the rows of an (rows, n) array; a single path is the block of one
     row, and every row is handled as if it were alone.  A NaN or
-    infinite value is rejected here, by its position in the flattened
-    block, so every view is finite.  ``padded`` has one row per path:
-    its values sorted, with -inf in front and +inf behind (what
-    ``_settle_edge`` reads), and ``values`` is their finite middle.
+    infinite value is rejected here, by its position, so every view is
+    finite.  ``padded`` has one row per path: its values sorted, with
+    -inf in front and +inf behind (what ``_settle_edge`` reads), and
+    ``values`` is their finite middle.
     ``order`` is the stable sorting permutation of each row as
     positions in the flattened block, so for one path it is the path's
     own sorting permutation.  These and ``rank`` are all a view holds.
     """
 
     def __init__(self, v: np.ndarray):
-        v = np.asarray(v, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            at = int(bad[0])
-            raise ParameterError(
-                f"covariate must be finite, got {v.flat[at]} at position {at}"
-            )
+        v = finite_array(v, "covariate", (1, 2), min_size=0)
         rows = v if v.ndim == 2 else v[None]
         order = np.argsort(rows, axis=1)
         ranked = np.take_along_axis(rows, order, axis=1)
@@ -282,16 +274,16 @@ class SortedView:
 def _as_view(v_series: np.ndarray | SortedView) -> SortedView:
     """The covariate's ``SortedView``, sorted here from a plain array;
     either must hold one nonempty path."""
-    view = v_series if isinstance(v_series, SortedView) else None
-    v = np.asarray(v_series, dtype=float) if view is None else view.values
-    one_path = (v.size,) if view is None else (1, v.size)
-    if not v.size or v.shape != one_path:
-        raise ParameterError(
-            f"covariate must be one nonempty path, got shape {v.shape}"
-        )
-    return SortedView(v) if view is None else view
+    if isinstance(v_series, SortedView):
+        if v_series.values.shape[0] == 1 and v_series.values.size:
+            return v_series
+        v_series = v_series.values  # of a block or an empty path: refused below
+    return SortedView(finite_array(v_series, "covariate", kind="path"))
 
 
+# a tiny h makes +-inf cells, and a sum past the float range is +-inf or NaN,
+# which a fit refuses (sls._solve_normal)
+@np.errstate(over="ignore", invalid="ignore")
 def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     """The table ``_block_sums`` reads window sums off: prefix sums of
     ``targets`` (None or (R, n, k) in sample order) in blocks of the
@@ -315,9 +307,8 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     starts = np.arange(count) * n
     if deg:
         sv = view.values.ravel()
-        with np.errstate(over="ignore", invalid="ignore"):  # a tiny h: +-inf cells
-            cell = np.floor((view.values - view.values[:, :1]) / h)
-            starts = np.flatnonzero(np.diff(cell, axis=1, prepend=np.nan))
+        cell = np.floor((view.values - view.values[:, :1]) / h)
+        starts = np.flatnonzero(np.diff(cell, axis=1, prepend=np.nan))
     ends = np.append(starts[1:], count * n)
     inner, outer = starts % n, ends - starts + starts % n
     # a size class of blocks, sizes in (2**(c-1), 2**c], is summed as one array
@@ -347,6 +338,7 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     return pref, base, starts, inner, outer, flat, h if deg else None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _prefix_table
 def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
     """Kernel mass and kernel weighted target sums at each point of
     every path in ``view``.
@@ -492,9 +484,8 @@ def weights(
     A series that is not one path, a NaN or infinite series value or a
     location that is not a finite number raises.
     """
-    v_series, v = np.asarray(v_series, dtype=float), scalar(v, "v")
-    if v_series.ndim != 1 or not np.isfinite(v_series).all():
-        raise ParameterError("v_series must be one path of finite values")
+    v_series = finite_array(v_series, "v_series", min_size=0, kind="path")
+    v = scalar(v, "v")
     k = kernel_eval(spec, (v_series - v) / spec.bandwidth)
     total = k.sum()
     if total <= 0.0:
@@ -553,12 +544,7 @@ def smooth(
     its own window, so ``valid`` is all True for those families.
     """
     view = _as_view(v_series)
-    targets = np.asarray(targets, dtype=float)
-    squeeze = targets.ndim == 1
-    tg = targets[:, None] if squeeze else targets
-    if tg.shape[0] != view.order.size:
-        raise ParameterError(
-            f"targets rows {tg.shape[0]} do not match n = {view.order.size}"
-        )
+    targets = finite_array(targets, "targets", (1, 2), rows=view.order.size)
+    tg = targets[:, None] if targets.ndim == 1 else targets
     out, valid = _regression(*_window_sums(view, None, spec, tg))
-    return (out[:, 0] if squeeze else out), valid
+    return (out[:, 0] if targets.ndim == 1 else out), valid

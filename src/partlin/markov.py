@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoVisitsError, ParameterError, scalar, store_scalars
+from .errors import NoVisitsError, ParameterError, finite_array, scalar, store_scalars
 from .rng import normal_block
 
 NO_VISITS = "the path never enters the small set"
@@ -172,6 +172,7 @@ def _scaled_running_sum(w: np.ndarray, k: int) -> bool:
 def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int | np.ndarray:
     """Number of sample points inside the small set along the last axis:
     an ``int`` for one path, an int array, one per row, for a block."""
+    v = finite_array(v, "v", (1, 2), min_size=0)
     visits = np.count_nonzero(small_set.contains(v), axis=-1)
     return visits if np.ndim(visits) else int(visits)
 
@@ -183,9 +184,7 @@ def estimate_beta(v: np.ndarray, small_set: SmallSet) -> float:
     undefined) and a visit.  As n grows the estimate concentrates near
     1/2 for a Gaussian random walk and approaches 1 for a positive recurrent chain.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ParameterError(f"need one path of n >= 2, got shape {v.shape}")
+    v = finite_array(v, "v", min_size=2, kind="path")
     return beta_from_visits(count_small_set_visits(v, small_set), v.size)
 
 
@@ -230,9 +229,7 @@ def regeneration_blocks(
     small_set: SmallSet,
 ) -> BlockDecomposition:
     """Split sum(f(v_t)) into head, complete blocks and tail."""
-    v = np.asarray(v, dtype=float)
-    if v.size < 1 or not np.isfinite(v).all():
-        raise ParameterError("v must be a nonempty path of finite values")
+    v = finite_array(v, "v", kind="path")
     visits = np.flatnonzero(small_set.contains(v))
     if visits.size == 0:
         raise NoVisitsError(NO_VISITS)

@@ -45,7 +45,9 @@ import numpy as np
 
 from .bandwidth import cv_select, default_h_grid
 from .dataset import TimeSeriesDataset
-from .errors import ExperimentError, ParameterError, PartlinError, scalar, store_scalars
+from .errors import (
+    ExperimentError, ParameterError, PartlinError, finite_array, scalar, store_scalars
+)
 from .kernel import (
     KERNEL_L2,
     KernelSpec,
@@ -55,7 +57,7 @@ from .kernel import (
 )
 from .markov import simulate_ar1, simulate_random_walk
 from .rng import block_rows, map_blocks, normal_block
-from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci
+from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci, check_level
 
 STREAMS_PER_REP = 4
 CURVE_GRID_POINTS = 300  # of a ``table_grid`` whose size is not given
@@ -212,9 +214,7 @@ def table_grid(v: np.ndarray, points: int) -> np.ndarray:
     block of paths, the rows of ``v``, the grids are the rows of the
     result.
     """
-    points, v = scalar(points, "points", int, 1), np.asarray(v, dtype=float)
-    if v.ndim < 1 or not v.size or not np.isfinite(v).all():
-        raise ParameterError("v must be a nonempty array of finite values")
+    points, v = scalar(points, "points", int, 1), finite_array(v, "v", (1, 2))
     lo = v.min(axis=-1, keepdims=True)
     hi = v.max(axis=-1, keepdims=True)
     return lo + (np.arange(points) / points) * (hi - lo)
@@ -335,6 +335,7 @@ def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int, KernelSpec]:
 
 def theta_experiment_details(cfg: McConfig, ci_level: float = 0.95) -> ThetaDraws:
     """Coefficient draws and interval coverage for every replication."""
+    ci_level = None if ci_level is None else check_level(ci_level)
     kept, failures, kspec = _run_all(cfg, _theta_replicate, ci_level)
     return ThetaDraws(
         draws=np.vstack([theta for theta, _ in kept]),
@@ -389,11 +390,7 @@ def normality_check(theta_draws: np.ndarray, theta0: float) -> NormalityReport:
     Standardization uses the empirical mean and standard deviation, so
     the test is against the normal family rather than one fixed normal.
     """
-    draws = np.asarray(theta_draws, dtype=float).ravel()
-    if draws.size < 200:
-        raise ParameterError(
-            f"need at least 200 draws for a stable diagnostic, got {draws.size}"
-        )
+    draws = finite_array(theta_draws, "theta_draws", (1, 2), 200).ravel()
     sd = float(np.std(draws, ddof=1))
     if sd == 0.0 or not np.isfinite(sd):
         raise ExperimentError("draws are degenerate (zero spread)")

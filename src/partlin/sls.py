@@ -36,6 +36,7 @@ from .errors import (
     PartlinError,
     RankError,
     TruncationError,
+    finite_array,
     scalar,
 )
 from .kernel import (
@@ -110,20 +111,6 @@ class CurveEstimate:
     valid: np.ndarray
 
 
-def _check_theta(ds: TimeSeriesDataset, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ds.d,) or not np.all(np.isfinite(theta)):
-        raise ParameterError(f"theta must be finite of shape ({ds.d},), got {theta}")
-    return theta
-
-
-def _check_grid(grid: np.ndarray, name: str = "grid") -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
-        raise ParameterError(f"{name} must be a nonempty 1-d array of finite points")
-    return grid
-
-
 def _detrend(ds: TimeSeriesDataset, spec: KernelSpec) -> np.ndarray:
     """The (n, 1 + d) detrended columns of one dataset, y first, by
     ``smooth``."""
@@ -136,28 +123,33 @@ def _solve_normal(tilde: np.ndarray, masks: np.ndarray, x: np.ndarray) -> list:
     ``tilde`` the (rows, n, 1 + d) detrended columns, y first, and ``x``
     the raw (rows, n, d) regressors.  Returns each row's coefficients,
     or the RankError that stops them; the normal equations are formed
-    row by row, then checked and solved at once."""
+    row by row, then checked and solved at once.  A row whose equations
+    are not finite (a sum past the float range) is refused."""
     rows, _, d = x.shape
     a, b = np.empty((rows, d, d)), np.empty((rows, d))
-    for r, mask in enumerate(masks):
-        kept = np.flatnonzero(mask)
-        xt = tilde[r, kept, 1:]
-        a[r], b[r] = xt.T @ xt, xt.T @ tilde[r, kept, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for r, mask in enumerate(masks):
+            kept = np.flatnonzero(mask)
+            xt = tilde[r, kept, 1:]
+            a[r], b[r] = xt.T @ xt, xt.T @ tilde[r, kept, 0]
     # a column with no variation around its covariate trend detrends to
     # roundoff noise; its normal-equation diagonal is then far below the
     # raw column scale and the solve would amplify garbage
     ref = np.maximum(np.einsum("rt,rtj,rtj->rj", masks, x, x), np.finfo(float).tiny)
     zero = np.any(np.diagonal(a, axis1=1, axis2=2) <= 1e-24 * ref, axis=1)
-    cond = np.linalg.cond(a)
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    cond = np.full(rows, np.inf)
+    cond[finite] = np.linalg.cond(a[finite])
     ok = ~zero & (cond <= _COND_LIMIT)  # False for a NaN condition too
     solved = iter(np.linalg.solve(a[ok], b[ok, :, None])[..., 0])
     return [
         next(solved) if fine else RankError(
             "a detrended regressor column is numerically zero, the coefficient "
             "on it is not identified" if flat
+            else "the normal equations overflow the float range" if not fin
             else f"detrended design is numerically singular (condition {c:.3e})"
         )
-        for fine, flat, c in zip(ok, zero, cond)
+        for fine, flat, fin, c in zip(ok, zero, finite, cond)
     ]
 
 
@@ -232,7 +224,7 @@ def residuals(
 
     ``eps_hat = ytilde - xtilde' theta`` and ``u_hat = xtilde``.
     """
-    theta = _check_theta(ds, theta)
+    theta = finite_array(theta, "theta", rows=ds.d)
     tilde = _detrend(ds, spec)
     xt = tilde[:, 1:]
     return ResidualSet(eps_hat=tilde[:, 0] - xt @ theta, u_hat=xt)
@@ -256,15 +248,10 @@ def longrun_covariance(
     ``psd_projected`` flag set.  ``u`` is copied to contiguous rows when
     it is a strided view, which keeps the lagged products fast.
     """
-    eps = np.asarray(eps, dtype=float)
-    u = np.ascontiguousarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    eps = finite_array(eps, "eps")
     m = eps.size
-    if u.shape[0] != m:
-        raise ParameterError(f"eps has {m} rows, u has {u.shape[0]}")
-    if not (np.isfinite(eps).all() and np.isfinite(u).all()):
-        raise ParameterError("eps and u must be finite")
+    u = finite_array(u, "u", (1, 2), rows=m)
+    u = np.ascontiguousarray(u[:, None] if u.ndim == 1 else u)
     max_lag = scalar(max_lag, "max_lag", int, 0)
     if m < max_lag + 2:
         raise ParameterError(
@@ -360,10 +347,11 @@ def _sls_fit(
     )
 
 
-def check_level(level: float) -> None:
-    """Reject a confidence level outside [0, 1)."""
-    if not 0.0 <= level < 1.0:
+def check_level(level: float) -> float:
+    """``level`` as a float; a level outside [0, 1) raises."""
+    if not 0.0 <= (level := scalar(level, "level")) < 1.0:
         raise ParameterError(f"level must be in [0, 1), got {level}")
+    return level
 
 
 def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
@@ -376,9 +364,9 @@ def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
     a few ulp of Cephes' ``ndtri`` and exactly 0 at ``level`` = 0; one
     scalar does not justify loading ``scipy.special``.
     """
-    check_level(level)
+    level = check_level(level)
     if not np.all(np.isfinite(fit.avar)):
-        raise ParameterError("fit has a non-finite avar, no interval available")
+        raise ParameterError("fit avar holds NaN or inf, no interval available")
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * np.sqrt(np.diag(fit.avar) / fit.n)
     return np.column_stack([fit.theta_hat - half, fit.theta_hat + half])
@@ -413,7 +401,7 @@ def estimate_g(
     Smooths the partial residual y - x' theta.  Grid points with no
     sample mass get NaN and a False flag.
     """
-    theta, grid = _check_theta(ds, theta), _check_grid(grid)
+    theta, grid = finite_array(theta, "theta", rows=ds.d), finite_array(grid, "grid")
     values, mass, valid = _curve_rows(
         ds.y[None], ds.x[None], theta[None], ds.sorted_v, grid[None], spec
     )
@@ -433,7 +421,7 @@ def estimate_h(
     detrending, reported on a grid for inspection, one estimate per
     regressor column.
     """
-    grid = _check_grid(grid)
+    grid = finite_array(grid, "grid")
     mass, sums = _window_sums(ds.sorted_v, grid, spec, ds.x)
     values, valid = _regression(mass, sums)
     return [

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, scalar
+from .errors import ParameterError, finite_array, scalar
 from .rng import block_rows, map_blocks, normal_block
 
 
@@ -32,11 +32,7 @@ class DfResult:
 def _ar1_fit(z: np.ndarray) -> tuple[float, float]:
     """No-intercept AR(1) slope rho_hat and the t ratio
     (rho_hat - 1) / se(rho_hat)."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 3:
-        raise ParameterError("need a 1-d series of length >= 3")
-    if not np.all(np.isfinite(z)):
-        raise ParameterError("series contains non-finite values")
+    z = finite_array(z, "z", min_size=3)
     lag = z[:-1]
     cur = z[1:]
     sxx = float(lag @ lag)
@@ -108,7 +104,6 @@ def df_test(z: np.ndarray, reps: int = 2000, seed: int = 0) -> DfResult:
 
     The null simulation uses the observed series length.
     """
-    z = np.asarray(z, dtype=float)
     rho, t = _ar1_fit(z)
-    p = simulated_pvalue(t, z.size, reps, seed)
+    p = simulated_pvalue(t, np.size(z), reps, seed)
     return DfResult(rho_hat=rho, t_stat=t, p_value=p, sim_reps=reps)

@@ -591,25 +591,26 @@ def test_bandwidth_default_grid_size(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
 @pytest.mark.parametrize(
-    "y_scale, args",
+    "y_scale, x_scale, args",
     [
-        (1.0, ["bandwidth", "--h-grid", "1e-320,1e-300"]),
-        (1.0, ["estimate", "--h", "1e-310"]),
-        (1e300, ["estimate", "--cv"]),
+        (1.0, 1.0, ["bandwidth", "--h-grid", "1e-320,1e-300"]),
+        (1.0, 1.0, ["estimate", "--h", "1e-310"]),
+        (1e300, 1.0, ["estimate", "--cv"]),
+        (1e307, 1e307, ["estimate", "--h", "0.3"]),
     ],
-    ids=["subnormal_grid", "subnormal_h", "huge_y"],
+    ids=["subnormal_grid", "subnormal_h", "huge_y", "huge_design"],
 )
 def test_extreme_bandwidth_or_scale_fails_without_a_numpy_warning(
-    tmp_path, capsys, family, y_scale, args
+    tmp_path, capsys, family, y_scale, x_scale, args
 ):
-    """(v - p)/h at a subnormal h and the squared errors of a huge y
-    overflow to inf; the run still ends in its PartlinError, and numpy
-    warns of nothing."""
+    """(v - p)/h at a subnormal h, the squared errors of a huge y and the
+    window sums and normal equations of a huge design overflow to inf;
+    the run still ends in its PartlinError, and numpy warns of nothing."""
     path = tmp_path / "d.csv"
     seed = ["--seed", "7", "--dgp", "H_identity"]
     assert main(["simulate", "--n", "300", *seed, "--out", str(path)]) == 0
     ds = load_csv(str(path))
-    write_csv(str(path), TimeSeriesDataset(y=ds.y * y_scale, x=ds.x, v=ds.v))
+    write_csv(str(path), TimeSeriesDataset(y=ds.y * y_scale, x=ds.x * x_scale, v=ds.v))
     capsys.readouterr()
     code = main(
         [args[0], "--data", str(path), *args[1:], "--family", family,

@@ -158,6 +158,12 @@ _V = np.linspace(-1.0, 1.0, 9)
 _E = np.linspace(-1.0, 1.0, 20) ** 3
 _E_NAN = np.append(_E, np.nan)
 _SPEC = KernelSpec("uniform", 0.5)
+_DS = build_dataset(seed=3, n=60)
+_TRUNC = default_truncation(60)
+
+
+def _fit():
+    return truncated_sls(_DS, _SPEC, _TRUNC)
 
 
 @pytest.mark.filterwarnings("error")
@@ -189,6 +195,18 @@ _SPEC = KernelSpec("uniform", 0.5)
         (lambda: partlin.table_grid(np.append(_V, -np.inf), 3), "v"),
         (lambda: partlin.regeneration_blocks(np.append(_V, np.nan), abs, _SET), "v"),
         (lambda: partlin.longrun_covariance(_E_NAN, np.append(_E, 0), 2), "eps"),
+        (lambda: partlin.estimate_g(_DS, "a", _V, _SPEC), "theta"),
+        (lambda: partlin.cv_select(_DS, "0.1,0.2", "uniform", _TRUNC), "h_grid"),
+        (lambda: partlin.table_grid("0,1", 3), "v"),
+        (lambda: partlin.weights("0,1", 0.0, _SPEC), "v_series"),
+        (lambda: partlin.longrun_covariance(_E, np.zeros((20, 1, 1)), 2), "u"),
+        (lambda: partlin.regeneration_blocks(np.zeros((2, 3)), abs, _SET), "v"),
+        (lambda: partlin.asymptotic_ci(_fit(), "0.9"), "level"),
+        (lambda: partlin.estimate_beta([np.nan, 0.0, 0.5], _SET), "v"),
+        (lambda: partlin.count_small_set_visits([np.nan, 0.0], _SET), "v"),
+        (lambda: partlin.smooth(_V, np.append(_V[1:], np.nan), _SPEC), "targets"),
+        (lambda: partlin.smooth(_V, np.zeros((9, 1, 1)), _SPEC), "targets"),
+        (lambda: partlin.theta_experiment_details(_config(kernel=_SPEC), 1.5), "level"),
     ],
 )
 def test_arguments_reject_other_values_by_name(call, name):
@@ -198,6 +216,31 @@ def test_arguments_reject_other_values_by_name(call, name):
     Python or numpy error, a warning or a silently wrong result."""
     with pytest.raises(ParameterError, match=rf"^{name}\b.*must be"):
         call()
+
+
+def test_array_arguments_take_lists_tuples_and_float32():
+    """Lists, tuples and float32 arrays are read as the float64 arrays
+    they convert to, so the array check refuses none of them."""
+    v, t = [0.3, -0.2, 0.5, 0.1, -0.4], (1.0, 2.0, 0.5, 0.25, 3.0)
+    for given in (v, tuple(v), np.float32(v)):
+        want = np.asarray(given, dtype=float)
+        assert np.array_equal(
+            partlin.weights(given, 0.0, _SPEC), partlin.weights(want, 0.0, _SPEC)
+        )
+        assert np.array_equal(
+            partlin.smooth(given, t, _SPEC)[0], partlin.smooth(want, t, _SPEC)[0]
+        )
+        assert np.array_equal(partlin.table_grid(given, 4), partlin.table_grid(want, 4))
+        assert partlin.estimate_beta(given, _SET) == partlin.estimate_beta(want, _SET)
+        assert partlin.count_small_set_visits(given, _SET) == 5
+        assert partlin.regeneration_blocks(given, abs, _SET).tail == 0.0
+        assert partlin.df_statistic(given) == partlin.df_statistic(want)
+    cov = partlin.longrun_covariance(list(_E), tuple(np.float32(_E)), 2)
+    assert cov.sigma_u.shape == (1, 1)
+    curve = estimate_g(_DS, [1.0], (0.0, 0.1), _SPEC)
+    same = estimate_g(_DS, np.ones(1), np.array([0.0, 0.1]), _SPEC)
+    assert np.array_equal(curve.values, same.values)
+    assert cv_select(_DS, [0.2, 0.4], "uniform", _TRUNC).grid.dtype == float
 
 
 def test_scalar_arguments_take_numpy_scalars():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -203,6 +204,21 @@ def test_oversized_field_is_a_parse_error(tmp_path):
     path.write_text('y,x1,v\n1,2,3\n"' + "a" * 200_000 + '",2,3\n')
     with pytest.raises(ParseError, match=f"{path}: line 3: field larger"):
         load_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"y,x1,v\n1,2,\xff\n", b"y,x1,v\n" + b"1,2,3\n" * 5000 + b"4,5,6\xff\n"],
+    ids=["in_the_first_chunk", "past_it"],
+)
+def test_non_utf8_file_is_a_parse_error(tmp_path, text):
+    """A byte that does not decode fails both readers; the error names
+    the file, not the codec's own exception."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    for read in (read_columns, dataset._read_columns_exact):
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
+            read(str(path), ["y", "x1", "v"], True)
 
 
 def test_empty_and_header_only_files(tmp_path):

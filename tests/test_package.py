@@ -134,9 +134,10 @@ def shared_decisions(source: str) -> list[str]:
     """The shared decisions a source file makes itself: each
     ``.contains(`` call (the small set test), ``resolve_kernel(`` call
     (a Monte Carlo cell's kernel), ``default_density_floor(`` call (the
-    default truncation) and ``.split(`` call (a list split by hand), and
+    default truncation) and ``.split(`` call (a list split by hand),
     each string outside a docstring that holds the no-visit message or
-    a hand-written lower bound message."""
+    a hand-written lower bound message, and each string in a raise that
+    holds "finite" (an array checked by hand)."""
     tree = ast.parse(source)
     docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
     found = []
@@ -149,6 +150,12 @@ def shared_decisions(source: str) -> list[str]:
                 found.append(f"{name}(")
             elif attr and name in ("contains", "split"):
                 found.append(f".{name}(")
+        elif isinstance(node, ast.Raise):
+            found += [
+                "finite message"
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Constant) and "finite" in str(sub.value)
+            ]
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -185,6 +192,17 @@ def test_shared_decision_scan_finds_a_bound_message():
     assert shared_decisions(source) == ["bound message", "bound message"]
 
 
+def test_shared_decision_scan_finds_a_finite_message():
+    source = (
+        '"""A docstring may say v must be finite."""\n'
+        'raise ParameterError(f"{name} must be finite, got {v}")\n'
+        'raise ParameterError("v holds a non-finite value")\n'
+        'message = "v must be finite"\n'
+        'raise ParameterError(finite_message("v"))\n'
+    )
+    assert shared_decisions(source) == ["finite message", "finite message"]
+
+
 @pytest.mark.parametrize(
     "use, owners, times",
     [
@@ -200,10 +218,12 @@ def test_shared_decision_scan_finds_a_bound_message():
         ("default_density_floor(", {"kernel.py"}, 1),
         # scalar lower bounds are checked by errors.scalar
         ("bound message", {"errors.py"}, None),
+        # arrays by errors.finite_array, a dataset's columns by its own check
+        ("finite message", {"errors.py", "dataset.py"}, None),
     ],
     ids=[
         "contains", "no_visits", "resolve_kernel", "split", "density_floor",
-        "scalar_bound",
+        "scalar_bound", "finite_array",
     ],
 )
 def test_each_shared_decision_has_one_owner(use, owners, times):
