@@ -195,13 +195,8 @@ def _fit():
         (lambda: partlin.table_grid(np.append(_V, -np.inf), 3), "v"),
         (lambda: partlin.regeneration_blocks(np.append(_V, np.nan), abs, _SET), "v"),
         (lambda: partlin.longrun_covariance(_E_NAN, np.append(_E, 0), 2), "eps"),
-        (lambda: partlin.estimate_g(_DS, "a", _V, _SPEC), "theta"),
-        (lambda: partlin.cv_select(_DS, "0.1,0.2", "uniform", _TRUNC), "h_grid"),
-        (lambda: partlin.table_grid("0,1", 3), "v"),
-        (lambda: partlin.weights("0,1", 0.0, _SPEC), "v_series"),
         (lambda: partlin.longrun_covariance(_E, np.zeros((20, 1, 1)), 2), "u"),
         (lambda: partlin.regeneration_blocks(np.zeros((2, 3)), abs, _SET), "v"),
-        (lambda: partlin.asymptotic_ci(_fit(), "0.9"), "level"),
         (lambda: partlin.estimate_beta([np.nan, 0.0, 0.5], _SET), "v"),
         (lambda: partlin.count_small_set_visits([np.nan, 0.0], _SET), "v"),
         (lambda: partlin.smooth(_V, np.append(_V[1:], np.nan), _SPEC), "targets"),
@@ -214,6 +209,24 @@ def test_arguments_reject_other_values_by_name(call, name):
     +-inf, and an array argument of the wrong shape or with a non-finite
     value, raise a ``ParameterError`` that names the argument, not a raw
     Python or numpy error, a warning or a silently wrong result."""
+    with pytest.raises(ParameterError, match=rf"^{name}\b.*must be"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: partlin.estimate_g(_DS, "a", _V, _SPEC), "theta"),
+        (lambda: partlin.cv_select(_DS, "0.1,0.2", "uniform", _TRUNC), "h_grid"),
+        (lambda: partlin.table_grid("0,1", 3), "v"),
+        (lambda: partlin.weights("0,1", 0.0, _SPEC), "v_series"),
+        (lambda: partlin.asymptotic_ci(_fit(), "0.9"), "level"),
+    ],
+)
+def test_arguments_reject_strings_by_name(call, name):
+    """A string where an array or a number belongs is refused by name,
+    not parsed as text or read character by character."""
     with pytest.raises(ParameterError, match=rf"^{name}\b.*must be"):
         call()
 
