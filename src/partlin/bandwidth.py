@@ -44,7 +44,7 @@ from .kernel import (
     _prefix_table,
     default_bandwidth,
 )
-from .markov import NO_VISITS, count_small_set_visits
+from .markov import NO_VISITS, _count_visits
 from .sls import _fit_rows
 
 SWEEP_CELLS = 2**12  # a block of the sweep: bandwidths times sample points
@@ -96,7 +96,7 @@ def cv_select(
 
     spec = [KernelSpec(family, float(h)) for h in h_grid][0]  # rejects h <= 0
     one, stacked = ds.sorted_v, np.column_stack([ds.y, ds.x])
-    visits = count_small_set_visits(one.values, trunc.small_set)
+    visits = _count_visits(one.values, trunc.small_set)
     if visits[0] == 0:
         raise NoVisitsError(NO_VISITS)
     rows, scores, block = max(1, SWEEP_CELLS // ds.n), [], ()

@@ -382,12 +382,12 @@ def cmd_estimate(args) -> int:
 
 _MC_KEYS = {
     "experiment", "n", "dgp", "reps", "master_seed", "kernel", "bn",
-    "small_set", "g_grid_points", "workers", *_DESIGN_KEYS,
+    "small_set", "workers", *_DESIGN_KEYS,
 }
 # what a config file may leave out
 _MC_FILE_DEFAULTS = {
     key: _MC_DEFAULTS[key]
-    for key in (*_DESIGN_KEYS, "kernel", "g_grid_points", "workers")
+    for key in (*_DESIGN_KEYS, "kernel", "workers")
 } | {"experiment": "theta", "small_set": _small_set_text(DEFAULT_SMALL_SET)}
 
 
@@ -418,7 +418,6 @@ def cmd_mc(args) -> int:
         reps=get("reps", int),
         master_seed=get("master_seed", int),
         kernel=_parse_kernel_tag(get("kernel")),
-        g_grid_points=get("g_grid_points", int),
         workers=get("workers", int),
         **{key: get(key, type(_MC_DEFAULTS[key])) for key in _DESIGN_KEYS},
     )

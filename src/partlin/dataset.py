@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 import warnings
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -160,89 +162,66 @@ def read_columns(
     a line :mod:`csv` cannot read (a field over its size limit), one
     naming the line.
 
-    :mod:`csv` reads the header, numpy's C reader the rows after it, in
-    chunks of the file it opens by name.  Input numpy refuses or warns
-    about is read again by :func:`_read_columns_exact`, which returns the
-    same values or raises the error above for the first faulty row.  A
-    selector naming no column is reported from the header and the
-    first data row alone, so a wrong name costs no pass over the file.
+    One :mod:`csv` pass reads the header and resolves the selectors, so a
+    wrong selector is found from the header and at most one data row.
+    numpy's C reader parses the rows after it, in chunks of the file it
+    opens by name; rows it refuses or warns about are read again by
+    :func:`_parse_cells`, one cell at a time by ``float``, which gives
+    the same values or the error above for the first faulty row.
     """
-    try:
-        with warnings.catch_warnings():
-            # numpy warns, rather than raises, on a file without rows
-            warnings.simplefilter("error")
-            return _read_columns_fast(path, cols, header)
-    except (ValueError, Warning, csv.Error):
-        return _read_columns_exact(path, cols, header)
-
-
-def _read_columns_fast(
-    path: str, cols: list[int | str], header: bool
-) -> tuple[np.ndarray, list[str]]:
-    """The C parser's pass; the SchemaErrors it raises are the exact
-    loop's, in the same order of precedence."""
+    # numpy parses a file it opens in chunks, else line by line; it skips
+    # the lines csv read, but would decompress or fetch some names
+    name = str(path)
+    named = "://" not in name and not name.endswith((".gz", ".bz2", ".xz", ".lzma"))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        names: list[str] | None = None
-        if header:
-            first = next(filter(None, reader), None)
-            if first is None:
+        rows = filter(None, reader)
+        try:
+            names = [c.strip() for c in next(rows, ())] if header else None
+            if names == []:  # not even a header row
                 raise SchemaError(f"{path}: empty file")
-            names = [c.strip() for c in first]
-        try:
-            positions, labels = _select(cols, names, path)
-        except SchemaError:
-            # a file without data rows says so before a selector fails;
-            # finding one row settles it, the others are never read
-            if next(filter(None, reader), None) is None:
-                raise SchemaError(f"{path}: no data rows") from None
-            raise
-        # numpy parses a file it opens in chunks, else line by line; it skips
-        # the lines csv read, but would decompress or fetch some names
-        name = str(path)
-        named = "://" not in name and not name.endswith((".gz", ".bz2", ".xz", ".lzma"))
-        data = np.loadtxt(
-            path if named else fh,
-            delimiter=",",
-            skiprows=reader.line_num if named else 0,
-            usecols=positions,
-            comments=None,
-            quotechar='"',
-            ndmin=2,
-        )
-    return data, labels
-
-
-def _read_columns_exact(
-    path: str, cols: list[int | str], header: bool
-) -> tuple[np.ndarray, list[str]]:
-    """:func:`read_columns` one cell at a time with ``csv`` and
-    ``float``: the definition the fast path must reproduce."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [r for r in reader if r]
+            try:
+                positions, labels = _select(cols, names, path)
+            except SchemaError:
+                # a file without data rows says so before a selector fails;
+                # finding one row settles it, the others are never read
+                if next(rows, None) is None:
+                    raise SchemaError(f"{path}: no data rows") from None
+                raise
+            # numpy raises on a row it refuses and warns on a file without
+            # rows; either way the rows are read again below, cell by cell
+            with suppress(ValueError, Warning), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(
+                    path if named else fh, delimiter=",", usecols=positions,
+                    skiprows=reader.line_num if named else 0, comments=None,
+                    quotechar='"', ndmin=2,
+                )
+                return data, labels
+            if not named:  # numpy read on from the header: read the file again
+                fh.seek(0)
+                reader = csv.reader(fh)
+                rows = islice(filter(None, reader), 1 if header else 0, None)
+            body = list(rows)
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:  # decoded in chunks: no line to name
             raise ParseError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
-    names: list[str] | None = None
-    if header:
-        if not rows:
-            raise SchemaError(f"{path}: empty file")
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
+    if not body:
         raise SchemaError(f"{path}: no data rows")
+    return _parse_cells(path, body, positions, labels), labels
 
-    positions, labels = _select(cols, names, path)
+
+def _parse_cells(
+    path: str, rows: list[list[str]], positions: list[int], labels: list[str]
+) -> np.ndarray:
+    """The cells at ``positions`` of the data ``rows``, each read by
+    ``float``; the first faulty row raises its ParseError."""
     data = np.empty((len(rows), len(positions)))
     for i, row in enumerate(rows):
         for j, pos in enumerate(positions):
             if pos >= len(row):
-                raise ParseError(
-                    f"{path}: data row {i + 1} has only {len(row)} fields"
-                )
+                raise ParseError(f"{path}: data row {i + 1} has only {len(row)} fields")
             cell = row[pos].strip()
             try:
                 data[i, j] = float(cell)
@@ -251,7 +230,7 @@ def _read_columns_exact(
                     f"{path}: cannot parse {cell!r} in column "
                     f"{labels[j]!r} at data row {i + 1}"
                 ) from None
-    return data, labels
+    return data
 
 
 def split_fields(text: str) -> list[str]:

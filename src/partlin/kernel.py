@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoVisitsError, ParameterError, finite_array, scalar, store_scalars
-from .markov import NO_VISITS, SmallSet, count_small_set_visits
+from .markov import NO_VISITS, SmallSet, _count_visits
 
 # K(u) on its window |u| <= 1, as coefficients of u**0, u**1, ...
 _POLYNOMIAL = {"uniform": (0.5,), "epanechnikov": (0.75, 0.0, -0.75)}
@@ -493,12 +493,16 @@ def weights(
     return k / total
 
 
+@np.errstate(over="ignore")  # a value past the float range is flagged
 def _regression(mass: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel regression values ``sums / mass``, targets on the last axis
-    of ``sums``, and where they are defined: NaN and False at no mass."""
-    valid = mass > 0.0
+    of ``sums``, and where they are defined: NaN and False at no mass and
+    where a value is not finite (a sum past the float range)."""
     out = np.full(sums.shape, np.nan)
-    return np.divide(sums, mass[..., None], out=out, where=valid[..., None]), valid
+    np.divide(sums, mass[..., None], out=out, where=(mass > 0.0)[..., None])
+    valid = np.isfinite(out).all(axis=-1)
+    out[~valid] = np.nan
+    return out, valid
 
 
 def _density_masks(mass, visits, h, trunc: TruncationSpec) -> np.ndarray:
@@ -522,7 +526,7 @@ def truncation_mask(
     visits has no usable normaliser and raises.
     """
     view = _as_view(v_series)
-    visits = count_small_set_visits(view.values, trunc.small_set)
+    visits = _count_visits(view.values, trunc.small_set)
     if visits[0] == 0:
         raise NoVisitsError(NO_VISITS)
     mass, _ = _block_sums(view, None, spec, _prefix_table(view, spec, None))
@@ -539,9 +543,9 @@ def smooth(
 
     ``v_series`` is the covariate or its ``SortedView``.  Returns
     ``(smoothed, valid)``.  ``smoothed`` has the shape of ``targets``;
-    rows where the kernel mass vanishes are NaN and flagged False in
-    ``valid``.  With a kernel that is positive at 0 every point lies in
-    its own window, so ``valid`` is all True for those families.
+    rows without kernel mass, or with a value past the float range, are
+    NaN and flagged False in ``valid``.  Both families are positive at
+    0, so every point lies in its own window and has mass.
     """
     view = _as_view(v_series)
     targets = finite_array(targets, "targets", (1, 2), rows=view.order.size)

@@ -169,11 +169,16 @@ def _scaled_running_sum(w: np.ndarray, k: int) -> bool:
     return bool(np.isfinite(w).all()) and small == np.count_nonzero(w == 0)
 
 
+def _count_visits(v: np.ndarray, small_set: SmallSet) -> np.ndarray:
+    """``count_small_set_visits`` of a block whose values are known to be
+    finite (a ``SortedView``'s), without checking them again."""
+    return np.count_nonzero(small_set.contains(v), axis=-1)
+
+
 def count_small_set_visits(v: np.ndarray, small_set: SmallSet) -> int | np.ndarray:
     """Number of sample points inside the small set along the last axis:
     an ``int`` for one path, an int array, one per row, for a block."""
-    v = finite_array(v, "v", (1, 2), min_size=0)
-    visits = np.count_nonzero(small_set.contains(v), axis=-1)
+    visits = _count_visits(finite_array(v, "v", (1, 2), min_size=0), small_set)
     return visits if np.ndim(visits) else int(visits)
 
 
@@ -185,7 +190,7 @@ def estimate_beta(v: np.ndarray, small_set: SmallSet) -> float:
     1/2 for a Gaussian random walk and approaches 1 for a positive recurrent chain.
     """
     v = finite_array(v, "v", min_size=2, kind="path")
-    return beta_from_visits(count_small_set_visits(v, small_set), v.size)
+    return beta_from_visits(_count_visits(v, small_set), v.size)
 
 
 def beta_from_visits(visits: int, n: int) -> float:

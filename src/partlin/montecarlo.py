@@ -60,7 +60,7 @@ from .rng import block_rows, map_blocks, normal_block
 from .sls import _curve_rows, _sls_fit, _truncated_rows, asymptotic_ci, check_level
 
 STREAMS_PER_REP = 4
-CURVE_GRID_POINTS = 300  # of a ``table_grid`` whose size is not given
+CURVE_GRID_POINTS = 300  # of the curve grids of a fit and of a curve cell
 DGPS = ("H_zero", "H_identity")
 G0_TAGS = ("identity", "zero")
 
@@ -80,12 +80,10 @@ class McConfig:
     master_seed: int = 0
     kernel: KernelSpec | str = "cv"
     trunc: TruncationSpec | None = None
-    g_grid_points: int = CURVE_GRID_POINTS
     workers: int = 1
 
     def __post_init__(self) -> None:
-        store_scalars(self, int, n=10, reps=1, master_seed=None)
-        store_scalars(self, int, g_grid_points=1, workers=1)
+        store_scalars(self, int, n=10, reps=1, master_seed=None, workers=1)
         store_scalars(self, float, theta0=None, increment_sd=0, eps_rho=None, eps_sd=0)
         if self.dgp not in DGPS:
             raise ParameterError(f"dgp must be one of {DGPS}, got {self.dgp!r}")
@@ -235,13 +233,14 @@ def _failed(fit) -> bool:
 
 def _curve_block(cfg, kspec, trunc, reps, grid_of):
     """The fits of ``reps``, their grids ``grid_of(v)`` of the walks v,
-    sorted, and their curves there (``_curve_rows``, zeros standing in
-    for failed fits)."""
+    sorted, and their curves of y - x' theta there (``_curve_rows``, zeros
+    standing in for failed fits)."""
     data, view, fits = _fit_block(cfg, kspec, trunc, reps)[:3]
-    y, x = data[..., 0], data[..., 1:]
     grids = grid_of(view.values)
-    thetas = np.array([np.zeros(x.shape[2]) if _failed(f) else f for f in fits])
-    return (fits, grids, *_curve_rows(y, x, thetas, view, grids, kspec))
+    thetas = [np.zeros(data.shape[2] - 1) if _failed(f) else f for f in fits]
+    target = np.stack([d[:, 0] - d[:, 1:] @ th for d, th in zip(data, thetas)])
+    values, mass, valid = _curve_rows(view, grids, kspec, target[..., None])
+    return fits, grids, values[..., 0], mass, valid
 
 
 # each experiment's replications, module level so workers unpickle them;
@@ -270,7 +269,7 @@ def _g_replicate(cfg, kspec, trunc, reps) -> list:
     replication's own grid; None also when no grid point has kernel
     mass."""
     fits, grids, values, _, valid = _curve_block(
-        cfg, kspec, trunc, reps, partial(table_grid, points=cfg.g_grid_points)
+        cfg, kspec, trunc, reps, partial(table_grid, points=CURVE_GRID_POINTS)
     )
     err = np.abs(values - _g0_values(cfg.g0, grids))
     out = []

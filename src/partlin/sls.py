@@ -47,10 +47,9 @@ from .kernel import (
     _density_masks,
     _prefix_table,
     _regression,
-    _window_sums,
     smooth,
 )
-from .markov import NO_VISITS, beta_from_visits, count_small_set_visits
+from .markov import NO_VISITS, _count_visits, beta_from_visits
 
 _COND_LIMIT = 1e12
 
@@ -100,9 +99,9 @@ class CurveEstimate:
     """A curve evaluated on a grid, with the local kernel mass.
 
     ``local_mass[i]`` is the raw kernel sum at grid point i; points with
-    zero mass carry NaN values and are flagged invalid rather than
-    raising, since sparse outer grid regions are expected under null
-    recurrence.
+    zero mass, or a value past the float range, carry NaN values and are
+    flagged invalid rather than raising, since sparse outer grid regions
+    are expected under null recurrence.
     """
 
     grid: np.ndarray
@@ -192,7 +191,7 @@ def _truncated_rows(stacked, view, spec, trunc):
     columns y, x and ``view`` their sorted covariate rows, and the visit
     counts it used: ``(fits, masks, tilde, visits)``."""
     mass, sums = _block_sums(view, None, spec, _prefix_table(view, spec, stacked))
-    visits = count_small_set_visits(view.values, trunc.small_set)
+    visits = _count_visits(view.values, trunc.small_set)
     return (*_fit_rows(stacked, mass, sums, visits, spec.bandwidth, trunc), visits)
 
 
@@ -222,12 +221,17 @@ def residuals(
 ) -> ResidualSet:
     """Detrended residual pairs (eps_hat_t, u_hat_t) for a given theta.
 
-    ``eps_hat = ytilde - xtilde' theta`` and ``u_hat = xtilde``.
+    ``eps_hat = ytilde - xtilde' theta`` and ``u_hat = xtilde``.  A
+    residual past the float range raises RankError, as a fit does.
     """
     theta = finite_array(theta, "theta", rows=ds.d)
     tilde = _detrend(ds, spec)
     xt = tilde[:, 1:]
-    return ResidualSet(eps_hat=tilde[:, 0] - xt @ theta, u_hat=xt)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        eps = tilde[:, 0] - xt @ theta
+    if not np.isfinite(eps).all():
+        raise RankError("the detrended residuals overflow the float range")
+    return ResidualSet(eps_hat=eps, u_hat=xt)
 
 
 def longrun_covariance(
@@ -373,21 +377,23 @@ def asymptotic_ci(fit: SlsFit, level: float) -> np.ndarray:
 
 
 def _curve_rows(
-    y: np.ndarray,
-    x: np.ndarray,
-    thetas: np.ndarray,
-    view: SortedView,
-    grids: np.ndarray,
-    spec: KernelSpec,
+    view: SortedView, grids: np.ndarray, spec: KernelSpec, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``estimate_g`` of every path of a block: row r smooths
-    y_r - x_r' thetas[r] on ``grids[r]``.  Returns the (rows, p) values,
+    """Kernel regression of the (n, k) columns ``targets[r]`` of each path
+    r of a block on ``grids[r]``: the (rows, p, k) values and the (rows, p)
     local masses and validity flags."""
-    target = np.stack([yr - xr @ th for yr, xr, th in zip(y, x, thetas)])
-    table = _prefix_table(view, spec, target[:, :, None])
-    mass, sums = _block_sums(view, grids, spec, table)
+    mass, sums = _block_sums(view, grids, spec, _prefix_table(view, spec, targets))
     values, valid = _regression(mass, sums)
-    return values[..., 0], mass, valid
+    return values, mass, valid
+
+
+def _curves(
+    ds: TimeSeriesDataset, grid: np.ndarray, spec: KernelSpec, targets: np.ndarray
+) -> list[CurveEstimate]:
+    """One curve per column of the (n, k) ``targets`` of ``ds`` on ``grid``."""
+    grid = finite_array(grid, "grid")
+    values, mass, valid = _curve_rows(ds.sorted_v, grid[None], spec, targets[None])
+    return [CurveEstimate(grid, col, mass[0], valid[0]) for col in values[0].T]
 
 
 def estimate_g(
@@ -401,13 +407,8 @@ def estimate_g(
     Smooths the partial residual y - x' theta.  Grid points with no
     sample mass get NaN and a False flag.
     """
-    theta, grid = finite_array(theta, "theta", rows=ds.d), finite_array(grid, "grid")
-    values, mass, valid = _curve_rows(
-        ds.y[None], ds.x[None], theta[None], ds.sorted_v, grid[None], spec
-    )
-    return CurveEstimate(
-        grid=grid, values=values[0], local_mass=mass[0], valid=valid[0]
-    )
+    theta = finite_array(theta, "theta", rows=ds.d)
+    return _curves(ds, grid, spec, (ds.y - ds.x @ theta)[:, None])[0]
 
 
 def estimate_h(
@@ -421,10 +422,4 @@ def estimate_h(
     detrending, reported on a grid for inspection, one estimate per
     regressor column.
     """
-    grid = finite_array(grid, "grid")
-    mass, sums = _window_sums(ds.sorted_v, grid, spec, ds.x)
-    values, valid = _regression(mass, sums)
-    return [
-        CurveEstimate(grid=grid, values=col, local_mass=mass, valid=valid)
-        for col in values.T
-    ]
+    return _curves(ds, grid, spec, ds.x)

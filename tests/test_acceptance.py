@@ -50,6 +50,7 @@ from partlin.kernel import KernelSpec, TruncationSpec, default_truncation, weigh
 from partlin.markov import SmallSet, estimate_beta, regeneration_blocks, \
     simulate_random_walk
 from partlin.montecarlo import (
+    CURVE_GRID_POINTS,
     McConfig,
     g_clt_check,
     normality_check,
@@ -169,7 +170,7 @@ def test_criterion_2_curve_table():
         for rep in range(_G_LAW_REPS):
             ds = simulate_replication(cfg, rep)
             preds[rep] = oracle_curve_error(
-                ds.v, ds.x[:, 0], h, cfg.g_grid_points, g,
+                ds.v, ds.x[:, 0], h, CURVE_GRID_POINTS, g,
                 cfg.eps_rho, cfg.eps_sd, _theta_limit_var(cfg),
             )
         want = float(preds.mean())

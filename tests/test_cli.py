@@ -483,9 +483,7 @@ def test_mc_single_rep_warns(tmp_path, capsys):
 
 
 def test_mc_g_experiment_reports_invalid_points(tmp_path):
-    cfg = write_mc_config(
-        tmp_path, experiment="g", n="40", dgp="H_zero", g_grid_points="30"
-    )
+    cfg = write_mc_config(tmp_path, experiment="g", n="40", dgp="H_zero")
     out = tmp_path / "g_out"
     assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
     assert "cell.40.H_zero.invalid_points = " in (out / "manifest.txt").read_text()

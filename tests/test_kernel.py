@@ -633,6 +633,17 @@ def test_smooth_own_point_always_valid():
         assert valid.all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_smooth_flags_values_past_the_float_range(family):
+    """Targets near the float range overflow the window sums; no value
+    that is not finite is flagged valid, and each such value is NaN."""
+    v, big = np.linspace(-1.0, 1.0, 300), np.full(300, 1e307)
+    out, valid = smooth(v, big, KernelSpec(family, 0.3))
+    assert not np.isinf(out).any()
+    assert np.array_equal(valid, np.isfinite(out))
+
+
 def test_no_kernel_path_option():
     """One kernel engine serves every family, so no entry point takes
     an option choosing how kernel sums are computed."""

@@ -61,7 +61,6 @@ def small_cfg(**kwargs):
         dict(eps_sd=-1.0),
         dict(theta0=np.nan),
         dict(kernel="adaptive"),
-        dict(g_grid_points=0),
         dict(workers=0),
     ],
 )
@@ -152,7 +151,8 @@ def test_block_fits_are_the_dataset_fits(family):
     y, x, view = data[..., 0], data[..., 1:], SortedView(v)
     fits, masks, _, _ = _truncated_rows(data, view, spec, trunc)
     grids = table_grid(v, 40)
-    values, mass, valid = _curve_rows(y, x, np.vstack(fits), view, grids, spec)
+    target = np.stack([yr - xr @ th for yr, xr, th in zip(y, x, fits)])
+    values, mass, valid = _curve_rows(view, grids, spec, target[..., None])
     for r in range(6):
         ds = simulate_replication(cfg, r)
         theta, mask = truncated_theta(ds, spec, trunc)
@@ -160,7 +160,7 @@ def test_block_fits_are_the_dataset_fits(family):
         assert masks[r].tolist() == mask.tolist()
         curve = estimate_g(ds, theta, table_grid(ds.v, 40), spec)
         assert _bits(grids[r]) == _bits(curve.grid)
-        assert _bits(values[r]) == _bits(curve.values)
+        assert _bits(values[r, :, 0]) == _bits(curve.values)
         assert _bits(mass[r]) == _bits(curve.local_mass)
         assert valid[r].tolist() == curve.valid.tolist()
 
@@ -488,14 +488,14 @@ def test_visits_are_counted_once_per_block(monkeypatch):
     cfg = small_cfg(**THREADED)
     want = theta_experiment_details(cfg, ci_level=0.95)
     calls = []
-    count = markov.count_small_set_visits
+    count = markov._count_visits
 
     def counted(v, small_set):
         calls.append(np.shape(v))
         return count(v, small_set)
 
     for module in (markov, sls):
-        monkeypatch.setattr(module, "count_small_set_visits", counted)
+        monkeypatch.setattr(module, "_count_visits", counted)
     got = theta_experiment_details(cfg, ci_level=0.95)
     blocks = -(-cfg.reps // block_rows(cfg.n))
     assert blocks == 4 and np.isfinite(got.covered).any()

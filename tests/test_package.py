@@ -206,7 +206,7 @@ def test_shared_decision_scan_finds_a_finite_message():
 @pytest.mark.parametrize(
     "use, owners, times",
     [
-        # visits are counted by markov.count_small_set_visits
+        # visits are counted by markov._count_visits
         (".contains(", {"markov.py"}, None),
         # markov.NO_VISITS
         ("no-visit message", {"markov.py"}, 1),

@@ -428,6 +428,23 @@ def test_estimate_h_matches_column_smoothing():
         np.testing.assert_array_equal(curves[j].valid, as_g.valid)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_curves_and_residuals_refuse_values_past_the_float_range(family):
+    """A response near the float range overflows the window sums: every
+    curve point whose value is not finite is NaN and flagged invalid,
+    and the residuals raise, as a fit does."""
+    n = 300
+    v = np.linspace(-1.0, 1.0, n)
+    ds = TimeSeriesDataset(y=np.full(n, 1e307), x=v**2, v=v)
+    spec = KernelSpec(family, 0.3)
+    curve = estimate_g(ds, np.array([0.0]), np.linspace(-1.0, 1.0, 7), spec)
+    assert not np.isinf(curve.values).any()
+    assert np.array_equal(curve.valid, np.isfinite(curve.values))
+    with pytest.raises(RankError, match="float range"):
+        residuals(ds, np.array([0.0]), spec)
+
+
 def test_fit_identical_across_methods():
     """The fit equals the oracle's for both families."""
     ds = build_dataset(seed=25, n=350)
