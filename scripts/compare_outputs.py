@@ -3,15 +3,19 @@
 
 Writes its inputs once, with numpy, into a work directory both checkouts
 share: walks of the H_identity design (y, x1, v) at n = 300, 1200, 7000
-and 20000, a copy of the n = 300 walk that numpy's reader refuses, and
-copies of ``configs/table1.cfg`` and ``table2.cfg`` from the change.
-Then runs, in each checkout, from a directory of its own:
+and 20000, a copy of the n = 300 walk that numpy's reader refuses, a
+walk with two regressors (y, x1, x2, v) at n = 1200, and copies of
+``configs/table1.cfg`` and ``table2.cfg`` from the change.  Then runs,
+in each checkout, from a directory of its own:
 
 * ``estimate --cv`` and ``bandwidth`` on every walk, for both kernel
   families;
 * ``estimate --cv`` on the refused copy, for both families, so that the
   reader's cell by cell path is compared too;
-* ``mc --reps 30`` on each config;
+* ``estimate --cv --x-cols x1,x2`` on the two regressor walk, for both
+  families, so that the fits of d = 2 are compared too;
+* ``mc --reps 120`` on each config, one block of replications at
+  n = 200, two at n = 700 and three at n = 1200;
 * ``unitroot`` on the covariate of the n = 1200 input.
 
 Every output file is hashed with sha256.  The script names each file
@@ -39,7 +43,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (300, 1200, 7000, 20000)
 FAMILIES = ("uniform", "epanechnikov")
 CONFIGS = ("table1.cfg", "table2.cfg")
-MC_REPS = 30
+MC_REPS = 120
+TWO_REGRESSOR_N = 1200
 
 
 def write_inputs(work: str, seed: int = 0) -> dict[int, str]:
@@ -57,6 +62,22 @@ def write_inputs(work: str, seed: int = 0) -> dict[int, str]:
     return paths
 
 
+def write_two_regressors(work: str, seed: int = 1) -> str:
+    """A CSV of ``TWO_REGRESSOR_N`` rows under ``work``: v a Gaussian walk
+    of step sd 0.1, x1 = v + u1, x2 = u2 - v / 2 and y = x1 - x2 / 2 + v
+    + eps, u1, u2 and eps standard normal."""
+    rng = np.random.default_rng(seed)
+    n = TWO_REGRESSOR_N
+    v = np.cumsum(0.1 * rng.standard_normal(n))
+    x1 = v + rng.standard_normal(n)
+    x2 = rng.standard_normal(n) - 0.5 * v
+    y = x1 - 0.5 * x2 + v + rng.standard_normal(n)
+    path = os.path.join(work, f"data_two_{n}.csv")
+    np.savetxt(path, np.column_stack([y, x1, x2, v]), fmt="%.17g",
+               delimiter=",", header="y,x1,x2,v", comments="")
+    return path
+
+
 def write_refused(source: str) -> str:
     """A copy of the CSV ``source`` whose first data cell is written with
     an underscore between two of its digits: numpy's reader refuses the
@@ -71,10 +92,14 @@ def write_refused(source: str) -> str:
 
 
 def commands(
-    inputs: dict[int, str], configs: list[str], refused: str | None = None
+    inputs: dict[int, str],
+    configs: list[str],
+    refused: str | None = None,
+    two: str | None = None,
 ) -> list[list[str]]:
     """The CLI argument lists, each writing under ``out/`` of the
-    directory it runs from; ``refused`` is fitted only by ``estimate --cv``."""
+    directory it runs from; ``refused`` is fitted only by ``estimate
+    --cv``, and ``two`` only by ``estimate --cv --x-cols x1,x2``."""
     cmds = []
     for n, path in inputs.items():
         for family in FAMILIES:
@@ -84,6 +109,9 @@ def commands(
     for family in FAMILIES if refused else ():
         cmds.append(["estimate", "--data", refused, "--family", family, "--cv",
                      "--out", f"out/estimate_refused_{family}"])
+    for family in FAMILIES if two else ():
+        cmds.append(["estimate", "--data", two, "--x-cols", "x1,x2", "--family",
+                     family, "--cv", "--out", f"out/estimate_two_{family}"])
     for cfg in configs:
         name = os.path.splitext(os.path.basename(cfg))[0]
         cmds.append(
@@ -151,7 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         inputs = write_inputs(work)
         configs = [shutil.copy(os.path.join(args.change, "configs", name), work)
                    for name in CONFIGS]
-        cmds = commands(inputs, configs, write_refused(inputs[300]))
+        cmds = commands(
+            inputs, configs, write_refused(inputs[300]), write_two_regressors(work)
+        )
         problems = []
         for side, root in (("parent", args.parent), ("change", args.change)):
             shutil.rmtree(os.path.join(work, side), ignore_errors=True)

@@ -237,9 +237,9 @@ def _curve_block(cfg, kspec, trunc, reps, grid_of):
     standing in for failed fits)."""
     data, view, fits = _fit_block(cfg, kspec, trunc, reps)[:3]
     grids = grid_of(view.values)
-    thetas = [np.zeros(data.shape[2] - 1) if _failed(f) else f for f in fits]
-    target = np.stack([d[:, 0] - d[:, 1:] @ th for d, th in zip(data, thetas)])
-    values, mass, valid = _curve_rows(view, grids, kspec, target[..., None])
+    thetas = np.stack([np.zeros(data.shape[2] - 1) if _failed(f) else f for f in fits])
+    target = data[..., :1] - data[..., 1:] @ thetas[..., None]
+    values, mass, valid = _curve_rows(view, grids, kspec, target)
     return fits, grids, values[..., 0], mass, valid
 
 
@@ -271,15 +271,15 @@ def _g_replicate(cfg, kspec, trunc, reps) -> list:
     fits, grids, values, _, valid = _curve_block(
         cfg, kspec, trunc, reps, partial(table_grid, points=CURVE_GRID_POINTS)
     )
-    err = np.abs(values - _g0_values(cfg.g0, grids))
-    out = []
-    for r, theta in enumerate(fits):
-        n_valid = int(np.count_nonzero(valid[r]))
-        if _failed(theta) or n_valid == 0:
-            out.append(None)
-        else:
-            out.append((float(np.mean(err[r][valid[r]])), grids.shape[1] - n_valid))
-    return out
+    # the valid errors of the block compacted once, a row's a contiguous slice
+    err = np.abs(values - _g0_values(cfg.g0, grids))[valid]
+    counts = valid.sum(axis=1).tolist()
+    ends = np.cumsum(counts).tolist()
+    return [
+        None if _failed(theta) or not k
+        else (float(np.mean(err[end - k:end])), grids.shape[1] - k)
+        for theta, k, end in zip(fits, counts, ends)
+    ]
 
 
 def _gpoint_replicate(cfg, kspec, trunc, v_point, reps) -> list:

@@ -90,19 +90,21 @@ def _words(seed: int, streams, size: int) -> np.ndarray:
 
     One generator is re-keyed per stream through its ``state``, which
     sets the key and a zero counter exactly as a fresh generator has
-    them.
+    them; the keys and the counter are built once, and the setter
+    copies them.
     """
     seed, size = scalar(seed, "seed", int) & _MASK64, scalar(size, "size", int, 0)
     words = np.empty((len(streams), size), dtype=np.uint64)
     if size:
+        keys = np.array(
+            [(seed, scalar(s, "stream", int) & _MASK64) for s in streams], np.uint64
+        )
         gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         state = gen.state
-        for row, stream in zip(words, streams):
-            state["state"]["key"] = np.array(
-                [seed, scalar(stream, "stream", int) & _MASK64], dtype=np.uint64
-            )
-            state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-            state["buffer_pos"] = 4  # the buffer is empty, as when fresh
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state["buffer_pos"] = 4  # the buffer is empty, as when fresh
+        for row, key in zip(words, keys):
+            state["state"]["key"] = key
             gen.state = state
             row[:] = gen.random_raw(size)
     return words

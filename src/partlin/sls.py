@@ -123,14 +123,22 @@ def _solve_normal(tilde: np.ndarray, masks: np.ndarray, x: np.ndarray) -> list:
     the raw (rows, n, d) regressors.  Returns each row's coefficients,
     or the RankError that stops them; the normal equations are formed
     row by row, then checked and solved at once.  A row whose equations
-    are not finite (a sum past the float range) is refused."""
+    are not finite (a sum past the float range) is refused.
+
+    The kept points of the whole block are compacted once, in row
+    order, so each row's (k, d) regressors and its k responses are
+    contiguous slices, laid out as a gather of the row alone would be;
+    a mask of the regressors' own shape keeps numpy from building index
+    arrays for the compaction."""
     rows, _, d = x.shape
     a, b = np.empty((rows, d, d)), np.empty((rows, d))
+    xc = tilde[..., 1:][np.broadcast_to(masks[..., None], x.shape)].reshape(-1, d)
+    yc = tilde[..., 0][masks]
+    ends = np.cumsum(masks.sum(axis=1)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for r, mask in enumerate(masks):
-            kept = np.flatnonzero(mask)
-            xt = tilde[r, kept, 1:]
-            a[r], b[r] = xt.T @ xt, xt.T @ tilde[r, kept, 0]
+        for r, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            xt = xc[lo:hi]
+            a[r], b[r] = xt.T @ xt, xt.T @ yc[lo:hi]
     # a column with no variation around its covariate trend detrends to
     # roundoff noise; its normal-equation diagonal is then far below the
     # raw column scale and the solve would amplify garbage
@@ -177,11 +185,11 @@ def _fit_rows(stacked, mass, sums, visits, h, trunc):
     solved = _solve_normal(tilde, masks, stacked[..., 1:])
     fits = [
         NoVisitsError(NO_VISITS) if not seen
-        else fit if mask.any()
+        else fit if kept
         else TruncationError(
-            f"density floor {trunc.b_n:g} removed all {mask.size} observations"
+            f"density floor {trunc.b_n:g} removed all {masks.shape[1]} observations"
         )
-        for fit, mask, seen in zip(solved, masks, visits)
+        for fit, kept, seen in zip(solved, masks.any(axis=1), visits)
     ]
     return fits, masks, tilde
 

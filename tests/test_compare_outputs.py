@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from partlin.rng import block_rows
+
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
 compare_outputs = importlib.util.module_from_spec(_SPEC)
@@ -52,3 +54,23 @@ def test_every_command_writes_under_out_of_its_own_directory():
     outs = [argv[argv.index("--out") + 1] for argv in cmds]
     assert all(out.startswith("out/") for out in outs)
     assert len(set(outs)) == len(outs) == 2 * 2 * 2 + 1 + 1
+
+
+def test_the_extra_inputs_are_fitted_by_estimate_alone():
+    """The refused copy and the two regressor walk each add one
+    ``estimate --cv`` per family, the latter on both regressors."""
+    inputs = {300: "/d/300.csv", 1200: "/d/1200.csv"}
+    plain = compare_outputs.commands(inputs, ["/d/t1.cfg"])
+    cmds = compare_outputs.commands(inputs, ["/d/t1.cfg"], "/d/bad.csv", "/d/two.csv")
+    extra = [argv for argv in cmds if argv not in plain]
+    assert [argv[2] for argv in extra] == ["/d/bad.csv"] * 2 + ["/d/two.csv"] * 2
+    assert all(argv[0] == "estimate" and "--cv" in argv for argv in extra)
+    assert [argv[argv.index("--family") + 1] for argv in extra] == [
+        *compare_outputs.FAMILIES, *compare_outputs.FAMILIES
+    ]
+    two = [argv for argv in extra if "/d/two.csv" in argv]
+    assert all(argv[argv.index("--x-cols") + 1] == "x1,x2" for argv in two)
+
+
+def test_mc_runs_span_three_blocks_at_n_1200():
+    assert compare_outputs.MC_REPS > 2 * block_rows(1200)

@@ -63,6 +63,10 @@ def small_cfg(**kwargs):
         dict(kernel="adaptive"),
         dict(workers=0),
     ],
+    ids=[
+        "n_below_10", "reps_zero", "unknown_dgp", "unknown_g0", "negative_increment_sd",
+        "negative_eps_sd", "nan_theta0", "unknown_kernel", "workers_zero",
+    ],
 )
 def test_config_validation(kwargs):
     base = dict(n=60, reps=8, dgp="H_zero")

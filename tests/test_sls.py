@@ -19,6 +19,7 @@ from partlin.markov import SmallSet, simulate_random_walk
 from partlin.montecarlo import table_grid
 from partlin.rng import standard_normal
 from partlin.sls import (
+    _solve_normal,
     asymptotic_ci,
     default_max_lag,
     estimate_g,
@@ -31,6 +32,41 @@ from partlin.sls import (
 )
 
 UNIT_TRUNC = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_block_solve_is_the_solve_of_each_row_alone(d):
+    """One block whose masks keep all, some, one and none of a row's
+    points: each row's coefficients, or its RankError, are byte for byte
+    those of the normal equations formed from the row's own gathered
+    points.  A row after the empty one checks that the rows' slices of
+    the compacted block stay in step."""
+    rng = np.random.default_rng(40 + d)
+    rows, n = 5, 40
+    tilde = rng.standard_normal((rows, n, 1 + d))
+    x = tilde[..., 1:] + 0.1 * rng.standard_normal((rows, n, d))
+    masks = rng.random((rows, n)) < 0.6
+    masks[0] = True
+    masks[2] = np.arange(n) == 7
+    masks[3] = False
+    got = _solve_normal(tilde, masks, x)
+    assert len(got) == rows
+    for r, mask in enumerate(masks):
+        kept = np.flatnonzero(mask)
+        xt = tilde[r, kept, 1:]
+        a, b = xt.T @ xt, xt.T @ tilde[r, kept, 0]
+        if kept.size == 0:
+            assert isinstance(got[r], RankError)
+            assert "numerically zero" in str(got[r])
+        elif kept.size < d:
+            assert isinstance(got[r], RankError)
+            cond = np.linalg.cond(a)
+            assert str(got[r]) == (
+                f"detrended design is numerically singular (condition {cond:.3e})"
+            )
+        else:
+            want = np.linalg.solve(a[None], b[None, :, None])[0, :, 0]
+            assert got[r].tobytes() == want.tobytes()
 
 
 def test_naive_theta_matches_oracle():
