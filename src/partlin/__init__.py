@@ -27,7 +27,6 @@ from .kernel import (
     kernel_eval,
     smooth,
     truncation_mask,
-    weights,
 )
 from .markov import (
     BlockDecomposition,

@@ -102,12 +102,14 @@ _DF_DEFAULTS = {
 
 def parse_kv_file(path: str) -> dict[str, str]:
     """Read a ``key = value`` config file; '#' starts a comment line."""
+    try:
+        with open(path) as fh:
+            lines = [raw.strip() for raw in fh]
+    except UnicodeDecodeError as exc:  # decoded in chunks: no line to name
+        raise ParseError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in enumerate(lines, start=1):
+        if line and not line.startswith("#"):
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
@@ -580,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         args.out = os.path.join(root, args.out)
     try:
         return args.func(args)
-    except (PartlinError, OSError, ValueError) as exc:
+    except (PartlinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,8 +36,9 @@ class TimeSeriesDataset:
     """One observed series: response ``y``, regressors ``x``, covariate ``v``.
 
     ``y`` and ``v`` have shape (n,), ``x`` has shape (n, d) with d >= 1.
-    Every cell must be finite: a NaN or infinite value raises
-    :class:`ParameterError` naming its column and first 1-based row.
+    Every cell must be a finite real number: text, bools, complex values,
+    NaN or infinity raise :class:`ParameterError` naming the column (and
+    the first 1-based row of a non-finite value).
     Arrays are stored read only; operating on a dataset never mutates it.
     """
 
@@ -49,6 +50,10 @@ class TimeSeriesDataset:
     v_label: str = "v"
 
     def __post_init__(self) -> None:
+        given = ((self.y_label, self.y), ("x", self.x), (self.v_label, self.v))
+        for label, value in given:
+            if np.asarray(value).dtype.kind not in "iuf":  # text, bools, complex values
+                raise ParameterError(f"column {label!r} must hold real numbers")
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         x = np.asarray(self.x, dtype=float)
         v = np.atleast_1d(np.asarray(self.v, dtype=float))

@@ -1,4 +1,4 @@
-"""Kernel weights, local mass, density truncation and smoothing.
+"""Kernel evaluation, local mass, density truncation and smoothing.
 
 Everything here reduces to window sums: for evaluation points p_i and
 sample points v_t, accumulate K((v_t - p_i)/h) and the same sums against
@@ -286,7 +286,7 @@ def _as_view(v_series: np.ndarray | SortedView) -> SortedView:
 @np.errstate(over="ignore", invalid="ignore")
 def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     """The table ``_block_sums`` reads window sums off: prefix sums of
-    ``targets`` (None or (R, n, k) in sample order) in blocks of the
+    ``targets`` ((R, n, k) in sample order, k >= 1) in blocks of the
     sorted rows of ``view``, ``(pref, base, starts, inner, outer, flat,
     cell)``.
 
@@ -302,8 +302,8 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
     count, n = view.values.shape
     h = spec.bandwidth if h is None else h
     deg = len(_POLYNOMIAL[spec.family]) - 1
-    k = 0 if targets is None else targets.shape[-1]
-    flat = None if targets is None else targets.reshape(count * n, k)
+    k = targets.shape[-1]
+    flat = targets.reshape(count * n, k)
     starts = np.arange(count) * n
     if deg:
         sv = view.values.ravel()
@@ -322,17 +322,14 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
         base[sel] = top + width * np.arange(sel.size) - inner[sel]
         seg = pref[top:top + width * sel.size].reshape(sel.size, width, -1)[:, 1:]
         top += width * sel.size
-        if not seg.size:
-            continue
         # positions of each block, running on into sums never read
         at = starts[sel, None] + np.arange(width - 1)
-        if k:
-            w = np.take(flat, np.take(view.order, at, mode="clip"), axis=0)
-            np.cumsum(w, axis=1, out=seg[..., :k])
+        w = np.take(flat, np.take(view.order, at, mode="clip"), axis=0)
+        np.cumsum(w, axis=1, out=seg[..., :k])
         if deg:
             a = np.take(sv, at, mode="clip") - sv[starts[sel], None]
             a = (a / _of_windows(h, starts[sel, None], n))[..., None]
-            w = np.concatenate([np.ones_like(a)] + ([w] if k else []), axis=2)
+            w = np.concatenate([np.ones_like(a), w], axis=2)
         for q, col in enumerate(range(k, pref.shape[1], 1 + k), 1):
             np.cumsum(w * a**q, axis=1, out=seg[..., col:col + 1 + k])
     return pref, base, starts, inner, outer, flat, h if deg else None
@@ -347,10 +344,10 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
     holding the evaluation points of path r, or None for each path's
     own sample points (p = n, in sample order); ``table`` is the
     ``_prefix_table`` for ``spec`` and h (spec's if None) of ``targets``,
-    None or an (R, n, k) array in sample order.  Returns ``(mass, sums)``
-    of shapes (R, p) and (R, p, k): ``mass[r, i] = sum_t K((v_rt - p_ri)/h)``,
-    ``sums[r, i, j] = sum_t K((v_rt - p_ri)/h) * targets[r, t, j]``
-    (None when no targets are passed).  Kernel
+    an (R, n, k) array in sample order.  Returns ``(mass, sums)`` of
+    shapes (R, p) and (R, p, k): ``mass[r, i] = sum_t K((v_rt - p_ri)/h)``,
+    ``sums[r, i, j] = sum_t K((v_rt - p_ri)/h) * targets[r, t, j]``; the
+    mass reads no target, so its bits do not depend on them.  Kernel
     values are unscaled by 1/h.  ``leave_out`` drops each own point's
     own term (t = i) from both.  Own points' windows are the view's, in
     sorted order.  One path's sums are worked in that order and put back
@@ -379,7 +376,7 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
         lo, hi = view.unsort(lo, bounds), view.unsort(hi, bounds)
         points = view.unsort(points) if deg else None  # read by deg only
     pref, base, starts, inner, outer, flat, _ = table
-    k = 0 if flat is None else flat.shape[1]
+    k = flat.shape[1]
     ones = range(k, pref.shape[1], 1 + k)  # the columns of 1 a**q
     first = np.arange(count)[:, None]  # each window's first block
     if deg:
@@ -399,13 +396,11 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
         end, at = (hi, points) if j == 0 else (hi.ravel()[on], points.ravel()[on])
         t = np.minimum(end, outer[b]) if deg else end
         size = (t - s).ravel()
-        piece = tops = np.empty((0, size.size))
-        if pref.shape[1]:  # a moment per row of ``piece``
-            piece = np.take(pref, (t + base[b]).ravel(), axis=0).T
-            tops = piece[ones]
-            if j == 0:  # later pieces start at their block's start
-                piece -= np.take(pref, (s + base[b]).ravel(), axis=0).T
-            piece = np.ascontiguousarray(piece) if deg else piece
+        piece = np.take(pref, (t + base[b]).ravel(), axis=0).T  # a moment per row
+        tops = piece[ones]
+        if j == 0:  # later pieces start at their block's start
+            piece -= np.take(pref, (s + base[b]).ravel(), axis=0).T
+        piece = np.ascontiguousarray(piece) if deg else piece
         hj = h if j == 0 else _of_windows(h, on, lo.shape[1])
         e = [1.0, ((sv[starts[b]] - at) / hj).ravel() if deg else 0.0]
         e += [e[1] * e[-1] for _ in range(deg - 1)]  # its powers
@@ -432,7 +427,7 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
     redo = np.flatnonzero(~(mass > _CANCELLED * scale) if deg else [])
     if own and not unsorted:  # one path's sums back to sample order
         mass = np.take(mass, view.rank)
-        sums = np.take(sums.T, view.rank, axis=0).T if k else sums
+        sums = np.take(sums.T, view.rank, axis=0).T
     if leave_out:
         sums -= poly[0] * flat.T
     if redo.size:  # summed over their in-window pairs instead
@@ -448,16 +443,15 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
         mass[put] = np.bincount(owner, kern, redo.size)
         for c in range(k):
             sums[c, put] = np.bincount(owner, kern * flat[at, c], redo.size)
-    sums = None if flat is None else np.ascontiguousarray(sums.T).reshape(*lo.shape, k)
-    return mass.reshape(lo.shape), sums
+    return mass.reshape(lo.shape), np.ascontiguousarray(sums.T).reshape(*lo.shape, k)
 
 
 def _window_sums(
     sample: np.ndarray | SortedView,
     points: np.ndarray | None,
     spec: KernelSpec,
-    targets: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    targets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """``_block_sums`` of one path: ``(mass, sums)`` of shapes (p,) and
     (p, k) for ``points`` of shape (p,) and ``targets`` of shape (n, k).
 
@@ -466,31 +460,10 @@ def _window_sums(
     themselves, in sample order.
     """
     points = None if points is None else np.asarray(points, dtype=float)[None]
-    targets = None if targets is None else targets[None]
     view = _as_view(sample)
-    table = _prefix_table(view, spec, targets)
+    table = _prefix_table(view, spec, targets[None])
     mass, sums = _block_sums(view, points, spec, table)
-    return mass[0], None if sums is None else sums[0]
-
-
-def weights(
-    v_series: np.ndarray, v: float, spec: KernelSpec
-) -> np.ndarray | None:
-    """Normalised kernel weights of every sample point at location v.
-
-    Returns None when no sample point falls in the window (the weights
-    are undefined there, and None is deliberately distinct from any
-    weight vector).  Otherwise the weights are nonnegative and sum to 1.
-    A series that is not one path, a NaN or infinite series value or a
-    location that is not a finite number raises.
-    """
-    v_series = finite_array(v_series, "v_series", min_size=0, kind="path")
-    v = scalar(v, "v")
-    k = kernel_eval(spec, (v_series - v) / spec.bandwidth)
-    total = k.sum()
-    if total <= 0.0:
-        return None
-    return k / total
+    return mass[0], sums[0]
 
 
 @np.errstate(over="ignore")  # a value past the float range is flagged
@@ -529,7 +502,8 @@ def truncation_mask(
     visits = _count_visits(view.values, trunc.small_set)
     if visits[0] == 0:
         raise NoVisitsError(NO_VISITS)
-    mass, _ = _block_sums(view, None, spec, _prefix_table(view, spec, None))
+    # the mass reads no target column, so one column of zeros serves
+    mass, _ = _window_sums(view, None, spec, np.zeros((view.order.size, 1)))
     return _density_masks(mass, visits, spec.bandwidth, trunc)[0]
 
 
@@ -549,6 +523,6 @@ def smooth(
     """
     view = _as_view(v_series)
     targets = finite_array(targets, "targets", (1, 2), rows=view.order.size)
-    tg = targets[:, None] if targets.ndim == 1 else targets
-    out, valid = _regression(*_window_sums(view, None, spec, tg))
-    return (out[:, 0] if targets.ndim == 1 else out), valid
+    columns = targets.reshape(len(targets), -1)
+    out, valid = _regression(*_window_sums(view, None, spec, columns))
+    return out.reshape(targets.shape), valid

@@ -46,7 +46,7 @@ from oracles import (
 from partlin.bandwidth import cv_select
 from partlin.dataset import TimeSeriesDataset
 from partlin.errors import RankError, TruncationError
-from partlin.kernel import KernelSpec, TruncationSpec, default_truncation, weights
+from partlin.kernel import KernelSpec, TruncationSpec, default_truncation, smooth
 from partlin.markov import SmallSet, estimate_beta, regeneration_blocks, \
     simulate_random_walk
 from partlin.montecarlo import (
@@ -236,14 +236,12 @@ def test_criterion_5_recurrence_index():
 def test_criterion_6_exactness_and_equivariance():
     checks = []
 
-    # kernel weights sum to one
+    # kernel weights sum to one: the engine smooths a column of ones to 1
     ds = build_dataset(seed=5, n=400)
     worst = 0.0
-    for point in (-0.2, 0.0, 0.4, float(ds.v[17])):
-        for family in ("uniform", "epanechnikov"):
-            w = weights(ds.v, point, KernelSpec(family, 0.3))
-            if w is not None:
-                worst = max(worst, abs(w.sum() - 1.0))
+    for family in ("uniform", "epanechnikov"):
+        ones, valid = smooth(ds.v, np.ones(ds.n), KernelSpec(family, 0.3))
+        worst = max(worst, float(np.max(np.abs(ones[valid] - 1.0))))
     checks.append(("weights", worst <= 1e-12, f"{worst:.2e}"))
 
     # location shift of the response leaves the coefficient unchanged

@@ -399,6 +399,17 @@ def test_mc_config_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mc_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    """A config file that does not decode is a ParseError naming the
+    file, raised before any output is made, not the codec's own error."""
+    cfg = write_mc_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    out = tmp_path / "never"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {cfg}: not utf-8 text: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_runs_are_byte_identical(tmp_path):
     cfg = write_mc_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -189,7 +189,6 @@ def _fit():
         (lambda: partlin.longrun_covariance(_E, _E, 1.5), "max_lag"),
         (lambda: partlin.simulate_block(_config(), [1.5]), "rep"),
         # array arguments
-        (lambda: partlin.weights(np.zeros((2, 3)), 0.0, _SPEC), "v_series"),
         (lambda: partlin.table_grid(np.array([]), 3), "v"),
         (lambda: partlin.table_grid(np.append(_V, np.inf), 3), "v"),
         (lambda: partlin.table_grid(np.append(_V, -np.inf), 3), "v"),
@@ -220,7 +219,7 @@ def test_arguments_reject_other_values_by_name(call, name):
         (lambda: partlin.estimate_g(_DS, "a", _V, _SPEC), "theta"),
         (lambda: partlin.cv_select(_DS, "0.1,0.2", "uniform", _TRUNC), "h_grid"),
         (lambda: partlin.table_grid("0,1", 3), "v"),
-        (lambda: partlin.weights("0,1", 0.0, _SPEC), "v_series"),
+        (lambda: partlin.smooth("0,1", _V, _SPEC), "covariate"),
         (lambda: partlin.asymptotic_ci(_fit(), "0.9"), "level"),
     ],
 )
@@ -237,9 +236,6 @@ def test_array_arguments_take_lists_tuples_and_float32():
     v, t = [0.3, -0.2, 0.5, 0.1, -0.4], (1.0, 2.0, 0.5, 0.25, 3.0)
     for given in (v, tuple(v), np.float32(v)):
         want = np.asarray(given, dtype=float)
-        assert np.array_equal(
-            partlin.weights(given, 0.0, _SPEC), partlin.weights(want, 0.0, _SPEC)
-        )
         assert np.array_equal(
             partlin.smooth(given, t, _SPEC)[0], partlin.smooth(want, t, _SPEC)[0]
         )

@@ -70,18 +70,29 @@ def test_dataclass_is_frozen():
         ds.y_label = "other"
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, match",
     [
-        dict(y=np.zeros(3), x=np.zeros((4, 1)), v=np.zeros(3)),
-        dict(y=np.zeros(3), x=np.zeros((3, 1)), v=np.zeros(2)),
-        dict(y=np.zeros(0), x=np.zeros((0, 1)), v=np.zeros(0)),
-        dict(y=np.zeros(3), x=np.zeros((3, 0)), v=np.zeros(3)),
-        dict(y=np.zeros((3, 1)), x=np.zeros((3, 1)), v=np.zeros(3)),
+        (dict(y=np.zeros(3), x=np.zeros((4, 1)), v=np.zeros(3)), "length"),
+        (dict(y=np.zeros(3), x=np.zeros((3, 1)), v=np.zeros(2)), "length"),
+        (dict(y=np.zeros(0), x=np.zeros((0, 1)), v=np.zeros(0)), "observation"),
+        (dict(y=np.zeros(3), x=np.zeros((3, 0)), v=np.zeros(3)), "column"),
+        (dict(y=np.zeros((3, 1)), x=np.zeros((3, 1)), v=np.zeros(3)), "1-d"),
+        (dict(y=np.zeros(3), x=np.array([["1"], ["a"], ["2"]]), v=np.zeros(3)),
+         "column 'x' must hold real numbers"),
+        (dict(y=np.zeros(3), x=np.zeros((3, 1)), v=np.array([True, False, True])),
+         "column 'v' must hold real numbers"),
+        (dict(y=np.array([1.0, 2.0 + 1.0j, 3.0]), x=np.zeros((3, 1)), v=np.zeros(3)),
+         "column 'y' must hold real numbers"),
     ],
+    ids=["x_rows_mismatch", "v_rows_mismatch", "no_rows", "no_x_columns", "y_2d",
+         "string_x", "bool_v", "complex_y"],
 )
-def test_bad_shapes_rejected(kwargs):
-    with pytest.raises(ParameterError):
+def test_bad_shapes_rejected(kwargs, match):
+    """A wrong shape, or a column of anything but real numbers, raises a
+    ``ParameterError`` naming the fault, not a raw numpy error or warning."""
+    with pytest.raises(ParameterError, match=match):
         TimeSeriesDataset(**kwargs)
 
 

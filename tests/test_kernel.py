@@ -30,7 +30,6 @@ from partlin.kernel import (
     kernel_eval,
     smooth,
     truncation_mask,
-    weights,
 )
 from partlin.markov import SmallSet, count_small_set_visits, simulate_random_walk
 from partlin.rng import standard_normal
@@ -96,33 +95,18 @@ def test_default_density_floor():
 
 
 def test_weights_normalised_and_match_oracle():
+    """The engine's kernel weights, its window sums of the unit columns
+    over the mass, are nonnegative, sum to one and are the oracle's."""
     rng = random.Random(7)
     v_series = np.array([rng.uniform(-2, 2) for _ in range(12)])
+    points = np.array([-1.0, 0.0, 0.7])
     for family in ("uniform", "epanechnikov"):
-        spec = KernelSpec(family, 1.1)
-        for point in (-1.0, 0.0, 0.7):
-            w = weights(v_series, point, spec)
-            assert w is not None
+        mass, sums = _window_sums(v_series, points, KernelSpec(family, 1.1), np.eye(12))
+        for point, w in zip(points, sums / mass[:, None]):
             assert w.min() >= 0.0
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             want = oracles.oracle_weights(v_series.tolist(), point, family, 1.1)
             np.testing.assert_allclose(w, want, atol=1e-14)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "v_series, v", [([0.0, np.nan], 0.0), ([0.0, np.inf], 0.0), ([0.0, 0.1], np.nan)]
-)
-def test_weights_reject_non_finite_series_or_location(v_series, v):
-    with pytest.raises(ParameterError, match="finite"):
-        weights(np.array(v_series), v, KernelSpec("uniform", 0.5))
-
-
-def test_weights_empty_window_returns_none():
-    v_series = np.array([0.0, 0.1])
-    assert weights(v_series, 10.0, KernelSpec("uniform", 0.5)) is None
-    # epanechnikov vanishes on the window boundary itself
-    assert weights(np.array([1.0]), 0.0, KernelSpec("epanechnikov", 1.0)) is None
 
 
 def test_truncation_mask_matches_oracle():
@@ -244,7 +228,9 @@ def test_window_sum_paths_agree(data, h, ties):
 def test_block_rows_are_single_paths(rows, h):
     """A block of paths gives each row what that path gives alone: the
     same windows, own windows derived from the lower ends included, and
-    the same sums bit for bit for both families."""
+    the same sums bit for bit for both families.  The mass is the same
+    bits whatever the targets: one or two target columns, or one column
+    of zeros, which is all ``truncation_mask`` passes."""
     v = np.array(rows)
     view = SortedView(v)
     points = np.linspace(-6, 6, 9) + v[:, :1]
@@ -257,6 +243,10 @@ def test_block_rows_are_single_paths(rows, h):
         spec = KernelSpec(family, h)
         table = _prefix_table(view, spec, targets)
         block = [_block_sums(view, at, spec, table) for at in (None, points)]
+        for given in (targets[..., :1], np.zeros_like(targets[..., :1])):
+            other = _prefix_table(view, spec, given)
+            for at, (mass, _) in zip((None, points), block):
+                assert _bits([_block_sums(view, at, spec, other)[0]]) == _bits([mass])
         for r, row in enumerate(v):
             alone = [_window_sums(row, at, spec, targets[r]) for at in (None, points[r])]
             for (mass, sums), (want_mass, want_sums) in zip(block, alone):
@@ -622,7 +612,7 @@ def test_view_must_hold_one_nonempty_path(family, shape):
     with pytest.raises(ParameterError, match=match):
         truncation_mask(view, spec, default_truncation(50))
     with pytest.raises(ParameterError, match=match):
-        _window_sums(view, None, spec, None)
+        _window_sums(view, None, spec, np.zeros((view.order.size, 1)))
 
 
 def test_smooth_own_point_always_valid():

@@ -239,6 +239,7 @@ def test_ar1_stationary_moments():
         dict(n=5, rho=np.nan, innovation_sd=1.0),
         dict(n=5, rho=0.5, innovation_sd=-1.0),
     ],
+    ids=["n_zero", "nan_rho", "negative_innovation_sd"],
 )
 def test_ar1_parameter_errors(kwargs):
     with pytest.raises(ParameterError):
