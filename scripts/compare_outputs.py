@@ -16,7 +16,10 @@ in each checkout, from a directory of its own:
   families, so that the fits of d = 2 are compared too;
 * ``mc --reps 120`` on each config, one block of replications at
   n = 200, two at n = 700 and three at n = 1200;
-* ``unitroot`` on the covariate of the n = 1200 input.
+* ``unitroot`` on the covariate of the n = 1200 input and of the
+  largest one (n = 20000), where the null walks run 13 a block against
+  ``rng.block_rows``'s 3, so a parent with other blocks is compared at
+  large n too.
 
 Every output file is hashed with sha256.  The script names each file
 that differs, or that only one side wrote, and each command that failed
@@ -117,9 +120,9 @@ def commands(
         cmds.append(
             ["mc", "--config", cfg, "--reps", str(MC_REPS), "--out", f"out/mc_{name}"]
         )
-    cmds.append(
-        ["unitroot", "--data", inputs[1200], "--column", "v", "--out", "out/unitroot"]
-    )
+    for n in sorted({1200, max(inputs)}):
+        cmds.append(["unitroot", "--data", inputs[n], "--column", "v",
+                     "--out", f"out/unitroot_{n}"])
     return cmds
 
 

@@ -39,7 +39,8 @@ class TimeSeriesDataset:
     Every cell must be a finite real number: text, bools, complex values,
     NaN or infinity raise :class:`ParameterError` naming the column (and
     the first 1-based row of a non-finite value).
-    Arrays are stored read only; operating on a dataset never mutates it.
+    Arrays are stored as read only copies the dataset owns, so neither the
+    caller's arrays nor the dataset change when the other does.
     """
 
     y: np.ndarray
@@ -52,11 +53,15 @@ class TimeSeriesDataset:
     def __post_init__(self) -> None:
         given = ((self.y_label, self.y), ("x", self.x), (self.v_label, self.v))
         for label, value in given:
-            if np.asarray(value).dtype.kind not in "iuf":  # text, bools, complex values
+            try:
+                kind = np.asarray(value).dtype.kind
+            except ValueError:  # ragged rows
+                raise ParameterError(f"column {label!r} has ragged rows") from None
+            if kind not in "iuf":  # text, bools, complex values
                 raise ParameterError(f"column {label!r} must hold real numbers")
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        x = np.asarray(self.x, dtype=float)
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
+        y = np.atleast_1d(np.array(self.y, dtype=float))
+        x = np.array(self.x, dtype=float)
+        v = np.atleast_1d(np.array(self.v, dtype=float))
         if x.ndim == 1:
             x = x[:, None]
         if y.ndim != 1 or v.ndim != 1 or x.ndim != 2:
@@ -75,11 +80,9 @@ class TimeSeriesDataset:
             raise ParameterError(
                 f"{len(labels)} regressor labels for {x.shape[1]} columns"
             )
-        for arr in (y, x, v):
+        for name, arr in (("y", y), ("x", x), ("v", v)):
             arr.flags.writeable = False
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "x_labels", tuple(labels))
         for label, col in _columns(self):
             bad = np.flatnonzero(~np.isfinite(col))

@@ -35,9 +35,10 @@ Blocks
     ``normal_block`` draws many streams at once, one row each, and
     ``standard_normal`` is its one-row case: a row is the same whatever
     other streams share its block.  Callers size blocks with
-    ``block_rows``, which keeps a block within ``BLOCK_CELLS`` cells (at
-    least one row), so a block costs O(BLOCK_CELLS + size) memory
-    however many streams are drawn in all.  ``map_blocks`` maps a
+    ``block_rows``: within ``BLOCK_CELLS`` cells, or ``SUM_CELLS`` where
+    a draw keeps a few sums per stream (at least one row), so a block
+    costs O(SUM_CELLS + size) memory however many streams are drawn in
+    all.  ``map_blocks`` maps a
     function over blocks on a few threads, in block order; a block that
     is computed alike on any thread gives the same bits on any count.
 """
@@ -52,20 +53,21 @@ from .errors import scalar
 
 _MASK64 = (1 << 64) - 1
 
-# The cells (streams times draws) of one block of streams: 512 KB of
-# doubles, so a block and its working copies stay in a 2 MB L2 cache.
-BLOCK_CELLS = 2**16
-
-
-def block_rows(size: int) -> int:
-    """Streams of ``size`` draws in one block: at least one, so a block
-    holds O(BLOCK_CELLS + size) cells."""
-    return max(1, BLOCK_CELLS // size)
-
-
+# The cells (streams times draws) of one block, 512 KB of doubles: larger
+# Monte Carlo blocks gained no time, only memory.  A draw keeping a few sums
+# per stream takes up to SUM_CELLS, so its threads trade the GIL less often.
+BLOCK_CELLS, SUM_CELLS = 2**16, 2**18
 # The most threads a map of blocks uses, each holding one block, so
-# memory stays O(MAX_THREADS (BLOCK_CELLS + size)) on any host.
+# memory stays O(MAX_THREADS (SUM_CELLS + size)) on any host.
 MAX_THREADS = 4
+
+
+def block_rows(size: int, streams: int = 0) -> int:
+    """Streams of ``size`` draws in one block, at least one: BLOCK_CELLS
+    cells, or for a draw of ``streams`` in all that keeps a few sums per
+    stream up to SUM_CELLS, but at most 1/(8 MAX_THREADS) of its streams."""
+    share = -(-streams // (8 * MAX_THREADS))
+    return max(1, BLOCK_CELLS // size, min(SUM_CELLS // size, share))
 
 
 def map_blocks(fn, items) -> list:

@@ -57,13 +57,13 @@ def df_statistic(z: np.ndarray) -> float:
 def _simulated_t(n: int, reps: int, seed: int) -> np.ndarray:
     """DF t draws under the null, one substream per simulated path.
 
-    Paths are drawn a block of ``block_rows(n)`` at a time, so memory is
-    O(BLOCK_CELLS + n) per thread, not O(reps n); each path keeps only
-    its three sums.  Blocks run through ``map_blocks``, and each fills
-    its own columns of the sums by the same calls on any thread, so the
-    draws do not depend on the threads.
+    Paths are drawn ``block_rows(n, reps)`` at a time, up to 26 walks of
+    10000, so memory is O(SUM_CELLS + n) per thread, not O(reps n); each
+    keeps only its three sums.  Blocks run through ``map_blocks``, and
+    each fills its own columns of the sums by the same calls on any
+    thread, so the draws depend neither on the threads nor on ``rows``.
     """
-    rows = block_rows(n)
+    rows = block_rows(n, reps)
     sums = np.empty((3, reps))
 
     def fill(start: int) -> None:

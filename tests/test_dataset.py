@@ -64,6 +64,18 @@ def test_arrays_are_read_only():
             arr[0] = 99.0
 
 
+def test_caller_arrays_stay_writable_and_apart():
+    """The dataset stores copies: the caller may still write to its own
+    arrays, and doing so changes neither ``v`` nor the sorted view."""
+    y, x, v = np.zeros(3), np.ones(3), np.array([2.0, 0.0, 1.0])
+    ds = TimeSeriesDataset(y=y, x=x, v=v)
+    y[0] = x[0] = v[0] = -5.0  # before the sorted view is first built
+    assert ds.y[0] == 0.0 and ds.x[0, 0] == 1.0
+    np.testing.assert_array_equal(ds.v, [2.0, 0.0, 1.0])
+    np.testing.assert_array_equal(ds.sorted_v.values[0], [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(ds.sorted_v.order, [1, 2, 0])
+
+
 def test_dataclass_is_frozen():
     ds = small()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -85,9 +97,11 @@ def test_dataclass_is_frozen():
          "column 'v' must hold real numbers"),
         (dict(y=np.array([1.0, 2.0 + 1.0j, 3.0]), x=np.zeros((3, 1)), v=np.zeros(3)),
          "column 'y' must hold real numbers"),
+        (dict(y=[[1.0, 2.0], [3.0]], x=np.zeros((2, 1)), v=np.zeros(2)),
+         "column 'y' has ragged rows"),
     ],
     ids=["x_rows_mismatch", "v_rows_mismatch", "no_rows", "no_x_columns", "y_2d",
-         "string_x", "bool_v", "complex_y"],
+         "string_x", "bool_v", "complex_y", "ragged_y"],
 )
 def test_bad_shapes_rejected(kwargs, match):
     """A wrong shape, or a column of anything but real numbers, raises a

@@ -12,9 +12,16 @@ import pytest
 from scipy import stats
 
 import oracles
+from partlin import unitroot
 from partlin.errors import ParameterError
 from partlin.markov import simulate_ar1, simulate_random_walk
-from partlin.rng import BLOCK_CELLS, MAX_THREADS, block_rows, standard_normal
+from partlin.rng import (
+    BLOCK_CELLS,
+    MAX_THREADS,
+    block_rows,
+    normal_block,
+    standard_normal,
+)
 from partlin.unitroot import (
     DfResult,
     df_statistic,
@@ -144,6 +151,36 @@ def test_null_draws_are_identical_for_any_core_count(
         draws[cores] = _simulated_t(n, reps, 4).tobytes()
     for cores in (2, 3, 64):
         assert draws[cores] == draws[1]
+
+
+@pytest.mark.parametrize("n, reps, rows", [(4000, 1000, 32), (8000, 1100, 32)])
+def test_null_draws_are_identical_for_any_block_budget(monkeypatch, n, reps, rows):
+    """One walk a block, ``block_rows(n)`` walks and the budget of a
+    draw that keeps sums, ``block_rows(n, reps)``, give the same bytes on
+    1 and 2 cores.  The last makes 2x and 4x fewer blocks, capped by a
+    1/32 share of the walks at n = 4000 and by SUM_CELLS at n = 8000."""
+    assert block_rows(n, reps) == rows > block_rows(n)
+    draws = set()
+    for budget in (1, block_rows(n), rows):
+        monkeypatch.setattr(unitroot, "block_rows", lambda size, streams=0: budget)
+        for cores in (1, 2):
+            patch_cores(monkeypatch, cores)
+            draws.add(_simulated_t(n, reps, 5).tobytes())
+    assert len(draws) == 1
+
+
+def test_null_walks_are_drawn_in_blocks_of_the_sum_budget(monkeypatch):
+    """1000 walks of 4000 run 32 a block, not the 16 of block_rows(4000)."""
+    sizes = []
+
+    def counted(seed, streams, size):
+        sizes.append(len(streams))
+        return normal_block(seed, streams, size)
+
+    monkeypatch.setattr(unitroot, "normal_block", counted)
+    patch_cores(monkeypatch, 1)
+    _simulated_t(4000, 1000, 0)
+    assert sizes == [32] * 31 + [8]
 
 
 def test_thread_pool_only_for_several_blocks_and_cores(monkeypatch, pools):
