@@ -2,24 +2,27 @@
 """Byte comparison of the files the CLI writes, a parent checkout against a change.
 
 Writes its inputs once, with numpy, into a work directory both checkouts
-share: walks of the H_identity design (y, x1, v) at n = 300, 1200, 7000
-and 20000, a copy of the n = 300 walk that numpy's reader refuses, a
+share: walks of the H_identity design (y, x1, v) at n = 300, 1200, 7000,
+20000 and 70000, a copy of the n = 300 walk that numpy's reader refuses, a
 walk with two regressors (y, x1, x2, v) at n = 1200, and copies of
 ``configs/table1.cfg`` and ``table2.cfg`` from the change.  Then runs,
 in each checkout, from a directory of its own:
 
 * ``estimate --cv`` and ``bandwidth`` on every walk, for both kernel
-  families;
+  families; from n = 2**16 on (the 70000 walk) the sweep searches each
+  bandwidth's windows ahead on a helper thread, so that path is
+  compared too;
 * ``estimate --cv`` on the refused copy, for both families, so that the
   reader's cell by cell path is compared too;
 * ``estimate --cv --x-cols x1,x2`` on the two regressor walk, for both
   families, so that the fits of d = 2 are compared too;
 * ``mc --reps 120`` on each config, one block of replications at
   n = 200, two at n = 700 and three at n = 1200;
-* ``unitroot`` on the covariate of the n = 1200 input and of the
-  largest one (n = 20000), where the null walks run 13 a block against
-  ``rng.block_rows``'s 3, so a parent with other blocks is compared at
-  large n too.
+* ``unitroot`` on the covariate of the n = 1200 and n = 20000 walks
+  (``UNITROOT_SIZES``); at n = 20000 the null walks run 13 a block
+  against ``rng.block_rows``'s 3, so a parent with other blocks is
+  compared at large n too.  2000 null walks of the 70000 walk would
+  take seconds on each side.
 
 Every output file is hashed with sha256.  The script names each file
 that differs, or that only one side wrote, and each command that failed
@@ -43,7 +46,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIZES = (300, 1200, 7000, 20000)
+SIZES = (300, 1200, 7000, 20000, 70000)
+UNITROOT_SIZES = (1200, 20000)
 FAMILIES = ("uniform", "epanechnikov")
 CONFIGS = ("table1.cfg", "table2.cfg")
 MC_REPS = 120
@@ -120,7 +124,7 @@ def commands(
         cmds.append(
             ["mc", "--config", cfg, "--reps", str(MC_REPS), "--out", f"out/mc_{name}"]
         )
-    for n in sorted({1200, max(inputs)}):
+    for n in [n for n in UNITROOT_SIZES if n in inputs]:
         cmds.append(["unitroot", "--data", inputs[n], "--column", "v",
                      "--out", f"out/unitroot_{n}"])
     return cmds

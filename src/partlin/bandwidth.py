@@ -22,12 +22,15 @@ the masks and refits are read as in a block fit (``sls._fit_rows``); the
 left-out sums give the leave-one-out fits.  A block shares a pass's
 fixed cost among its rows; SWEEP_CELLS caps its memory (an Epanechnikov
 pass holds some 70 doubles a cell), so from n = SWEEP_CELLS on each h
-is its own pass.  No threads: one per h ran slower on two cores, numpy
-holding the GIL through each cumulative sum of the table.
+is its own pass.  From n = AHEAD_CELLS (2**16, where a pass is one row)
+a helper thread searches the next h's window ends while this one is
+scored (below about n = 20 000 it cost more than it saved); two whole
+passes at once gained as much, but raised peak RSS 58.5 -> 71-72 MB.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +48,11 @@ from .kernel import (
     default_bandwidth,
 )
 from .markov import NO_VISITS, _count_visits
+from .rng import thread_count
 from .sls import _fit_rows
 
 SWEEP_CELLS = 2**12  # a block of the sweep: bandwidths times sample points
+AHEAD_CELLS = 2**16  # a one-row pass this long has its windows searched ahead
 
 
 @dataclass(frozen=True)
@@ -100,15 +105,16 @@ def cv_select(
     if visits[0] == 0:
         raise NoVisitsError(NO_VISITS)
     rows, scores, block = max(1, SWEEP_CELLS // ds.n), [], ()
-    for i in range(0, h_grid.size, rows):
-        h = h_grid[i:i + rows, None]
-        if len(h) != len(block):  # R copies of the dataset, a bandwidth each
-            view, table = one if len(h) == 1 else one.repeated(len(h)), None
-            block = np.broadcast_to(stacked, (len(h), *stacked.shape))
-        h = float(h[0, 0]) if len(h) == 1 else h  # one row runs as one path
-        if table is None or table[-1] is not None:  # its blocks are h wide
-            table = _prefix_table(view, spec, block, h)
-        scores += _score(view, block, table, visits, spec, h, trunc)
+    with _searched_ahead(one, h_grid, rows) as ends:
+        for i in range(0, h_grid.size, rows):
+            h = h_grid[i:i + rows, None]
+            if len(h) != len(block):  # R copies of the dataset, a bandwidth each
+                view, table = one if len(h) == 1 else one.repeated(len(h)), None
+                block = np.broadcast_to(stacked, (len(h), *stacked.shape))
+            h = float(h[0, 0]) if len(h) == 1 else h  # one row runs as one path
+            if table is None or table[-1] is not None:  # its blocks are h wide
+                table = _prefix_table(view, spec, block, h)
+            scores += _score(view, block, table, visits, spec, h, trunc, ends(i))
     criterion, dropped = map(np.array, zip(*scores))
 
     if not np.any(np.isfinite(criterion)):
@@ -124,12 +130,40 @@ def cv_select(
     )
 
 
-def _score(view, stacked, table, visits, spec, h, trunc):
-    """The criterion and dropped count of each bandwidth of a block, h an
-    (R, 1) array or a float, from one left-out read of ``table``, the
-    prefix table of the (R, n, 1 + d) columns ``stacked``, y first."""
+@contextmanager
+def _searched_ahead(one, grid, rows):
+    """``ends(k)``: the upper ends of the own windows of the one-path view
+    ``one`` at ``grid[k]``, searched on a helper thread while the h before
+    it is scored, into two buffers in turn; None, for the pass to search,
+    for ``rows`` > 1 h a pass, below AHEAD_CELLS points or on one core.
+    The helper is joined before this returns or raises."""
+    n = one.values.size
+    if rows > 1 or n < AHEAD_CELLS or thread_count(2) < 2:
+        yield lambda k: None
+        return
+    from concurrent.futures import ThreadPoolExecutor  # `import partlin` loads no pool
+
+    bufs = np.empty((2, 1, n), np.int32 if n < 2**31 else np.intp)
+    with ThreadPoolExecutor(1) as pool:
+        def search(k):
+            return pool.submit(one._upper_ends, one.values, float(grid[k]), bufs[k % 2])
+
+        searched = [search(0)]
+
+        def ends(k):  # grid[k - 1] is scored, so its buffer is free
+            if k + 1 < len(grid):
+                searched.append(search(k + 1))
+            return searched[k].result()
+
+        yield ends
+
+
+def _score(view, stacked, table, visits, spec, h, trunc, hi):
+    """The criterion and dropped count of each h of a block, an (R, 1)
+    array or a float, from one left-out read of ``table``, the prefix table
+    of the (R, n, 1 + d) columns ``stacked``, y first; ``hi`` as in ``_block_sums``."""
     k0 = KERNEL_AT_ZERO[spec.family]
-    loo_mass, loo_sums = _block_sums(view, None, spec, table, leave_out=True, h=h)
+    loo_mass, loo_sums = _block_sums(view, None, spec, table, True, h, hi)
     fits, masks, _ = _fit_rows(
         stacked, loo_mass + k0, loo_sums + k0 * stacked,
         visits.repeat(len(stacked)), h, trunc,

@@ -44,6 +44,7 @@ KERNEL_AT_ZERO = {family: c[0] for family, c in _POLYNOMIAL.items()}
 KERNEL_L2 = {"uniform": 0.5, "epanechnikov": 0.6}
 # a window sum below this share of its terms' magnitudes lost 16 bits or more
 _CANCELLED = 2.0**-16
+_WALK_SLICE = 2**13  # needles at once: fewer than a row's, np.interp tabulates no slopes
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def _settle_edge(
     p -+ h in the point's own row, which misses only for values within
     rounding distance of the edge.  Checking the two neighbours of each
     guess costs O(p); only guesses that fail are bisected, within their
-    own row, so a guess sets the speed, never the result.
+    own row, so a guess sets the speed, never the result; it is settled in place.
     """
     width = padded.shape[1]
     n = width - 2
@@ -159,9 +160,8 @@ def _settle_edge(
         active = lo < hi
         hi = np.where(active & hit, mid, hi)
         lo = np.where(active & ~hit, mid + 1, lo)
-    settled = guess.copy()
-    settled.ravel()[bad] = lo
-    return settled
+    guess.flat[bad] = lo
+    return guess
 
 
 class SortedView:
@@ -226,24 +226,23 @@ class SortedView:
         out.ravel()[self.order] = sorted_cells.ravel()
         return out
 
-    def _walk(self, needles: np.ndarray) -> np.ndarray:
-        """Guesses of how many values of its own row of ``values`` lie at
-        or below each needle, by ``np.interp`` of the row's indices: it
-        starts each search at the previous needle's interval, so sorted
-        needles walk the row once, and lands on the end of a run of ties.
-        A guess is one high where the interpolated index rounds up."""
+    def _upper_ends(self, points: np.ndarray, h, out=None) -> np.ndarray:
+        """The upper ends of the windows of ``points`` at h (into ``out``,
+        of their shape, if given), ``_WALK_SLICE`` points at a time: the
+        count of each row's values at or below p + h by ``np.interp`` of
+        its indices, which walks sorted needles along the row once from
+        the previous needle's interval and lands on the end of a run of
+        ties, one high where the index rounds up, settled by ``_settle_edge``."""
         n = self.values.shape[1]
         count = np.arange(1, n + 1, dtype=float)
-        out = np.empty(needles.shape, dtype=np.intp)
-        for row, at, guess in zip(self.values, needles, out):
-            below = np.interp(at, row, count, left=0.0)  # inf across a subnormal gap
-            np.minimum(below, n, out=guess, casting="unsafe")
+        out = np.empty(points.shape, dtype=np.intp) if out is None else out
+        for s in range(0, points.shape[1], _WALK_SLICE):
+            part, ends = points[:, s:s + _WALK_SLICE], out[:, s:s + _WALK_SLICE]
+            for row, at, guess in zip(self.values, part + h, ends):
+                below = np.interp(at, row, count, left=0.0)  # inf across a subnormal gap
+                np.minimum(below, n, out=guess, casting="unsafe")
+            _settle_edge(self.padded, part, h, ends, lambda u: u > 1.0)
         return out
-
-    def _upper_ends(self, points: np.ndarray, h) -> np.ndarray:
-        return _settle_edge(
-            self.padded, points, h, self._walk(points + h), lambda u: u > 1.0
-        )
 
     def windows(self, points: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
         """Bounds ``[lo, hi)`` in each row's sorted sample of the windows
@@ -253,17 +252,18 @@ class SortedView:
         lo = _settle_edge(self.padded, points, h, np.stack(guess), lambda u: u >= -1.0)
         return lo, self._upper_ends(points, h)
 
-    def own_windows(self, h) -> tuple[np.ndarray, np.ndarray]:
+    def own_windows(self, h, hi=None) -> tuple[np.ndarray, np.ndarray]:
         """Windows of the sorted sample points themselves, in sorted order.
 
-        Only the upper ends are searched, in one walk along each row.
-        Since (v_i - v_j)/h is -(v_j - v_i)/h exactly, v_j lies below
-        the lower end of v_i's window exactly when v_i lies at or above
-        the upper end of v_j's, so the lower end of window i counts the
-        windows j whose upper end is at most i.
+        Only the upper ends are searched, in one walk along each row,
+        unless ``hi`` holds them (searched ahead by the sweep).  Since
+        (v_i - v_j)/h is -(v_j - v_i)/h exactly, v_j lies below the lower
+        end of v_i's window exactly when v_i lies at or above the upper
+        end of v_j's, so the lower end of window i counts the windows j
+        whose upper end is at most i.
         """
         count, n = self.values.shape
-        hi = self._upper_ends(self.values, h)
+        hi = self._upper_ends(self.values, h) if hi is None else hi
         ends = np.bincount(
             (hi + (np.arange(count) * (n + 1))[:, None]).ravel(),
             minlength=count * (n + 1),
@@ -336,7 +336,7 @@ def _prefix_table(view: SortedView, spec: KernelSpec, targets, h=None) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in _prefix_table
-def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
+def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None, hi=None):
     """Kernel mass and kernel weighted target sums at each point of
     every path in ``view``.
 
@@ -350,10 +350,11 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
     mass reads no target, so its bits do not depend on them.  Kernel
     values are unscaled by 1/h.  ``leave_out`` drops each own point's
     own term (t = i) from both.  Own points' windows are the view's, in
-    sorted order.  One path's sums are worked in that order and put back
-    in sample order once, which measured faster on a long path's cross
-    validation sweep; a block's windows are put in sample order first,
-    so no block-sized copy of its sums is made.
+    sorted order, with upper ends ``hi`` if given (``own_windows``).
+    One path's sums are worked in that order and put back in sample
+    order once, which measured faster on a long path's cross validation
+    sweep; a block's windows are put in sample order first, so no
+    block-sized copy of its sums is made.
 
     A window is the pieces of at most four blocks of the table, each
     read off two prefix sums and re-centred to the point by binomial
@@ -367,7 +368,7 @@ def _block_sums(view, points, spec: KernelSpec, table, leave_out=False, h=None):
     poly = _POLYNOMIAL[spec.family]
     deg = len(poly) - 1
     if own:
-        points, (lo, hi) = view.values, view.own_windows(h)
+        points, (lo, hi) = view.values, view.own_windows(h, hi)
     else:
         lo, hi = view.windows(points, h)
     unsorted = own and count > 1  # a block's windows go to sample order

@@ -70,14 +70,19 @@ def block_rows(size: int, streams: int = 0) -> int:
     return max(1, BLOCK_CELLS // size, min(SUM_CELLS // size, share))
 
 
-def map_blocks(fn, items) -> list:
-    """``list(map(fn, items))`` on one thread per core this process may
-    run on, at most one per item and at most ``MAX_THREADS``; inline for
-    one item or one core.  Results keep the order of ``items``, and the
-    first item in that order to fail raises its error."""
+def thread_count(items: int) -> int:
+    """Threads for ``items`` pieces of work: one per core this process
+    may run on, at most one per item and at most ``MAX_THREADS``."""
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    threads = min(cores, len(items), MAX_THREADS)
+    return min(cores, items, MAX_THREADS)
+
+
+def map_blocks(fn, items) -> list:
+    """``list(map(fn, items))`` on ``thread_count`` threads, inline for one
+    item or one core.  Results keep the order of ``items``, and the first
+    item in that order to fail raises its error."""
+    threads = thread_count(len(items))
     if threads < 2:
         return list(map(fn, items))
     # imported here: `import partlin` loads no thread pool

@@ -1,6 +1,8 @@
 """Leave-one-out bandwidth selection."""
 
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -260,10 +262,10 @@ def _count_passes(monkeypatch) -> list:
     calls = []
     engine = kernel._block_sums
 
-    def spy(view, points, spec, table, leave_out=False, h=None):
+    def spy(view, points, spec, table, leave_out=False, h=None, hi=None):
         hs = _bandwidths(spec.bandwidth if h is None else h)
         calls.append((hs, table[-2].shape, _bandwidths(table[-1]), leave_out))
-        return engine(view, points, spec, table, leave_out, h)
+        return engine(view, points, spec, table, leave_out, h, hi)
 
     for module in (kernel, sls, bandwidth):
         monkeypatch.setattr(module, "_block_sums", spy)
@@ -410,6 +412,11 @@ def test_sweep_equals_a_pass_per_bandwidth_bit_for_bit(seed, family, d, bn):
     the uniform kernel and scoring every point before keeping the
     usable ones, gives the criterion and dropped counts of a separate
     pass per bandwidth scored on the gathered rows, bit for bit."""
+    _check_edge_lattice(seed, family, d, bn)
+
+
+def _check_edge_lattice(seed, family, d, bn) -> np.ndarray:
+    """The edge lattice case of the test above; returns its grid."""
     rng = np.random.default_rng(seed)
     n = 10_000
     steps = np.round(0.1 * rng.standard_normal(n) * 2.0**20) * 2.0**-20
@@ -428,9 +435,10 @@ def test_sweep_equals_a_pass_per_bandwidth_bit_for_bit(seed, family, d, bn):
         sel = cv_select(ds, grid, family, trunc)
     except SelectionError:
         assert np.isinf(want_crit).all()
-        return
+        return grid
     np.testing.assert_array_equal(sel.criterion, want_crit)
     np.testing.assert_array_equal(sel.dropped, want_dropped)
+    return grid
 
 
 def _lattice_dataset(seed: int, n: int):
@@ -464,3 +472,119 @@ def test_sweep_does_not_depend_on_the_block_height(monkeypatch, family):
     walk = cv_select(build_dataset(seed=36, n=80, d=2), grid, family, trunc)
     assert np.isinf(walk.criterion[[0, -1]]).all()
     assert np.isfinite(walk.criterion[1:-1]).all()
+
+
+def _patch_cores(monkeypatch, cores):
+    """Make this process look as if it may run on ``cores`` cores."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+    )
+
+
+def _searches(monkeypatch) -> list:
+    """Record the thread of every upper end search of own windows."""
+    threads = []
+    search = kernel.SortedView._upper_ends
+
+    def spy(view, points, h, out=None):
+        if points is view.values:
+            threads.append(threading.current_thread())
+        return search(view, points, h, out)
+
+    monkeypatch.setattr(kernel.SortedView, "_upper_ends", spy)
+    return threads
+
+
+def _same(a: CvResult, b: CvResult) -> bool:
+    return (
+        a.h_star == b.h_star
+        and a.criterion.view(np.uint64).tolist() == b.criterion.view(np.uint64).tolist()
+        and a.dropped.tolist() == b.dropped.tolist()
+    )
+
+
+@pytest.mark.parametrize("family", ["uniform", "epanechnikov"])
+def test_look_ahead_gives_the_same_result_bit_for_bit(monkeypatch, family):
+    """With each bandwidth's windows searched ahead on a helper thread
+    (two cores, the threshold at 0, a bandwidth a pass) the sweep returns
+    the ``CvResult`` of the search in each pass (one core), bit for bit,
+    on the walk with its singular (1e-9) and empty-mask (50.0) bandwidths
+    and on the lattice sample with ties; a block of 2 or all 8 bandwidths
+    a pass searches its own windows on any core count."""
+    trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
+    grid = np.array([1e-9, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8, 50.0])
+    threads = _searches(monkeypatch)
+    monkeypatch.setattr(bandwidth, "AHEAD_CELLS", 0)
+    main = threading.main_thread()
+    for ds in (build_dataset(seed=36, n=80, d=2), _lattice_dataset(4, 301)):
+        for rows in (1, 2, grid.size):
+            monkeypatch.setattr(bandwidth, "SWEEP_CELLS", rows * ds.n)
+            results = []
+            for cores in (1, 2):
+                _patch_cores(monkeypatch, cores)
+                threads.clear()
+                results.append(cv_select(ds, grid, family, trunc))
+                if cores == 2 and rows == 1:  # a search per bandwidth
+                    assert len(threads) == grid.size and main not in threads
+                else:  # each pass searches its own
+                    assert threads == [main] * -(-grid.size // rows)
+            assert _same(*results)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["uniform", "epanechnikov"]),
+)
+def test_look_ahead_on_the_edge_lattice(seed, family):
+    """The edge lattice case of
+    ``test_sweep_equals_a_pass_per_bandwidth_bit_for_bit``, each
+    bandwidth's windows searched ahead on a helper thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_cores(mp, 2)
+        mp.setattr(bandwidth, "AHEAD_CELLS", 10_000)
+        threads = _searches(mp)
+        grid = _check_edge_lattice(seed, family, 2, 0.05)
+    # the oracle searches on this thread, the sweep on the helper alone
+    assert sum(t is not threading.main_thread() for t in threads) == grid.size
+
+
+def test_no_thread_outlives_the_sweep(monkeypatch):
+    """The helper is joined before ``cv_select`` returns, and before it
+    raises when scoring the third bandwidth fails, with the error the
+    caller sees being the one raised; one core starts no thread."""
+    ds = build_dataset(seed=36, n=80, d=2)
+    trunc = TruncationSpec(0.05, SmallSet(-1.0, 1.0))
+    grid = np.array([0.1, 0.15, 0.2, 0.3, 0.5])
+    monkeypatch.setattr(bandwidth, "SWEEP_CELLS", ds.n)
+    monkeypatch.setattr(bandwidth, "AHEAD_CELLS", ds.n)
+    started = []
+    start = threading.Thread.start
+
+    def start_spy(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_spy)
+    before = set(threading.enumerate())
+    _patch_cores(monkeypatch, 1)
+    cv_select(ds, grid, "uniform", trunc)
+    assert started == []
+    _patch_cores(monkeypatch, 2)
+    cv_select(ds, grid, "uniform", trunc)
+    assert len(started) == 1 and set(threading.enumerate()) == before
+
+    error, score, calls = SelectionError("third"), bandwidth._score, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error
+        return score(*args)
+
+    monkeypatch.setattr(bandwidth, "_score", failing)
+    with pytest.raises(SelectionError) as caught:
+        cv_select(ds, grid, "epanechnikov", trunc)
+    assert caught.value is error and len(calls) == 3
+    assert len(started) == 2 and not started[-1].is_alive()
+    assert set(threading.enumerate()) == before

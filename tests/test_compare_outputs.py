@@ -49,11 +49,11 @@ def test_a_file_on_one_side_only_is_named_as_missing(tmp_path):
 def test_every_command_writes_under_out_of_its_own_directory():
     """Each tree runs the same commands from a directory of its own, so
     the paths a run records in its outputs are the same on both sides."""
-    inputs = {300: "/d/300.csv", 1200: "/d/1200.csv", 20000: "/d/20000.csv"}
+    inputs = {n: f"/d/{n}.csv" for n in (300, 1200, 20000, 70000)}
     cmds = compare_outputs.commands(inputs, ["/d/t1.cfg"])
     outs = [argv[argv.index("--out") + 1] for argv in cmds]
     assert all(out.startswith("out/") for out in outs)
-    assert len(set(outs)) == len(outs) == 3 * 2 * 2 + 1 + 2
+    assert len(set(outs)) == len(outs) == 4 * 2 * 2 + 1 + 2
 
 
 def test_the_extra_inputs_are_fitted_by_estimate_alone():
@@ -79,5 +79,5 @@ def test_mc_runs_span_three_blocks_at_n_1200():
 def test_unitroot_at_the_largest_size_runs_larger_blocks():
     """At n = 20000 the default 2000 null walks run 13 a block, against
     the 3 of ``block_rows(n)``, so block layouts are compared at large n."""
-    n = max(compare_outputs.SIZES)
+    n = max(compare_outputs.UNITROOT_SIZES)
     assert (block_rows(n, 2000), block_rows(n)) == (13, 3)
