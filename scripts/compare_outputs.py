@@ -4,9 +4,10 @@
 Writes its inputs once, with numpy, into a work directory both checkouts
 share: walks of the H_identity design (y, x1, v) at n = 300, 1200, 7000,
 20000 and 70000, a copy of the n = 300 walk that numpy's reader refuses, a
-walk with two regressors (y, x1, x2, v) at n = 1200, and copies of
-``configs/table1.cfg`` and ``table2.cfg`` from the change.  Then runs,
-in each checkout, from a directory of its own:
+walk with two regressors (y, x1, x2, v) at n = 1200, copies of
+``configs/table1.cfg`` and ``table2.cfg`` from the change, and a copy
+of ``table1.cfg`` at n = 200 with ``eps_rho = 0.6``.  Then runs, in
+each checkout, from a directory of its own:
 
 * ``estimate --cv`` and ``bandwidth`` on every walk, for both kernel
   families; from n = 2**16 on (the 70000 walk) the sweep searches each
@@ -16,8 +17,13 @@ in each checkout, from a directory of its own:
   reader's cell by cell path is compared too;
 * ``estimate --cv --x-cols x1,x2`` on the two regressor walk, for both
   families, so that the fits of d = 2 are compared too;
+* ``estimate`` on the n = 1200 walk at the default h, n^(-1/4), and at
+  ``--h 0.3``, so that fits without ``--cv`` are compared too;
 * ``mc --reps 120`` on each config, one block of replications at
-  n = 200, two at n = 700 and three at n = 1200;
+  n = 200, two at n = 700 and three at n = 1200; at ``eps_rho = 0.6``,
+  not a power of two, the AR(1) errors take the loop over time steps;
+* ``simulate`` at the design's rho and at ``--eps-rho 0.6``, each
+  writing a CSV and its manifest;
 * ``unitroot`` on the covariate of the n = 1200 and n = 20000 walks
   (``UNITROOT_SIZES``); at n = 20000 the null walks run 13 a block
   against ``rng.block_rows``'s 3, so a parent with other blocks is
@@ -52,6 +58,9 @@ FAMILIES = ("uniform", "epanechnikov")
 CONFIGS = ("table1.cfg", "table2.cfg")
 MC_REPS = 120
 TWO_REGRESSOR_N = 1200
+FIXED_H_N = 1200
+# a rho that is not a power of two, so the AR(1) errors loop over time
+LOOP_RHO = "0.6"
 
 
 def write_inputs(work: str, seed: int = 0) -> dict[int, str]:
@@ -98,6 +107,15 @@ def write_refused(source: str) -> str:
     return path
 
 
+def write_loop_config(work: str, source: str) -> str:
+    """A copy under ``work`` of the config ``source`` at n = 200 and
+    ``eps_rho = LOOP_RHO``: the last value of a key is the one read."""
+    path = os.path.join(work, f"table1_eps_rho_{LOOP_RHO}.cfg")
+    with open(source) as fh, open(path, "w") as out:
+        out.write(fh.read() + f"n = 200\neps_rho = {LOOP_RHO}\n")
+    return path
+
+
 def commands(
     inputs: dict[int, str],
     configs: list[str],
@@ -113,6 +131,10 @@ def commands(
             data = ["--data", path, "--family", family]
             cmds.append(["estimate", *data, "--cv", "--out", f"out/estimate_{n}_{family}"])
             cmds.append(["bandwidth", *data, "--out", f"out/bandwidth_{n}_{family}"])
+    for h in ("default", "0.3") if FIXED_H_N in inputs else ():
+        given = ["--h", h] if h != "default" else []
+        cmds.append(["estimate", "--data", inputs[FIXED_H_N], *given,
+                     "--out", f"out/estimate_{FIXED_H_N}_h_{h}"])
     for family in FAMILIES if refused else ():
         cmds.append(["estimate", "--data", refused, "--family", family, "--cv",
                      "--out", f"out/estimate_refused_{family}"])
@@ -127,6 +149,10 @@ def commands(
     for n in [n for n in UNITROOT_SIZES if n in inputs]:
         cmds.append(["unitroot", "--data", inputs[n], "--column", "v",
                      "--out", f"out/unitroot_{n}"])
+    for rho in ("design", LOOP_RHO):
+        given = ["--eps-rho", rho] if rho != "design" else []
+        cmds.append(["simulate", "--n", "1200", *given,
+                     "--out", f"out/simulate_eps_rho_{rho}.csv"])
     return cmds
 
 
@@ -186,13 +212,14 @@ def main(argv: list[str] | None = None) -> int:
         inputs = write_inputs(work)
         configs = [shutil.copy(os.path.join(args.change, "configs", name), work)
                    for name in CONFIGS]
+        configs.append(write_loop_config(work, configs[0]))
         cmds = commands(
             inputs, configs, write_refused(inputs[300]), write_two_regressors(work)
         )
         problems = []
         for side, root in (("parent", args.parent), ("change", args.change)):
             shutil.rmtree(os.path.join(work, side), ignore_errors=True)
-            os.makedirs(os.path.join(work, side))
+            os.makedirs(os.path.join(work, side, "out"))  # simulate makes no directory
             for line in run_tree(os.path.abspath(root), os.path.join(work, side), cmds):
                 problems.append(f"failed in {side}: {line}")
         problems += compare(os.path.join(work, "parent", "out"),

@@ -322,6 +322,9 @@ def cmd_estimate(args) -> int:
         raise ParameterError("--h-grid needs --cv, which searches the grid")
     check_level(args.level)
     ds, trunc, h_grid, derived = _fit_inputs(args)
+    for lab in ds.x_labels:  # each names its file h_curve_<label>.csv
+        if {"/", os.sep, "\0"} & set(lab):
+            raise ParameterError(f"x column label {lab!r} holds a path separator or NUL")
     if args.cv:
         h, cv_table = _cv_sweep(args, ds, h_grid, trunc, derived)
         derived["h_selected"] = derived.pop("h_star")

@@ -9,7 +9,7 @@ report the message without losing the distinction between failure modes.
 
 from __future__ import annotations
 
-from math import isfinite
+from math import inf, isfinite
 from numbers import Integral, Real
 from reprlib import repr as short_repr
 
@@ -54,20 +54,27 @@ class ExperimentError(PartlinError):
     trustworthy, or a diagnostic was asked of degenerate input."""
 
 
+# The largest int with a lower bound (a size, count or index): each up to it is
+# exact as a float, and 128 doubles for each stay within numpy's 2**63 bytes.
+MAX_COUNT = 2**53
+
+
 def scalar(value, name: str, kind: type = float, low=None):
-    """``value`` as a Python ``kind`` (float or int), at least ``low`` if given;
-    a bool, an array, a string, None, a fraction for an int or a NaN or
-    infinite value raises a ParameterError naming ``name``."""
+    """``value`` as a Python ``kind`` (float or int), if ``low`` is given at
+    least ``low`` and for an int at most MAX_COUNT; a bool, an array, a string,
+    None, a fraction for an int or a NaN or infinite value raises a
+    ParameterError naming ``name``."""
     try:  # kind first: a Python number skips the slower abstract class check
         ok = isinstance(value, (kind, Integral if kind is int else Real)) and (
             kind is int or isfinite(value)
         )
     except OverflowError:  # an int beyond the float range
         ok = False
-    if isinstance(value, bool) or not ok or (low is not None and value < low):
-        at_least = "" if low is None else f" >= {low}"
+    high = MAX_COUNT if kind is int else inf
+    if isinstance(value, bool) or not ok or (low is not None and not low <= value <= high):
+        bounds = "" if low is None else f" >= {low}" + f" and <= {high}" * (kind is int)
         raise ParameterError(
-            f"{name} must be a finite {kind.__name__}{at_least}: {value!r}"
+            f"{name} must be a finite {kind.__name__}{bounds}: {value!r}"
         )
     return kind(value)
 

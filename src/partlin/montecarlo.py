@@ -318,7 +318,7 @@ def _run_all(cfg: McConfig, replicate, *bound) -> tuple[list, int, KernelSpec]:
         # imported here: the process pool loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(blocks))) as pool:
             # map keeps block order, not completion order
             results = list(pool.map(run, blocks))
     kept = [r for block in results for r in block if r is not None]

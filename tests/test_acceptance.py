@@ -195,7 +195,9 @@ def test_criterion_3_normal_limit_and_coverage():
         ok,
         f"ks_p={rep.ks_pvalue:.4f} (need > 0.01), "
         f"coverage={coverage:.4f} (need in [0.90, 0.985]), "
-        f"reps_used={det.reps_used}",
+        f"reps_used={det.reps_used}, ks_distance={rep.ks_distance:.4f}, "
+        f"mean_bias={rep.mean_bias:+.5f}, skewness={rep.skewness:+.3f}, "
+        f"excess_kurtosis={rep.excess_kurtosis:+.3f}",
     )
 
 
@@ -229,6 +231,7 @@ def test_criterion_5_recurrence_index():
         5,
         ok,
         f"walk median beta={med:.4f} (need in [0.4, 0.6]), "
+        f"range [{min(betas):.4f}, {max(betas):.4f}], "
         f"iid full-range beta={beta_iid} (need exactly 1.0)",
     )
 
@@ -353,6 +356,11 @@ def test_criterion_8_pvalue_calibration():
     for trial in range(500):
         z = simulate_random_walk(500, 1.0, 0.0, 3_000_000 + trial)
         pvals[trial] = df_test(z, reps=2000, seed=500_001 + trial).p_value
-    ks = float(stats.kstest(pvals, "uniform").statistic)
+    fit = stats.kstest(pvals, "uniform")
+    ks = float(fit.statistic)
     ok = ks < 0.05
-    _report(8, ok, f"KS distance to Uniform[0,1] = {ks:.4f} (need < 0.05)")
+    _report(
+        8, ok,
+        f"KS distance to Uniform[0,1] = {ks:.4f} (need < 0.05), "
+        f"pvalue {fit.pvalue:.4f}",
+    )

@@ -108,6 +108,36 @@ def test_estimate_fixed_bandwidth(tmp_path, capsys):
     assert not (out / "FAILED.txt").exists()
 
 
+def test_estimate_default_bandwidth_is_recorded(tmp_path):
+    """Without ``--h`` or ``--cv``, ``estimate`` fits at h = n^(-1/4)
+    and records that h."""
+    ds, path = write_dataset(tmp_path)
+    out = tmp_path / "fit"
+    assert main(["estimate", "--data", str(path), "--out", str(out)]) == 0
+    h = 200 ** -0.25
+    assert f"h = {_FMT % h}\n" in (out / "resolved_config.txt").read_text()
+    fit = truncated_sls(ds, KernelSpec("uniform", h), default_truncation(200))
+    assert float(read_report(str(out))["theta.x1"]) == fit.theta_hat[0]
+
+
+@pytest.mark.parametrize("label", ["a/b", "a\0b"], ids=["slash", "nul"])
+def test_estimate_refuses_a_label_that_cannot_name_a_file(tmp_path, capsys, label):
+    """A regressor label names its file ``h_curve_<label>.csv``, so one
+    holding a "/" or a NUL is refused by name before the CV sweep, the
+    fit and the output; column 1 selects it by position."""
+    ds = build_dataset(seed=7, n=200)
+    path = tmp_path / "ds.csv"
+    write_csv(str(path), TimeSeriesDataset(y=ds.y, x=ds.x, v=ds.v, x_labels=(label,)))
+    out = tmp_path / "never"
+    code = main(["estimate", "--data", str(path), "--x-cols", "1", "--cv",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: x column label {label!r} holds a path separator or NUL\n"
+    )
+    assert not out.exists()
+
+
 def test_estimate_cv_records_selection(tmp_path):
     _, path = write_dataset(tmp_path)
     out = tmp_path / "fit_cv"

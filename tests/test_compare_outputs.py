@@ -1,8 +1,10 @@
 """The file comparison of ``scripts/compare_outputs.py``."""
 
 import importlib.util
+import math
 from pathlib import Path
 
+from partlin.cli import parse_kv_file
 from partlin.rng import block_rows
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
@@ -53,7 +55,7 @@ def test_every_command_writes_under_out_of_its_own_directory():
     cmds = compare_outputs.commands(inputs, ["/d/t1.cfg"])
     outs = [argv[argv.index("--out") + 1] for argv in cmds]
     assert all(out.startswith("out/") for out in outs)
-    assert len(set(outs)) == len(outs) == 4 * 2 * 2 + 1 + 2
+    assert len(set(outs)) == len(outs) == 4 * 2 * 2 + 2 + 1 + 2 + 2
 
 
 def test_the_extra_inputs_are_fitted_by_estimate_alone():
@@ -74,6 +76,18 @@ def test_the_extra_inputs_are_fitted_by_estimate_alone():
 
 def test_mc_runs_span_three_blocks_at_n_1200():
     assert compare_outputs.MC_REPS > 2 * block_rows(1200)
+
+
+def test_loop_config_runs_one_block_with_rho_not_a_power_of_two(tmp_path):
+    """The copied config's last n and eps_rho win: one block of MC_REPS
+    replications at n = 200, whose AR(1) errors loop over time."""
+    source = tmp_path / "table1.cfg"
+    source.write_text("experiment = theta\nn = 200, 700\neps_rho = 0.5\n")
+    copy = compare_outputs.write_loop_config(str(tmp_path), str(source))
+    values = parse_kv_file(copy)
+    assert (values["n"], values["eps_rho"]) == ("200", "0.6")
+    assert not math.log2(float(values["eps_rho"])).is_integer()
+    assert block_rows(200) >= compare_outputs.MC_REPS
 
 
 def test_unitroot_at_the_largest_size_runs_larger_blocks():

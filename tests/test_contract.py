@@ -130,6 +130,8 @@ def _config(**kwargs):
         (lambda: _config(master_seed=None), "master_seed"),
         (lambda: _config(theta0="1"), "theta0"),
         (lambda: _config(eps_rho=[0.5]), "eps_rho"),
+        pytest.param(lambda: _config(n=2**63), "n", id="n_past_max_count"),
+        pytest.param(lambda: _config(reps=10**20), "reps", id="reps_past_max_count"),
     ],
 )
 def test_scalar_fields_reject_other_values_by_name(build, field):
@@ -201,6 +203,16 @@ def _fit():
         (lambda: partlin.smooth(_V, np.append(_V[1:], np.nan), _SPEC), "targets"),
         (lambda: partlin.smooth(_V, np.zeros((9, 1, 1)), _SPEC), "targets"),
         (lambda: partlin.theta_experiment_details(_config(kernel=_SPEC), 1.5), "level"),
+        # sizes and counts past errors.MAX_COUNT, which numpy cannot allocate
+        pytest.param(lambda: partlin.simulated_pvalue(-1.0, 2**61, 200, 0), "n",
+                     id="pvalue_n_past_max_count"),
+        pytest.param(lambda: partlin.simulated_pvalue(-1.0, 50, 10**20, 0), "reps",
+                     id="pvalue_reps_past_max_count"),
+        # the errors checks themselves, on their exception branches
+        pytest.param(lambda: partlin.errors.scalar(10**400, "x"), "x",
+                     id="int_past_floats"),
+        pytest.param(lambda: partlin.errors.finite_array([[1.0, 2.0], [3.0]], "x"),
+                     "x", id="ragged_list"),
     ],
 )
 def test_arguments_reject_other_values_by_name(call, name):
@@ -228,6 +240,15 @@ def test_arguments_reject_strings_by_name(call, name):
     not parsed as text or read character by character."""
     with pytest.raises(ParameterError, match=rf"^{name}\b.*must be"):
         call()
+
+
+def test_counts_are_bounded_but_seeds_keep_their_meaning_modulo_2_64():
+    """A size or count is at most errors.MAX_COUNT, while a seed past
+    2**64 is still read modulo 2**64."""
+    assert _config(n=partlin.errors.MAX_COUNT).n == partlin.errors.MAX_COUNT
+    assert _config(master_seed=2**64 + 5).master_seed == 2**64 + 5
+    assert partlin.simulated_pvalue(-1.0, 50, 200, 2**64 + 5) == \
+        partlin.simulated_pvalue(-1.0, 50, 200, 5)
 
 
 def test_array_arguments_take_lists_tuples_and_float32():

@@ -553,6 +553,31 @@ def test_worker_processes_start_no_threads(monkeypatch):
     assert run_g_experiment(cfg).reps_used == cfg.reps
 
 
+def test_process_pool_is_no_larger_than_the_cell_has_blocks(monkeypatch):
+    """``workers = 64`` on a cell of four blocks asks the process pool
+    for four workers, not 64; the pool here maps inline, starting none."""
+    made = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    cfg = small_cfg(**THREADED)
+    want = theta_experiment_details(cfg, ci_level=None)
+    got = theta_experiment_details(replace(cfg, workers=64), ci_level=None)
+    assert made == [-(-cfg.reps // block_rows(cfg.n))] == [4]
+    assert _bits(got.draws) == _bits(want.draws)
+
+
 def _traced_peak(run) -> int:
     """The tracemalloc peak of ``run()``, in bytes."""
     tracemalloc.start()
